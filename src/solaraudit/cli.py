@@ -9,42 +9,16 @@ as shipped defaults, then the --config file, then --key flags. Exit code
 """
 
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import config as cfg
 from .errors import ConfigError, NumericsError
 from .fmo import FmoConfig, sigma_trace
-from .models import (
-    DonorAcceptorParams,
-    PhotocellParams,
-    ThreeLevelParams,
-    decay_report,
-    donor_acceptor_report,
-    hamiltonian_transfer_report,
-    photocell_report,
-)
+from .models import MODELS, model_report
 from .output import emit_csv, emit_json, format_number, write_output
 from .sweeps import SweepSpec, power_comparison, run_sweep
-
-COMMANDS = (
-    "toy-decay",
-    "toy-ham",
-    "donor-acceptor",
-    "photocell",
-    "fmo-trace",
-    "sweep",
-    "compare-power",
-)
-
-COMMAND_SECTIONS = {
-    "toy-decay": "toy",
-    "toy-ham": "toy",
-    "donor-acceptor": "donor_acceptor",
-    "photocell": "photocell",
-    "fmo-trace": "fmo",
-    "compare-power": "compare_power",
-}
 
 REPORT_HEADER = ("j_abs", "j_loss", "power", "ratio", "sigma", "verdict")
 
@@ -59,15 +33,6 @@ TRACE_UNITS = {
     "current": "cm^-1 per ps",
     "sigma": "nat per ps",
 }
-
-USAGE = (
-    __doc__
-    + "\nCommands: "
-    + ", ".join(COMMANDS)
-    + "\nSweep models: "
-    + ", ".join(cfg.SWEEP_MODELS)
-    + "\n"
-)
 
 
 def _parse_argv(argv):
@@ -132,7 +97,7 @@ def _sweep_params(file_sections, overrides):
         chosen = cfg.convert_section("sweep", {"model": overrides["model"]}, where="flags")
         sweep_params["model"] = chosen["model"]
     model = sweep_params["model"]
-    model_section = cfg.MODEL_SECTIONS[model]
+    model_section = MODELS[model][0]
 
     fixed = dict(cfg.default_section(model_section))
     fixed.update(file_sections.get(model_section, {}))
@@ -158,30 +123,6 @@ def _sweep_params(file_sections, overrides):
     return sweep_params, fixed
 
 
-def _build(params_cls, params):
-    try:
-        return params_cls(**params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc))
-
-
-def _report_output(command, params, report, fmt):
-    rows = [
-        (report.j_abs, report.j_loss, report.power, report.ratio, report.sigma, report.verdict)
-    ]
-    if fmt == "csv":
-        return emit_csv(REPORT_HEADER, rows)
-    return emit_json(
-        {
-            "model": command,
-            "params": params,
-            "units": MODEL_UNITS,
-            "rows": rows,
-            "violations": [],
-        }
-    )
-
-
 def _linspace(start, stop, points, what):
     if points < 2:
         raise ConfigError(f"{what} needs at least 2 points, got {points}")
@@ -190,109 +131,101 @@ def _linspace(start, stop, points, what):
     return np.linspace(start, stop, points)
 
 
+def _report(model, file_sections, overrides):
+    params = _section_params(MODELS[model][0], file_sections, overrides)
+    r = model_report(model, params)
+    rows = [(r.j_abs, r.j_loss, r.power, r.ratio, r.sigma, r.verdict)]
+    return REPORT_HEADER, rows, (), model.replace("_", "-"), params, MODEL_UNITS, ()
+
+
+def _sweep(file_sections, overrides):
+    sweep_params, fixed = _sweep_params(file_sections, overrides)
+    grid = _linspace(
+        sweep_params["axis_start"],
+        sweep_params["axis_stop"],
+        sweep_params["axis_points"],
+        "sweep grid",
+    )
+    spec = SweepSpec(
+        model=sweep_params["model"],
+        axis=sweep_params["axis"],
+        grid=grid,
+        fixed=fixed,
+    )
+    table = run_sweep(spec)
+    footers = [
+        f"# violation: {format_number(lo)}..{format_number(hi)}" for lo, hi in table.violations
+    ]
+    header = ("axis",) + REPORT_HEADER
+    params = {**sweep_params, **fixed}
+    return header, table.rows(), footers, spec.model, params, MODEL_UNITS, table.violations
+
+
+def _compare_power(file_sections, overrides):
+    params = _section_params("compare_power", file_sections, overrides)
+    grid = _linspace(
+        params["ratio_start"], params["ratio_stop"], params["ratio_points"], "ratio grid"
+    )
+    result = power_comparison(
+        omega_abs=params["omega_abs"],
+        omega_rc=params["omega_rc"],
+        gamma=params["gamma"],
+        t_abs=params["t_abs"],
+        ratio_grid=grid,
+    )
+    header = ("ratio", "p_dec", "p_ham")
+    return header, result.rows(), (), "compare_power", params, MODEL_UNITS, ()
+
+
+def _fmo_trace(file_sections, overrides):
+    params = _section_params("fmo", file_sections, overrides)
+    grid = _linspace(0.0, params["t_max_ps"], params["n_times"], "time grid")
+    try:
+        trace_cfg = FmoConfig.from_mapping(params)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    trace = sigma_trace(trace_cfg, grid)
+    rows = list(zip(trace.t_ps, trace.j_abs, trace.j_loss, trace.sink_flow, trace.sigma))
+    header = ("t_ps", "j_abs", "j_loss", "sink_flow", "sigma")
+    return header, rows, (), "fmo", params, TRACE_UNITS, ()
+
+
+# command -> function of (file sections, flag overrides) returning the table
+# it prints: (header, rows, csv footers, model, params, units, violations)
+COMMANDS = {
+    **{model.replace("_", "-"): partial(_report, model) for model in MODELS},
+    "fmo-trace": _fmo_trace,
+    "sweep": _sweep,
+    "compare-power": _compare_power,
+}
+
+USAGE = (
+    __doc__
+    + "\nCommands: "
+    + ", ".join(COMMANDS)
+    + "\nSweep models: "
+    + ", ".join(MODELS)
+    + "\n"
+)
+
+
 def _run_command(command, config_path, fmt, out, overrides):
-    file_sections = _file_sections(config_path)
-
-    if command == "sweep":
-        sweep_params, fixed = _sweep_params(file_sections, overrides)
-        grid = _linspace(
-            sweep_params["axis_start"],
-            sweep_params["axis_stop"],
-            sweep_params["axis_points"],
-            "sweep grid",
-        )
-        spec = SweepSpec(
-            model=sweep_params["model"],
-            axis=sweep_params["axis"],
-            grid=grid,
-            fixed=fixed,
-        )
-        table = run_sweep(spec)
-        rows = table.rows()
-        if fmt == "csv":
-            footers = [
-                f"# violation: {format_number(lo)}..{format_number(hi)}"
-                for lo, hi in table.violations
-            ]
-            text = emit_csv(("axis",) + REPORT_HEADER, rows, footers)
-        else:
-            text = emit_json(
-                {
-                    "model": sweep_params["model"],
-                    "params": {**sweep_params, **fixed},
-                    "units": MODEL_UNITS,
-                    "rows": rows,
-                    "violations": [list(v) for v in table.violations],
-                }
-            )
-        write_output(text, out)
-        return
-
-    if command == "compare-power":
-        params = _section_params("compare_power", file_sections, overrides)
-        grid = _linspace(
-            params["ratio_start"], params["ratio_stop"], params["ratio_points"], "ratio grid"
-        )
-        result = power_comparison(
-            omega_abs=params["omega_abs"],
-            omega_rc=params["omega_rc"],
-            gamma=params["gamma"],
-            t_abs=params["t_abs"],
-            ratio_grid=grid,
-        )
-        rows = result.rows()
-        if fmt == "csv":
-            text = emit_csv(("ratio", "p_dec", "p_ham"), rows)
-        else:
-            text = emit_json(
-                {
-                    "model": "compare_power",
-                    "params": params,
-                    "units": MODEL_UNITS,
-                    "rows": rows,
-                    "violations": [],
-                }
-            )
-        write_output(text, out)
-        return
-
-    if command == "fmo-trace":
-        params = _section_params("fmo", file_sections, overrides)
-        grid = _linspace(0.0, params["t_max_ps"], params["n_times"], "time grid")
-        try:
-            trace_cfg = FmoConfig.from_mapping(params)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        trace = sigma_trace(trace_cfg, grid)
-        rows = list(
-            zip(trace.t_ps, trace.j_abs, trace.j_loss, trace.sink_flow, trace.sigma)
-        )
-        if fmt == "csv":
-            text = emit_csv(("t_ps", "j_abs", "j_loss", "sink_flow", "sigma"), rows)
-        else:
-            text = emit_json(
-                {
-                    "model": "fmo",
-                    "params": params,
-                    "units": TRACE_UNITS,
-                    "rows": rows,
-                    "violations": [],
-                }
-            )
-        write_output(text, out)
-        return
-
-    section = COMMAND_SECTIONS[command]
-    params = _section_params(section, file_sections, overrides)
-    if command == "toy-decay":
-        report = decay_report(_build(ThreeLevelParams, params))
-    elif command == "toy-ham":
-        report = hamiltonian_transfer_report(_build(ThreeLevelParams, params))
-    elif command == "donor-acceptor":
-        report = donor_acceptor_report(_build(DonorAcceptorParams, params))
+    header, rows, footers, model, params, units, violations = COMMANDS[command](
+        _file_sections(config_path), overrides
+    )
+    if fmt == "csv":
+        text = emit_csv(header, rows, footers)
     else:
-        report = photocell_report(_build(PhotocellParams, params))
-    write_output(_report_output(command, params, report, fmt), out)
+        text = emit_json(
+            {
+                "model": model,
+                "params": params,
+                "units": units,
+                "rows": rows,
+                "violations": violations,
+            }
+        )
+    write_output(text, out)
 
 
 def main(argv):

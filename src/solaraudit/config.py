@@ -6,22 +6,14 @@ file, so the code itself carries no parameter values. Unknown sections or
 keys are errors rather than silent no-ops, and duplicates are rejected.
 """
 
+import math
 from functools import lru_cache
 from importlib import resources
 
 from .errors import ConfigError
+from .models import MODELS
 
 DEFAULTS_RESOURCE = "data/defaults.cfg"
-
-SWEEP_MODELS = ("toy_decay", "toy_ham", "donor_acceptor", "photocell")
-
-# Section holding the fixed parameters for each sweepable model.
-MODEL_SECTIONS = {
-    "toy_decay": "toy",
-    "toy_ham": "toy",
-    "donor_acceptor": "donor_acceptor",
-    "photocell": "photocell",
-}
 
 
 def parse_config_text(text, where="config"):
@@ -65,7 +57,10 @@ def parse_config_file(path):
 
 
 def _to_float(raw):
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _to_int(raw):
@@ -75,7 +70,7 @@ def _to_int(raw):
 def _to_auto_float(raw):
     if raw == "auto":
         return None
-    return float(raw)
+    return _to_float(raw)
 
 
 def _to_str(raw):
@@ -88,7 +83,6 @@ def _choice(*options):
             raise ValueError(f"must be one of: {', '.join(options)}")
         return raw
 
-    convert.options = options
     return convert
 
 
@@ -152,7 +146,7 @@ SCHEMAS = {
         "n_times": _to_int,
     },
     "sweep": {
-        "model": _choice(*SWEEP_MODELS),
+        "model": _choice(*MODELS),
         "axis": _to_str,
         "axis_start": _to_float,
         "axis_stop": _to_float,

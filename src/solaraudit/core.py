@@ -122,9 +122,6 @@ class DensityMatrix:
     def population(self, index):
         return self.entries[index, index].real
 
-    def expectation(self, operator):
-        return np.trace(np.asarray(operator) @ self.entries)
-
     def eigenvalues(self):
         return np.linalg.eigvalsh(self.entries)
 

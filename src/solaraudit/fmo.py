@@ -360,10 +360,6 @@ def build_model(cfg):
     )
 
 
-def build_fmo_generator(cfg):
-    return build_model(cfg).generator
-
-
 @dataclass(frozen=True)
 class FmoTrace:
     """Per-time-point audit of the trace run. Currents are cm^-1 per ps,

@@ -1,3 +1,6 @@
+"""The model zoo and the one table of models with closed-form reports."""
+
+from ..errors import ConfigError
 from .three_level import (
     ThreeLevelParams,
     BirthDeathRates,
@@ -34,7 +37,33 @@ from .collective import (
     compare_with_oscillator_limit,
 )
 
+# model name -> (config section of its parameters, params class, report).
+# The sweep model choice, the sweep's section lookup and the CLI's report
+# commands (model name with '-' for '_') all read this table.
+MODELS = {
+    "toy_decay": ("toy", ThreeLevelParams, decay_report),
+    "toy_ham": ("toy", ThreeLevelParams, hamiltonian_transfer_report),
+    "donor_acceptor": ("donor_acceptor", DonorAcceptorParams, donor_acceptor_report),
+    "photocell": ("photocell", PhotocellParams, photocell_report),
+}
+
+
+def model_report(model, values, where=""):
+    """Build the model's params from values and return its report.
+
+    A value the params or the report rejects is a ConfigError, its message
+    prefixed with `where`.
+    """
+    _, params_cls, report = MODELS[model]
+    try:
+        return report(params_cls(**values))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}{exc}")
+
+
 __all__ = [
+    "MODELS",
+    "model_report",
     "ThreeLevelParams",
     "BirthDeathRates",
     "birth_death_rates",

@@ -8,13 +8,13 @@ jump |beta><alpha| at rate gamma_load; a second cold channel recycles
 flux gamma_load * rho_alpha.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import LindbladGenerator
-from ..thermo import BathSpec, ThermoReport, second_law_verdict
+from ..errors import NumericsError
+from ..thermo import BathSpec, ThermoReport
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def donor_acceptor_steady_state(p):
     n_h, n_c, big_n = p.occupations()
     gh, gc, gcb, g = p.gamma_h, p.gamma_c, p.gamma_cb, p.gamma_load
     if n_h == 0.0:
-        raise ValueError("hot occupation vanished; cycle ratios undefined")
+        raise NumericsError("hot occupation vanished; cycle ratios undefined")
     r_a = (gc * n_c + g) / (gc * (1.0 + n_c))
     r_b = (g * gc * (1.0 + n_c) + gh * (1.0 + n_h) * (gc * n_c + g)) / (
         gh * n_h * gc * (1.0 + n_c)
@@ -114,10 +114,7 @@ def donor_acceptor_currents(p):
 
 def donor_acceptor_report(p):
     j_abs, j_loss, power = donor_acceptor_currents(p)
-    sigma = -j_abs / p.t_abs - j_loss / p.t_loss
-    ratio = -j_loss / j_abs if j_abs != 0.0 else math.nan
-    verdict = second_law_verdict(j_abs, j_loss, p.t_abs, p.t_loss)
-    return ThermoReport(j_abs, j_loss, power, sigma, ratio, verdict, sink_flow=power)
+    return ThermoReport.from_currents(j_abs, j_loss, power, p.t_abs, p.t_loss, sink_flow=power)
 
 
 def donor_acceptor_generator(p):

@@ -7,13 +7,13 @@ x1 -> x2 -> alpha and the beta -> b recycle; the load is a one-way jump
 |beta><alpha| at rate gamma_load.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import LindbladGenerator
-from ..thermo import BathSpec, ThermoReport, second_law_verdict
+from ..errors import NumericsError
+from ..thermo import BathSpec, ThermoReport
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def photocell_steady_state(p):
     n_h, n_x, n_2c, big_n = p.occupations()
     gh, gx, gc, gcb, g = p.gamma_h, p.gamma_x, p.gamma_c, p.gamma_cb, p.gamma_load
     if n_h == 0.0:
-        raise ValueError("hot occupation vanished; cycle ratios undefined")
+        raise NumericsError("hot occupation vanished; cycle ratios undefined")
     r_x2 = (gc * n_2c + g) / (gc * (1.0 + n_2c))
     r_x1 = r_x2 * (gx * n_x * (gc * n_2c + g) + g * gc * (1.0 + n_2c)) / (
         gx * (1.0 + n_x) * (gc * n_2c + g)
@@ -116,10 +116,7 @@ def photocell_currents(p):
 
 def photocell_report(p):
     j_abs, j_loss, power = photocell_currents(p)
-    sigma = -j_abs / p.t_abs - j_loss / p.t_loss
-    ratio = -j_loss / j_abs if j_abs != 0.0 else math.nan
-    verdict = second_law_verdict(j_abs, j_loss, p.t_abs, p.t_loss)
-    return ThermoReport(j_abs, j_loss, power, sigma, ratio, verdict, sink_flow=power)
+    return ThermoReport.from_currents(j_abs, j_loss, power, p.t_abs, p.t_loss, sink_flow=power)
 
 
 def photocell_generator(p):

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core import DensityMatrix, DissipationChannel, LindbladGenerator, liouvillian_apply
 from ..errors import TruncationOverflowError
-from ..thermo import BathSpec, ThermoReport, bose_occupation, second_law_verdict
+from ..thermo import BathSpec, ThermoReport, bose_occupation
 
 TRUNCATION_POPULATION_TOL = 1e-6
 
@@ -89,6 +89,8 @@ def decay_steady_populations(p):
     """
     n_h, n_c = p.occupations()
     gh, gc, g = p.gamma_h, p.gamma_c, p.gamma
+    if gc == 0.0:
+        raise ValueError("cold bath rate gamma_c is zero; populations undefined")
     r21 = (g + gc * n_c) / (gc * (1.0 + n_c))
     den = gh * (1.0 + n_h) * gc * n_c + g * (gh * (1.0 + n_h) + gc * (1.0 + n_c))
     if den == 0.0:
@@ -100,21 +102,20 @@ def decay_steady_populations(p):
     return np.array([rho0, rho1, rho2])
 
 
+def _cycle_currents(p, flux):
+    """(j_abs, j_loss, power) of a net cycle flux through the three levels:
+    in at omega_plus, out at omega_minus, omega_rc extracted per cycle."""
+    return p.omega_plus * flux, -p.omega_minus * flux, -p.omega_rc * flux
+
+
 def decay_report(p):
     """Steady-state audit of the decay scheme.
 
-    The cycle flux equals gamma*rho11, so j_abs = omega_plus * flux,
-    j_loss = -omega_minus * flux and power = -omega_rc * flux < 0 always.
+    The cycle flux equals gamma*rho11 and the sink carries the power,
+    which is negative always.
     """
-    pops = decay_steady_populations(p)
-    flux = p.gamma * pops[1]
-    j_abs = p.omega_plus * flux
-    j_loss = -p.omega_minus * flux
-    power = -p.omega_rc * flux
-    sigma = -j_abs / p.t_abs - j_loss / p.t_loss
-    ratio = -j_loss / j_abs if j_abs != 0.0 else math.nan
-    verdict = second_law_verdict(j_abs, j_loss, p.t_abs, p.t_loss)
-    return ThermoReport(j_abs, j_loss, power, sigma, ratio, verdict, sink_flow=power)
+    j_abs, j_loss, power = _cycle_currents(p, p.gamma * decay_steady_populations(p)[1])
+    return ThermoReport.from_currents(j_abs, j_loss, power, p.t_abs, p.t_loss, sink_flow=power)
 
 
 def decay_hamiltonian(p):
@@ -204,15 +205,8 @@ def hamiltonian_transfer_report(p):
     j_loss = -omega_minus (s - r), power = -omega_rc (s - r). Work is
     extracted exactly when the repository grows (s > r).
     """
-    bd = birth_death_rates(p)
-    net = bd.net
-    j_abs = p.omega_plus * net
-    j_loss = -p.omega_minus * net
-    power = -p.omega_rc * net
-    sigma = -j_abs / p.t_abs - j_loss / p.t_loss
-    ratio = -j_loss / j_abs if j_abs != 0.0 else math.nan
-    verdict = second_law_verdict(j_abs, j_loss, p.t_abs, p.t_loss)
-    return ThermoReport(j_abs, j_loss, power, sigma, ratio, verdict, sink_flow=0.0)
+    j_abs, j_loss, power = _cycle_currents(p, birth_death_rates(p).net)
+    return ThermoReport.from_currents(j_abs, j_loss, power, p.t_abs, p.t_loss, sink_flow=0.0)
 
 
 def _index(sigma, n, n_max):

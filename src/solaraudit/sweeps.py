@@ -3,36 +3,17 @@
 A sweep varies one dimensionless axis, evaluates the steady-state report
 at every grid point, and post-processes the verdict column into maximal
 violation intervals whose interior edges are sharpened by bisection.
-Sweep points are independent, so they can optionally run on a thread
-pool sized by SOLARAUDIT_NUM_THREADS.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .models import (
-    DonorAcceptorParams,
-    PhotocellParams,
-    ThreeLevelParams,
-    decay_report,
-    donor_acceptor_report,
-    hamiltonian_transfer_report,
-    photocell_report,
-)
+from .models import MODELS, model_report
 
 SWEEP_AXES = ("omega_ratio", "temp_ratio")
 EDGE_TOL = 1e-6
-
-_MODEL_TABLE = {
-    "toy_decay": (ThreeLevelParams, decay_report),
-    "toy_ham": (ThreeLevelParams, hamiltonian_transfer_report),
-    "donor_acceptor": (DonorAcceptorParams, donor_acceptor_report),
-    "photocell": (PhotocellParams, photocell_report),
-}
 
 
 def _apply_axis(model, fixed, axis, x):
@@ -69,10 +50,10 @@ class SweepSpec:
     fixed: dict
 
     def __post_init__(self):
-        if self.model not in _MODEL_TABLE:
+        if self.model not in MODELS:
             raise ConfigError(
                 f"unknown sweep model {self.model!r}; use one of: "
-                + ", ".join(sorted(_MODEL_TABLE))
+                + ", ".join(sorted(MODELS))
             )
         if self.axis == "time":
             raise ConfigError(
@@ -96,13 +77,8 @@ class SweepSpec:
 
     def point_report(self, x):
         """Steady-state report at one axis value."""
-        build, report = _MODEL_TABLE[self.model]
         values = _apply_axis(self.model, self.fixed, self.axis, x)
-        try:
-            params = build(**values)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sweep point {self.axis} = {x:g}: {exc}")
-        return report(params)
+        return model_report(self.model, values, where=f"sweep point {self.axis} = {x:g}: ")
 
 
 @dataclass(frozen=True)
@@ -118,22 +94,8 @@ class SweepTable:
         ]
 
 
-def _worker_count(workers):
-    if workers is None:
-        raw = os.environ.get("SOLARAUDIT_NUM_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"SOLARAUDIT_NUM_THREADS must be an integer, got {raw!r}"
-            )
-    if workers < 1:
-        raise ConfigError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
 def _refine_edge(predicate, lo, hi):
-    """Bisect a violation edge inside (lo, hi); predicate flips across it."""
+    """Bisect the point inside (lo, hi) where predicate flips, to EDGE_TOL."""
     at_lo = predicate(lo)
     while hi - lo > EDGE_TOL:
         mid = 0.5 * (lo + hi)
@@ -173,14 +135,8 @@ def violation_intervals(spec, reports):
     return intervals
 
 
-def run_sweep(spec, workers=None):
-    count = _worker_count(workers)
-    xs = [float(x) for x in spec.grid]
-    if count == 1:
-        reports = [spec.point_report(x) for x in xs]
-    else:
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            reports = list(pool.map(spec.point_report, xs))
+def run_sweep(spec):
+    reports = [spec.point_report(float(x)) for x in spec.grid]
     violations = violation_intervals(spec, reports)
     return SweepTable(spec=spec, reports=tuple(reports), violations=tuple(violations))
 
@@ -212,46 +168,28 @@ def power_comparison(omega_abs, omega_rc, gamma, t_abs, ratio_grid):
     if np.any(np.diff(grid) <= 0):
         raise ConfigError("ratio grid must be strictly increasing")
 
-    def params_at(tau):
-        try:
-            return ThreeLevelParams(
-                omega_abs=omega_abs,
-                omega_rc=omega_rc,
-                gamma=gamma,
-                t_abs=t_abs,
-                t_loss=tau * t_abs,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"temperature ratio {tau:g}: {exc}")
+    def power(model, tau):
+        values = dict(
+            omega_abs=omega_abs, omega_rc=omega_rc, gamma=gamma, t_abs=t_abs, t_loss=tau * t_abs
+        )
+        return model_report(model, values, where=f"temperature ratio {tau:g}: ").power
 
-    def transfer_power(tau):
-        return hamiltonian_transfer_report(params_at(tau)).power
+    p_dec = np.array([power("toy_decay", tau) for tau in grid])
+    p_ham = np.array([power("toy_ham", tau) for tau in grid])
 
-    p_dec = np.array([decay_report(params_at(tau)).power for tau in grid])
-    p_ham = np.array([transfer_power(tau) for tau in grid])
-
+    # the first grid step that touches or crosses zero; an exact zero at a
+    # grid point is the crossing itself
+    signs = np.sign(p_ham)
+    steps = np.flatnonzero(signs[:-1] * signs[1:] <= 0)
     crossing = None
-    for k in range(grid.size - 1):
-        a, b = grid[k], grid[k + 1]
-        fa, fb = p_ham[k], p_ham[k + 1]
-        if fa == 0.0:
-            crossing = float(a)
-            break
-        if fb == 0.0:
-            crossing = float(b)
-            break
-        if (fa < 0) != (fb < 0):
-            while b - a > EDGE_TOL:
-                mid = 0.5 * (a + b)
-                fm = transfer_power(mid)
-                if fm == 0.0:
-                    a = b = mid
-                elif (fm < 0) == (fa < 0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            crossing = 0.5 * (a + b)
-            break
+    if steps.size:
+        k = steps[0]
+        if signs[k] == 0:
+            crossing = float(grid[k])
+        elif signs[k + 1] == 0:
+            crossing = float(grid[k + 1])
+        else:
+            crossing = _refine_edge(lambda tau: power("toy_ham", tau) < 0, grid[k], grid[k + 1])
     return PowerComparison(
         ratios=grid, p_decay=p_dec, p_transfer=p_ham, zero_crossing=crossing
     )

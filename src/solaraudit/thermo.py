@@ -158,11 +158,13 @@ def second_law_verdict(j_abs, j_loss, t_abs, t_loss):
 
     With r = -j_loss/j_abs and tau = T_loss/T_abs: consistent iff r >= tau
     when j_abs > 0, iff r <= tau when j_abs < 0. Undefined when j_abs is
-    negligible against the current scale. Comparison tolerance is 1e-9
-    relative to tau.
+    negligible against the current scale, or when either current is not
+    finite. Comparison tolerance is 1e-9 relative to tau.
     """
     if t_abs <= 0 or t_loss <= 0:
         raise ValueError("bath temperatures must be positive")
+    if not (math.isfinite(j_abs) and math.isfinite(j_loss)):
+        return "undefined"
     scale = max(abs(j_abs), abs(j_loss))
     if scale == 0.0 or abs(j_abs) < VERDICT_CURRENT_FLOOR * scale:
         return "undefined"
@@ -201,3 +203,12 @@ class ThermoReport:
             raise ValueError(
                 f"first law violated: j_abs + j_loss + power = {closure:.3e}"
             )
+
+    @classmethod
+    def from_currents(cls, j_abs, j_loss, power, t_abs, t_loss, sink_flow):
+        """Report on steady currents: sigma from the two thermal baths only,
+        ratio = -j_loss/j_abs (nan when j_abs is zero), and the verdict."""
+        sigma = -j_abs / t_abs - j_loss / t_loss
+        ratio = -j_loss / j_abs if j_abs != 0.0 else math.nan
+        verdict = second_law_verdict(j_abs, j_loss, t_abs, t_loss)
+        return cls(j_abs, j_loss, power, sigma, ratio, verdict, sink_flow=sink_flow)

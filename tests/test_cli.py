@@ -170,6 +170,28 @@ def test_bad_values_exit_2(capsys):
     assert code == 2 and "omega_rc" in err
     code, _, err = run_cli(capsys, "toy-decay", "--nope", "3")
     assert code == 2 and "unknown keys in [toy]: nope" in err
+    # non-finite values are rejected where flags are converted
+    for argv in (
+        ("toy-decay", "--gamma", "nan"),
+        ("photocell", "--gamma_h", "inf"),
+        ("toy-decay", "--t_abs", "inf"),
+        ("fmo-trace", "--t_sun", "nan"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and "must be finite" in err, argv
+    # values the params accept but the closed-form report does not
+    for argv, needle in (
+        (("toy-ham", "--gamma", "0.1"), "weak coupling"),
+        (("compare-power", "--gamma", "0.1"), "temperature ratio 0.02: hamiltonian"),
+        (("sweep", "--model", "toy_ham", "--gamma", "0.1"), "sweep point omega_ratio = "),
+        (("toy-ham", "--gamma", "0"), "both bath rates positive"),
+        (("toy-decay", "--gamma", "0"), "gamma_c is zero"),
+        (("compare-power", "--gamma", "0"), "gamma_c is zero"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and needle in err, argv
 
 
 def test_out_file_matches_stdout(capsys, tmp_path):
@@ -277,6 +299,18 @@ def test_fmo_trace_numerics_exit(capsys):
     code, out, err = run_cli(capsys, "fmo-trace", "--t_sun", "1.0")
     assert code == 3 and out == ""
     assert err.startswith("numerical failure: ")
+
+
+def test_occupation_underflow_exits_3(capsys):
+    # a hot gap of 1000 temperatures underflows the Bose occupation to zero
+    for argv in (
+        ("donor-acceptor", "--t_abs", "1e-3"),
+        ("photocell", "--t_abs", "1e-3"),
+        ("sweep", "--model", "photocell", "--t_abs", "1e-3", "--axis_stop", "0.98"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("numerical failure: ") and "hot occupation vanished" in err
 
 
 def test_nan_cells(capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from solaraudit import DensityMatrix, heat_current, steady_state
+from solaraudit import DensityMatrix, NumericsError, heat_current, steady_state
 from solaraudit.models import (
     DonorAcceptorParams,
     PhotocellParams,
@@ -199,7 +199,7 @@ def test_donor_acceptor_gibbs_limit():
 
 
 def test_donor_acceptor_zero_hot_occupation_raises():
-    with pytest.raises(ValueError, match="hot occupation"):
+    with pytest.raises(NumericsError, match="hot occupation"):
         donor_acceptor_steady_state(_da(t_abs=1e-3))
 
 
@@ -331,7 +331,7 @@ def test_photocell_gibbs_limit():
 
 
 def test_photocell_zero_hot_occupation_raises():
-    with pytest.raises(ValueError, match="hot occupation"):
+    with pytest.raises(NumericsError, match="hot occupation"):
         photocell_steady_state(_pc(t_abs=1e-3))
 
 

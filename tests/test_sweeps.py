@@ -145,33 +145,17 @@ def test_sweep_verdicts_match_numeric_oracle():
         assert second_law_verdict(j_abs, j_loss, 1.0, 0.05) == rep.verdict
 
 
-def test_sweep_deterministic_and_thread_agnostic(monkeypatch):
+def test_sweep_deterministic():
     spec = SweepSpec(
         model="toy_decay",
         axis="omega_ratio",
         grid=np.linspace(0.1, 1.9, 20),
         fixed=TOY_FIXED,
     )
-    serial = run_sweep(spec)
+    first = run_sweep(spec)
     again = run_sweep(spec)
-    threaded = run_sweep(spec, workers=3)
-    assert serial.rows() == again.rows() == threaded.rows()
-    assert serial.violations == threaded.violations
-    monkeypatch.setenv("SOLARAUDIT_NUM_THREADS", "4")
-    from_env = run_sweep(spec)
-    assert from_env.rows() == serial.rows()
-
-
-def test_worker_count_errors(monkeypatch):
-    spec = SweepSpec(
-        model="toy_decay", axis="omega_ratio", grid=[0.5, 1.0], fixed=TOY_FIXED
-    )
-    monkeypatch.setenv("SOLARAUDIT_NUM_THREADS", "banana")
-    with pytest.raises(ConfigError, match="SOLARAUDIT_NUM_THREADS"):
-        run_sweep(spec)
-    monkeypatch.delenv("SOLARAUDIT_NUM_THREADS")
-    with pytest.raises(ConfigError, match="worker count"):
-        run_sweep(spec, workers=0)
+    assert first.rows() == again.rows()
+    assert first.violations == again.violations
 
 
 def test_power_comparison_signs_and_crossing():

@@ -239,6 +239,11 @@ def test_second_law_verdict_boundary_tolerance():
     assert second_law_verdict(1.0, -tau * (1.0 - 1e-6), 1.0, tau) == "violation"
 
 
+def test_second_law_verdict_undefined_for_non_finite_currents():
+    for j_abs, j_loss in ((np.nan, -0.5), (1.0, np.nan), (np.inf, -0.5), (1.0, -np.inf)):
+        assert second_law_verdict(j_abs, j_loss, 1.0, 0.4) == "undefined"
+
+
 def test_second_law_verdict_rejects_bad_temperatures():
     with pytest.raises(ValueError):
         second_law_verdict(1.0, -0.5, 0.0, 0.5)
