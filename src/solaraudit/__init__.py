@@ -23,7 +23,6 @@ from .errors import (
     SolarAuditError,
     StateValidationError,
     SteadyStateConvergenceError,
-    StepUnderflowError,
     TruncationOverflowError,
 )
 from .thermo import (
@@ -50,7 +49,6 @@ __all__ = [
     "SolarAuditError",
     "StateValidationError",
     "SteadyStateConvergenceError",
-    "StepUnderflowError",
     "ThermoReport",
     "TruncationOverflowError",
     "bose_occupation",

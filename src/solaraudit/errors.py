@@ -47,15 +47,6 @@ class SteadyStateConvergenceError(NumericsError):
         )
 
 
-class StepUnderflowError(NumericsError):
-    def __init__(self, time):
-        self.time = time
-        super().__init__(
-            f"integration step underflows at t = {time!r}; "
-            "requested accuracy is unreachable at this time scale"
-        )
-
-
 class TruncationOverflowError(NumericsError):
     def __init__(self, weight, n_max):
         self.weight = weight

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BATH_IDS, _as_matrix, DissipationChannel, dissipator_action
+from .core import BATH_IDS, _as_matrix, _vec, DissipationChannel
 from .errors import NumericsError
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
@@ -93,21 +93,21 @@ class BathSpec:
 def heat_current(gen, bath_id, rho):
     """Energy flow into the system from one bath: Tr[D_bath(rho) H].
 
+    Evaluated as vec(H^T) . (D_bath vec(rho)) on the generator's bath block.
     Positive values mean the bath feeds energy into the system. Returns 0.0
     if no channel carries the tag (a decoupled bath moves no heat).
     """
-    channels = gen.bath_channels(bath_id)
-    r = _as_matrix(rho)
-    if not channels:
+    if bath_id not in BATH_IDS:
+        raise ValueError(
+            f"unknown bath_id {bath_id!r}, expected one of {BATH_IDS}"
+        )
+    block = gen.bath_blocks[bath_id]
+    if block is None:
         return 0.0
-    acc = np.zeros_like(r)
-    for ch in channels:
-        if ch.rate != 0.0:
-            acc += dissipator_action(ch, r)
-    val = np.trace(acc @ gen.hamiltonian)
-    scale = max(
-        1.0, np.linalg.norm(acc) * np.linalg.norm(np.asarray(gen.hamiltonian))
-    )
+    h = gen.hamiltonian
+    d_rho = block @ _vec(gen, rho)
+    val = h.T.reshape(-1) @ d_rho
+    scale = max(1.0, np.linalg.norm(d_rho) * np.linalg.norm(h))
     if abs(val.imag) > 1e-12 * scale:
         raise NumericsError(
             f"heat current has imaginary residue {val.imag:.3e} beyond tolerance"
@@ -182,7 +182,8 @@ class ThermoReport:
 
     power < 0 means work is extracted. sink_flow records Tr[D_sink(rho) H]
     so the first law j_abs + j_loss + power = 0 can be checked even though
-    sigma never sees the sink.
+    sigma never sees the sink. Non-finite j_abs, j_loss or power raise
+    NumericsError: the first-law check cannot see a NaN.
     """
 
     j_abs: float
@@ -197,6 +198,11 @@ class ThermoReport:
         if self.verdict not in VERDICTS:
             raise ValueError(
                 f"verdict must be one of {VERDICTS}, got {self.verdict!r}"
+            )
+        if not all(math.isfinite(x) for x in (self.j_abs, self.j_loss, self.power)):
+            raise NumericsError(
+                f"non-finite report: j_abs = {self.j_abs}, "
+                f"j_loss = {self.j_loss}, power = {self.power}"
             )
         closure = abs(self.j_abs + self.j_loss + self.power)
         if closure > FIRST_LAW_RELATIVE_TOL * max(abs(self.j_abs), 1e-30):

@@ -301,6 +301,21 @@ def test_fmo_trace_numerics_exit(capsys):
     assert err.startswith("numerical failure: ")
 
 
+def test_fmo_trace_huge_time_span(capsys):
+    # exact propagation takes any span in one step: after 1e300 ps all
+    # population sits in the trap and nothing flows
+    code, out, err = run_cli(capsys, "fmo-trace", "--n_times", "2", "--t_max_ps", "1e300")
+    assert code == 0 and err == ""
+    _, rows, _ = csv_lines(out)
+    assert rows[-1][0] == "1e+300"
+    assert all(abs(float(cell)) <= 1e-12 for cell in rows[-1][1:])
+    # a span whose |L dt| overflows is a numerical failure, reported on one
+    # line with no warning or traceback
+    code, out, err = run_cli(capsys, "fmo-trace", "--n_times", "2", "--t_max_ps", "1e308")
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: ") and len(err.splitlines()) == 1
+
+
 def test_occupation_underflow_exits_3(capsys):
     # a hot gap of 1000 temperatures underflows the Bose occupation to zero
     for argv in (
@@ -364,6 +379,20 @@ def test_config_round_trip_handcrafted():
     assert again == typed
 
 
+def run_python(code, cwd, *argv):
+    """Run `python -c code` in a child process whose PYTHONPATH leads with
+    the package under test."""
+    package_root = str(Path(solaraudit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (package_root, env.get("PYTHONPATH")))
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 def test_console_script_subprocess(tmp_path):
     # The console script is a wrapper that imports the [project.scripts]
     # target and exits with its return value; run that in a child process,
@@ -377,17 +406,9 @@ def test_console_script_subprocess(tmp_path):
         assert scripts["solaraudit"] == ENTRY_POINT
     module, func = ENTRY_POINT.split(":")
     code = f"import sys; from {module} import {func}; sys.exit({func}())"
-    package_root = str(Path(solaraudit.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (package_root, env.get("PYTHONPATH")))
-    )
 
     def run(*argv):
-        return subprocess.run(
-            [sys.executable, "-c", code, *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-        )
+        return run_python(code, tmp_path, *argv)
 
     proc = run("toy-decay")
     assert proc.returncode == 0
@@ -395,3 +416,20 @@ def test_console_script_subprocess(tmp_path):
     proc = run("toy-decay", "--omega_rc", "9")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
+
+
+def test_cli_leaves_scipy_linalg_unimported(tmp_path):
+    # importing scipy.linalg costs every command ~7 MB of resident memory
+    # and ~0.1 s; neither a closed-form command nor the dense propagation
+    # path of fmo-trace may load it or scipy.sparse.linalg
+    code = (
+        "import contextlib, io, sys\n"
+        "from solaraudit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['toy-decay']), main(['fmo-trace', '--n_times', '3'])]\n"
+        "print(codes, sorted(m for m in sys.modules\n"
+        "                    if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))\n"
+    )
+    proc = run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] []"

@@ -2,21 +2,28 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from solaraudit import core
 from solaraudit import (
     DegenerateSteadyStateError,
     DensityMatrix,
     DissipationChannel,
     LindbladGenerator,
+    NumericsError,
     StateValidationError,
-    StepUnderflowError,
     floor_positivity,
+    heat_current,
     liouvillian_apply,
     propagate,
     steady_state,
 )
-from solaraudit.core import dissipator_action
+from solaraudit.core import BATH_IDS, expm_dense
+from solaraudit.fmo import PS_TO_INTERNAL, build_model, default_config
+from solaraudit.models import ThreeLevelParams, hamiltonian_transfer_generator
 from solaraudit.thermo import BathSpec
+
+from dissipator_oracle import dissipator_action
 
 
 def qubit_decay_generator(omega=1.0, gamma=0.1):
@@ -98,6 +105,10 @@ def test_dissipator_action_matches_direct_formula():
         - 0.5 * (a.conj().T @ a @ r + r @ a.conj().T @ a)
     )
     assert np.abs(dissipator_action(ch, rho) - expected).max() < 1e-14
+    gen = LindbladGenerator(np.zeros((3, 3)), [ch])
+    via_block = (gen.bath_blocks["loss"] @ r.reshape(-1)).reshape(3, 3)
+    assert np.abs(via_block - expected).max() < 1e-14
+    assert gen.bath_blocks["abs"] is None and gen.bath_blocks["sink"] is None
 
 
 def test_superoperator_matches_direct_application():
@@ -127,12 +138,79 @@ def test_bohr_frequency_check_rejects_wrong_gap():
     # correct gap and opt-out both construct fine
     LindbladGenerator(h, [DissipationChannel(lower, 0.1, "loss", 1.0)])
     LindbladGenerator(h, [DissipationChannel(lower, 0.1, "loss", 0.4, check_bohr=False)])
+    # one wrong gap among correct channels of both directions is found
+    h3 = np.diag([0.0, 1.0, 3.0]).astype(complex)
+    lower01 = np.zeros((3, 3), dtype=complex)
+    lower01[0, 1] = 1.0
+    lower12 = np.zeros((3, 3), dtype=complex)
+    lower12[1, 2] = 1.0
+    good = BathSpec("loss", 0.5, 0.1).thermal_pair(lower01, 1.0)
+    good += BathSpec("abs", 0.5, 0.1).thermal_pair(lower12, 2.0)
+    LindbladGenerator(h3, good)
+    with pytest.raises(ValueError, match="frequency 2.5 "):
+        LindbladGenerator(h3, good + [DissipationChannel(lower12.T, 0.1, "loss", 2.5)])
 
 
-def test_recommended_step_uses_rates_and_spread():
-    gen = qubit_decay_generator(omega=4.0, gamma=0.5)
-    # max rate 0.5 -> 0.02; spread 4 -> 0.5; the rate clause wins
-    assert gen.recommended_step() == pytest.approx(min(0.01 / 0.5, 2.0 / 4.0))
+def test_channel_stores_sparse_jump():
+    dense = np.zeros((3, 3), dtype=complex)
+    dense[0, 2] = 0.5
+    ch = DissipationChannel(dense, 0.1, "loss", 0.0, check_bohr=False)
+    assert ch.jump.format == "csr" and ch.jump.nnz == 1
+    assert np.array_equal(ch.jump.toarray(), dense)
+    again = DissipationChannel(ch.jump, 0.1, "loss", 0.0, check_bohr=False)
+    assert np.array_equal(again.jump.toarray(), dense)
+    with pytest.raises(ValueError):
+        DissipationChannel(np.zeros((2, 3)), 0.1, "loss", 0.0)
+
+
+def test_bath_blocks_match_direct_formula():
+    # every bath of the trace model and of a dressed transfer ladder: the
+    # block's action, the heat current read off it and the summed generator
+    # against the per-channel direct formula
+    ladder = ThreeLevelParams(
+        omega_abs=1.0, omega_rc=0.5, gamma=0.02, t_abs=2.0, t_loss=0.2,
+        gamma_h=0.01, gamma_c=0.01,
+    )
+    rng = np.random.default_rng(17)
+    for gen in (
+        build_model(default_config()).generator,
+        hamiltonian_transfer_generator(ladder, 6),
+    ):
+        h = gen.hamiltonian
+        rho = random_state(rng, gen.dim)
+        r = rho.entries
+        total = -1j * (h @ r - r @ h)
+        for bath in BATH_IDS:
+            channels = gen.bath_channels(bath)
+            direct = sum((dissipator_action(ch, rho) for ch in channels), np.zeros_like(r))
+            total = total + direct
+            block = gen.bath_blocks[bath]
+            if block is None:
+                assert not channels and heat_current(gen, bath, rho) == 0.0
+                continue
+            via_block = (block @ r.reshape(-1)).reshape(gen.dim, gen.dim)
+            assert np.abs(via_block - direct).max() <= 1e-13 * np.abs(direct).max()
+            scale = np.linalg.norm(direct) * np.linalg.norm(h)
+            expected = np.trace(direct @ h).real
+            assert abs(heat_current(gen, bath, rho) - expected) <= 1e-13 * scale
+        assert np.abs(liouvillian_apply(gen, rho) - total).max() <= 1e-13 * np.abs(total).max()
+
+
+def test_expm_dense_matches_scipy_on_fmo_generator():
+    lmat = build_model(default_config()).generator.superoperator.toarray()
+    for dt in (0.05 * PS_TO_INTERNAL, 1.0, 100.0):
+        ref = scipy.linalg.expm(lmat * dt)
+        # s squarings of a norm-one matrix amplify rounding by up to 2^s,
+        # i.e. by about the norm of L dt
+        tol = 1e-15 * np.abs(lmat * dt).sum(axis=0).max()
+        assert np.abs(expm_dense(lmat * dt) - ref).max() <= tol, dt
+
+
+def test_expm_dense_rejects_non_finite():
+    with pytest.raises(NumericsError):
+        expm_dense(np.array([[np.inf]]))
+    with pytest.raises(NumericsError):
+        expm_dense(np.array([[1000.0]]))  # e^1000 overflows
 
 
 # ------------------------------------------------------------------ propagate
@@ -143,13 +221,12 @@ def test_propagate_qubit_decay_closed_form():
     gen = qubit_decay_generator(omega, gamma)
     rho0 = DensityMatrix.pure([np.sqrt(0.4), np.sqrt(0.6)])
     ts = np.array([0.0, 0.7, 2.4, 5.0])
-    for step, tol in ((None, 1e-6), (1e-3, 1e-10)):
-        states = propagate(gen, rho0, ts, step=step)
-        for t, rho in zip(ts, states):
-            p1 = 0.6 * np.exp(-gamma * t)
-            coh = np.sqrt(0.24) * np.exp(-0.5 * gamma * t) * np.exp(1j * omega * t)
-            assert abs(rho.population(1) - p1) < tol
-            assert abs(rho.entries[0, 1] - coh) < tol
+    states = propagate(gen, rho0, ts)
+    for t, rho in zip(ts, states):
+        p1 = 0.6 * np.exp(-gamma * t)
+        coh = np.sqrt(0.24) * np.exp(-0.5 * gamma * t) * np.exp(1j * omega * t)
+        assert abs(rho.population(1) - p1) < 1e-12
+        assert abs(rho.entries[0, 1] - coh) < 1e-12
 
 
 def test_propagate_unitary_rabi_oscillation():
@@ -157,9 +234,9 @@ def test_propagate_unitary_rabi_oscillation():
     h = np.array([[0.0, g], [g, 0.0]], dtype=complex)
     gen = LindbladGenerator(h, [])
     ts = np.linspace(0.0, 3.0, 7)
-    states = propagate(gen, DensityMatrix.ground(2), ts, step=1e-3)
+    states = propagate(gen, DensityMatrix.ground(2), ts)
     for t, rho in zip(ts, states):
-        assert abs(rho.population(1) - np.sin(g * t) ** 2) < 1e-10
+        assert abs(rho.population(1) - np.sin(g * t) ** 2) < 1e-12
 
 
 def test_propagate_no_channels_eigenstate_constant():
@@ -169,18 +246,6 @@ def test_propagate_no_channels_eigenstate_constant():
     states = propagate(gen, rho0, np.linspace(0.0, 10.0, 5))
     for rho in states:
         assert np.abs(rho.entries - rho0.entries).max() < 1e-12
-
-
-def test_propagate_fourth_order_convergence():
-    gen = qubit_decay_generator(omega=1.0, gamma=0.3)
-    rho0 = DensityMatrix.pure([0.6, 0.8])
-    grid = np.array([0.0, 1.0])
-    ref = propagate(gen, rho0, grid, step=1.0 / 4096)[-1].entries
-    err = {}
-    for h in (0.1, 0.05):
-        got = propagate(gen, rho0, grid, step=h)[-1].entries
-        err[h] = np.abs(got - ref).max()
-    assert err[0.1] / err[0.05] >= 8.0
 
 
 def test_propagate_hits_grid_and_conserves_trace():
@@ -204,15 +269,8 @@ def test_propagate_rejects_bad_grids():
         propagate(gen, rho0, [])
 
 
-def test_propagate_step_underflow_at_large_offset():
-    gen = qubit_decay_generator(omega=1.0, gamma=1.0)
-    rho0 = DensityMatrix.ground(2)
-    with pytest.raises(StepUnderflowError):
-        propagate(gen, rho0, [1e20, 1e20 + 1e5])
-
-
 def test_propagate_large_dimension_sparse_path():
-    # dim > 32 exercises the sparse propagation matrix
+    # dim 40 > DENSE_PROPAGATION_MAX_DIM takes the expm_multiply path
     dim, gamma = 40, 0.05
     h = np.diag(np.arange(dim, dtype=float)).astype(complex)
     lower = np.zeros((dim, dim), dtype=complex)
@@ -222,6 +280,29 @@ def test_propagate_large_dimension_sparse_path():
     v[dim - 1] = 1.0
     states = propagate(gen, DensityMatrix.pure(v), np.array([0.0, 4.0]))
     assert abs(states[-1].population(dim - 1) - np.exp(-gamma * 4.0)) < 1e-9
+
+
+def test_dense_and_expm_multiply_paths_agree(monkeypatch):
+    gen = build_model(default_config()).generator
+    rho0 = DensityMatrix.ground(gen.dim)
+    grid = np.linspace(0.0, 1.0, 21) * PS_TO_INTERNAL
+    dense = propagate(gen, rho0, grid)
+    monkeypatch.setattr(core, "DENSE_PROPAGATION_MAX_DIM", 0)
+    sparse = propagate(gen, rho0, grid)
+    for a, b in zip(dense, sparse):
+        assert np.abs(a.entries - b.entries).max() < 1e-12
+
+
+def test_propagate_non_finite_span_raises(monkeypatch):
+    gen = qubit_decay_generator(omega=10.0)
+    rho0 = DensityMatrix.ground(2)
+    # |L dt|_1 ~ 10 * 1e308 overflows on both paths; neither may hang or
+    # return a state
+    with pytest.raises(NumericsError):
+        propagate(gen, rho0, [0.0, 1e308])
+    monkeypatch.setattr(core, "DENSE_PROPAGATION_MAX_DIM", 0)
+    with pytest.raises(NumericsError):
+        propagate(gen, rho0, [0.0, 1e308])
 
 
 # --------------------------------------------------------------- steady state

@@ -285,6 +285,38 @@ def test_sigma_trace_default_run_crosses_negative():
     assert np.all(trace.sink_flow <= 1e-12)
 
 
+# Rows of sigma_trace(default_config(), np.linspace(0, 10, 201)) recorded
+# from the fixed-step RK4 propagator, at the tolerance of the benchmark's
+# fmo-trace oracle: 1e-7 relative plus 1e-9 of the column's largest
+# magnitude over all 201 rows. A different propagator must land here too.
+# (grid index, j_abs, j_loss, sink_flow, sigma, sink_population)
+PINNED_TRACE_ROWS = [
+    (0, 0.38661185666543185, 0.0, 0.0, 0.0005389040203811079, 0.0),
+    (1, 0.15011174910827663, -0.0023609249861965293, -0.005266539810969376, 3.7867193185512734e-05, 1.0594062146984963e-08),
+    (2, 0.10937043971324421, -0.0027763955351409308, -0.010454837685938438, 3.404148086503499e-05, 4.2982160798956765e-08),
+    (5, 0.09569018115409117, -0.002957249564679084, -0.022856772287034432, 2.7255355744730663e-05, 2.526945290839191e-07),
+    (10, 0.08889199693767026, -0.003116477348736089, -0.03577315702829548, 2.128943739563437e-05, 8.65449664463433e-07),
+    (20, 0.08128512222920051, -0.0033428913096955654, -0.04953938511408546, 1.4931806853445894e-05, 2.6470649966058383e-06),
+    (40, 0.0746600894373459, -0.0035553559995866913, -0.061277926016081195, 8.58568898126426e-06, 7.273288663441347e-06),
+    (80, 0.07157970240831402, -0.003654109691721543, -0.0667412412495706, 2.9253473181934675e-06, 1.7912152148265446e-05),
+    (120, 0.07120769566629397, -0.0036659666782538976, -0.06739943485906065, 1.5268361524385697e-07, 2.8923087808173768e-05),
+    (160, 0.0711621715230422, -0.0036673599102861306, -0.06747809984540293, -1.655625825762347e-06, 3.997876755238799e-05),
+    (200, 0.07115599298882447, -0.0036674921313815923, -0.0674869234095323, -3.0090162742369764e-06, 5.103973194034577e-05),
+]
+PINNED_TRACE_COLUMN_MAX = (
+    0.38661185666543185, 0.0036674921313815923, 0.0674869234095323,
+    0.0005389040203811079, 5.103973194034577e-05,
+)
+
+
+def test_sigma_trace_matches_pinned_rows():
+    trace = sigma_trace(default_config(), np.linspace(0.0, 10.0, 201))
+    columns = (trace.j_abs, trace.j_loss, trace.sink_flow, trace.sigma, trace.sink_population)
+    for index, *expected in PINNED_TRACE_ROWS:
+        for col, ref, colmax in zip(columns, expected, PINNED_TRACE_COLUMN_MAX):
+            assert abs(col[index] - ref) <= 1e-7 * abs(ref) + 1e-9 * colmax, (index, ref)
+
+
 def test_sigma_trace_thermal_control_stays_nonnegative():
     grid = np.linspace(0.0, 10.0, 21)
     trace = sigma_trace(default_config(gamma_sink=0.0), grid)

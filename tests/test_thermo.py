@@ -21,6 +21,8 @@ from solaraudit import (
 )
 from solaraudit.models import ThreeLevelParams, decay_generator, decay_steady_populations
 
+from dissipator_oracle import dissipator_action
+
 
 def vn_entropy(rho):
     w = np.linalg.eigvalsh(np.asarray(rho))
@@ -129,8 +131,6 @@ def test_heat_current_matches_brute_force_sum():
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     rho = a @ a.conj().T
     rho = DensityMatrix(rho / rho.trace())
-    from solaraudit.core import dissipator_action
-
     for bath in ("abs", "loss", "sink"):
         expected = 0.0
         for ch in gen.channels:
@@ -158,12 +158,12 @@ def test_entropy_rate_matches_finite_difference_for_dephasing():
     gen = LindbladGenerator(h, [DissipationChannel(sz, gamma, "loss", 0.0)])
     rho0 = DensityMatrix.pure([np.sqrt(0.5), np.sqrt(0.5)])
     t0 = 0.25
-    rho_t = propagate(gen, rho0, np.array([0.0, t0]), step=1e-4)[-1]
+    rho_t = propagate(gen, rho0, np.array([0.0, t0]))[-1]
     rate = entropy_rate(rho_t, liouvillian_apply(gen, rho_t))
     assert rate > 0.0
     dt = 1e-6
-    lo = propagate(gen, rho0, np.array([0.0, t0 - dt]), step=1e-4)[-1]
-    hi = propagate(gen, rho0, np.array([0.0, t0 + dt]), step=1e-4)[-1]
+    lo = propagate(gen, rho0, np.array([0.0, t0 - dt]))[-1]
+    hi = propagate(gen, rho0, np.array([0.0, t0 + dt]))[-1]
     numeric = (vn_entropy(hi.entries) - vn_entropy(lo.entries)) / (2.0 * dt)
     assert rate == pytest.approx(numeric, rel=1e-6)
 
@@ -260,3 +260,18 @@ def test_thermo_report_enforces_first_law():
         ThermoReport(
             j_abs=1.0, j_loss=-0.4, power=-0.3, sigma=0.1, ratio=0.4, verdict="consistent"
         )
+
+
+def test_thermo_report_rejects_non_finite_fields():
+    # a NaN slips past the first-law comparison, so it is refused up front
+    nan, inf = float("nan"), float("inf")
+    for fields in (
+        (nan, nan, nan, nan, nan),
+        (nan, -0.4, -0.6, 0.1, 0.4),
+        (1.0, inf, -0.6, 0.1, 0.4),
+        (1.0, -0.4, -inf, 0.1, 0.4),
+    ):
+        with pytest.raises(NumericsError):
+            ThermoReport(*fields, "consistent")
+    # a nan ratio with finite currents is a legitimate report
+    ThermoReport(0.0, 0.0, 0.0, 0.0, nan, "undefined")
