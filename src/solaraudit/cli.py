@@ -128,7 +128,10 @@ def _linspace(start, stop, points, what):
         raise ConfigError(f"{what} needs at least 2 points, got {points}")
     if not stop > start:
         raise ConfigError(f"{what} needs stop > start, got {start} .. {stop}")
-    return np.linspace(start, stop, points)
+    try:
+        return np.linspace(start, stop, points)
+    except MemoryError:
+        raise ConfigError(f"{what} of {points} points does not fit in memory")
 
 
 def _report(model, file_sections, overrides):

@@ -16,14 +16,16 @@ algebra exists once, as sparse superoperators on vectorized states: one
 dissipator block per bath tag (so heat is booked per bath downstream) and
 their sum with the Hamiltonian block. Propagation applies the exact
 exponential of that generator between grid times.
+
+scipy.sparse is imported inside the functions that build sparse matrices,
+so a caller that builds no channel or generator never loads scipy.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DegenerateSteadyStateError,
@@ -42,18 +44,39 @@ STEADY_STATE_RESIDUAL_TOL = 1e-10
 BATH_IDS = ("abs", "loss", "sink")
 
 
+def require_finite_fields(params):
+    """Raise ValueError naming the first float or array field of a params
+    dataclass that holds a nan or an infinity."""
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if isinstance(value, float):
+            finite = math.isfinite(value)
+        elif isinstance(value, np.ndarray):
+            finite = np.isfinite(value).all()
+        else:
+            continue
+        if not finite:
+            raise ValueError(f"{field.name} must be finite, got {value}")
+
+
 def _as_matrix(rho):
     if isinstance(rho, DensityMatrix):
         return rho.entries
     return np.asarray(rho, dtype=complex)
 
 
+def _require_finite_state(mat):
+    # every other state check is a comparison, which a nan passes
+    if not np.isfinite(mat).all():
+        raise StateValidationError("state has non-finite entries")
+
+
 class DensityMatrix:
     """Validated quantum state.
 
-    Construction checks max|rho - rho^dag| <= 1e-12, |tr rho - 1| <= 1e-10
-    and min eigenvalue >= -1e-9. The entries array is frozen after
-    validation.
+    Construction checks that every entry is finite, max|rho - rho^dag| <=
+    1e-12, |tr rho - 1| <= 1e-10 and min eigenvalue >= -1e-9. The entries
+    array is frozen after validation.
     """
 
     __slots__ = ("entries", "dim")
@@ -64,6 +87,7 @@ class DensityMatrix:
             raise StateValidationError(
                 f"state must be a square matrix, got shape {mat.shape}"
             )
+        _require_finite_state(mat)
         defect = np.abs(mat - mat.conj().T).max()
         if defect > HERMITICITY_TOL:
             raise StateValidationError(
@@ -138,13 +162,15 @@ class DissipationChannel:
     which is itself a modeling statement worth keeping visible).
     """
 
-    jump: sp.csr_array
+    jump: "scipy.sparse.csr_array"
     rate: float
     bath_id: str
     bohr_frequency: float
     check_bohr: bool = True
 
     def __post_init__(self):
+        import scipy.sparse as sp
+
         jump = self.jump if sp.issparse(self.jump) else np.asarray(self.jump)
         if jump.ndim != 2 or jump.shape[0] != jump.shape[1]:
             raise ValueError(f"jump operator must be square, got shape {jump.shape}")
@@ -167,6 +193,8 @@ class DissipationChannel:
 def _coalesce(terms, n):
     """Sum sparse n x n terms in one COO pass; summing matrices pairwise is
     quadratic in the number of terms."""
+    import scipy.sparse as sp
+
     coos = [t.tocoo() for t in terms]
     data = np.concatenate([t.data for t in coos])
     row = np.concatenate([t.row for t in coos])
@@ -211,6 +239,8 @@ class LindbladGenerator:
         # of H (A_1 | ...) - (A_1 H | ...) -/+ w_k (A_1 | ...) is the
         # defect matrix of channel k, so the whole check is a few sparse
         # products instead of several per channel.
+        import scipy.sparse as sp
+
         checked = [ch for ch in self.channels if ch.check_bohr and ch.rate != 0.0]
         if not checked:
             return
@@ -261,6 +291,8 @@ class LindbladGenerator:
         channels = [ch for ch in channels if ch.rate != 0.0]
         if not channels:
             return None
+        import scipy.sparse as sp
+
         n = self.dim
         rows, cols, vals = [], [], []
         for ch in channels:
@@ -283,6 +315,8 @@ class LindbladGenerator:
     def superoperator(self):
         """Vectorized generator as a sparse dim^2 x dim^2 matrix: the
         Hamiltonian block plus every bath block."""
+        import scipy.sparse as sp
+
         eye = sp.identity(self.dim, dtype=complex, format="csr")
         h = sp.csr_array(self.hamiltonian)
         terms = [-1j * sp.kron(h, eye), 1j * sp.kron(eye, h.T)]
@@ -307,8 +341,9 @@ def floor_positivity(matrix):
     """Symmetrize and clip tiny negative eigenvalues, renormalizing trace.
 
     Eigenvalues in [-1e-9, 0) are floored to zero; anything lower is a real
-    positivity violation and raises.
+    positivity violation and raises, as does a non-finite entry.
     """
+    _require_finite_state(matrix)
     sym = 0.5 * (matrix + matrix.conj().T)
     w, u = np.linalg.eigh(sym)
     if w[0] < -EIGENVALUE_FLOOR:

@@ -21,7 +21,14 @@ from importlib import resources
 
 import numpy as np
 
-from .core import DensityMatrix, DissipationChannel, LindbladGenerator, liouvillian_apply, propagate
+from .core import (
+    DensityMatrix,
+    DissipationChannel,
+    LindbladGenerator,
+    liouvillian_apply,
+    propagate,
+    require_finite_fields,
+)
 from .errors import ConfigError, NumericsError
 from .thermo import BathSpec, bose_occupation, entropy_production, heat_current
 
@@ -123,6 +130,7 @@ class OhmicDrudeSpectrum:
     cutoff: float
 
     def __post_init__(self):
+        require_finite_fields(self)
         if self.reorganization < 0:
             raise ValueError("reorganization energy must be >= 0")
         if self.cutoff <= 0:
@@ -164,14 +172,15 @@ class FmoConfig:
             raise ValueError(f"site_energies must have shape ({N_SITES},)")
         if couplings.shape != (N_SITES, N_SITES):
             raise ValueError(f"couplings must have shape ({N_SITES}, {N_SITES})")
-        if np.abs(couplings - couplings.T).max() > 1e-9:
-            raise ValueError("couplings must be symmetric")
-        if np.abs(np.diag(couplings)).max() > 0:
-            raise ValueError("couplings must have a zero diagonal")
         energies.setflags(write=False)
         couplings.setflags(write=False)
         object.__setattr__(self, "site_energies", energies)
         object.__setattr__(self, "couplings", couplings)
+        require_finite_fields(self)
+        if np.abs(couplings - couplings.T).max() > 1e-9:
+            raise ValueError("couplings must be symmetric")
+        if np.abs(np.diag(couplings)).max() > 0:
+            raise ValueError("couplings must have a zero diagonal")
         if self.omega_ant <= 0:
             raise ValueError("omega_ant must be positive")
         if not isinstance(self.n_pigments, int) or self.n_pigments < 1:

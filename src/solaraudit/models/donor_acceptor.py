@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import LindbladGenerator
+from ..core import LindbladGenerator, require_finite_fields
 from ..errors import NumericsError
 from ..thermo import BathSpec, ThermoReport
 
@@ -31,6 +31,7 @@ class DonorAcceptorParams:
     t_loss: float
 
     def __post_init__(self):
+        require_finite_fields(self)
         if self.omega_a <= self.omega_b:
             raise ValueError("absorption gap omega_a - omega_b must be positive")
         if self.omega_a <= self.omega_alpha:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import LindbladGenerator
+from ..core import LindbladGenerator, require_finite_fields
 from ..errors import NumericsError
 from ..thermo import BathSpec, ThermoReport
 
@@ -32,6 +32,7 @@ class PhotocellParams:
     t_loss: float
 
     def __post_init__(self):
+        require_finite_fields(self)
         if self.omega_x1 <= self.omega_b:
             raise ValueError("absorption gap omega_x1 - omega_b must be positive")
         if self.omega_x1 <= self.omega_x2:

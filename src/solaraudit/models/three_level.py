@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import DensityMatrix, DissipationChannel, LindbladGenerator, liouvillian_apply
+from ..core import (
+    DensityMatrix,
+    DissipationChannel,
+    LindbladGenerator,
+    liouvillian_apply,
+    require_finite_fields,
+)
 from ..errors import TruncationOverflowError
 from ..thermo import BathSpec, ThermoReport, bose_occupation
 
@@ -34,6 +40,7 @@ class ThreeLevelParams:
     gamma_c: float = None
 
     def __post_init__(self):
+        require_finite_fields(self)
         if self.omega_abs <= 0:
             raise ValueError(f"omega_abs must be positive, got {self.omega_abs}")
         if not (0 < self.omega_rc < 2 * self.omega_abs):

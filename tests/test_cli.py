@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 try:
@@ -270,6 +271,24 @@ def test_grid_validation(capsys):
     assert code == 2 and "at least 2 points" in err
 
 
+def test_unallocatable_grid_exits_2(capsys, monkeypatch):
+    # numpy raises MemoryError up front for a grid it cannot allocate;
+    # stand in for it rather than asking for the allocation
+    def linspace(start, stop, num):
+        raise MemoryError(f"cannot allocate {num} points")
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    for argv in (
+        ("sweep", "--axis_points", "100000000000"),
+        ("fmo-trace", "--n_times", "100000000000"),
+        ("compare-power", "--ratio_points", "100000000000"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "100000000000 points does not fit in memory" in err
+
+
 def test_compare_power_csv(capsys):
     code, out, _ = run_cli(capsys, "compare-power")
     assert code == 0
@@ -419,17 +438,26 @@ def test_console_script_subprocess(tmp_path):
 
 
 def test_cli_leaves_scipy_linalg_unimported(tmp_path):
-    # importing scipy.linalg costs every command ~7 MB of resident memory
-    # and ~0.1 s; neither a closed-form command nor the dense propagation
-    # path of fmo-trace may load it or scipy.sparse.linalg
+    # importing scipy.sparse costs a command ~0.25 s and ~20 MB of resident
+    # memory, scipy.linalg ~0.1 s and ~7 MB more. The closed-form commands
+    # build no generator, so they may not load scipy at all; the dense
+    # propagation path of fmo-trace may load neither scipy.linalg nor
+    # scipy.sparse.linalg.
     code = (
         "import contextlib, io, sys\n"
+        "import solaraudit\n"
         "from solaraudit.cli import main\n"
+        "closed = [['toy-decay'], ['toy-ham'], ['donor-acceptor'], ['photocell'],\n"
+        "          ['compare-power'], ['sweep', '--model', 'toy_decay'],\n"
+        "          ['sweep', '--model', 'toy_ham']]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    closed_codes = [main(argv) for argv in closed]\n"
+        "    scipy_modules = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "    codes = [main(['toy-decay']), main(['fmo-trace', '--n_times', '3'])]\n"
+        "print(closed_codes, scipy_modules)\n"
         "print(codes, sorted(m for m in sys.modules\n"
         "                    if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))\n"
     )
     proc = run_python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0] []"
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0] []", "[0, 0] []"]

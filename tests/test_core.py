@@ -1,5 +1,7 @@
 """Dynamics substrate checked against closed forms and brute-force oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -57,6 +59,12 @@ def test_density_matrix_rejects_bad_trace():
 def test_density_matrix_rejects_negative_state():
     with pytest.raises(StateValidationError):
         DensityMatrix(np.diag([1.2, -0.2]).astype(complex))
+
+
+def test_density_matrix_rejects_non_finite_entries():
+    for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 0.0]), np.diag([1.0, np.nan])):
+        with pytest.raises(StateValidationError, match="non-finite"):
+            DensityMatrix(bad)
 
 
 def test_density_matrix_constructors():
@@ -350,3 +358,12 @@ def test_floor_positivity_clips_and_renormalizes():
 def test_floor_positivity_rejects_genuine_violations():
     with pytest.raises(StateValidationError):
         floor_positivity(np.diag([1.001, -0.001]).astype(complex))
+
+
+def test_floor_positivity_rejects_non_finite_entries():
+    # raised before the eigendecomposition, which would warn and return nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.full((2, 2), np.nan, dtype=complex), np.diag([np.inf, 0.0])):
+            with pytest.raises(StateValidationError, match="non-finite"):
+                floor_positivity(bad)

@@ -202,6 +202,24 @@ def test_config_field_validation():
         dataclasses.replace(cfg, couplings=lumpy)
 
 
+def test_config_rejects_non_finite_values():
+    with pytest.raises(ValueError, match="t_sun must be finite"):
+        default_config(t_sun=math.nan)
+    with pytest.raises(ValueError, match="cutoff must be finite"):
+        default_config(vib_cutoff=math.inf)
+    cfg = default_config()
+    for name in ("omega_ant", "mu_ant_ind", "mu_fmo", "lambda_geo", "t_sun",
+                 "t_loss_k", "gamma_rad", "gamma_sink", "gamma_ant_fmo"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                dataclasses.replace(cfg, **{name: value})
+    for name in ("site_energies", "couplings"):
+        bad = np.array(getattr(cfg, name))
+        bad.flat[1] = math.nan
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            dataclasses.replace(cfg, **{name: bad})
+
+
 def test_build_model_structure():
     model = build_model(default_config())
     assert model.dim == 10

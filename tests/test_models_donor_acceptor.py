@@ -161,6 +161,14 @@ def test_donor_acceptor_params_reject_bad_inputs():
         _da(t_loss=0.0)
 
 
+def test_donor_acceptor_params_reject_non_finite_values():
+    for name in ("omega_b", "omega_a", "omega_alpha", "omega_beta", "gamma_h",
+                 "gamma_c", "gamma_cb", "gamma_load", "t_abs", "t_loss"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                _da(**{name: value})
+
+
 def test_donor_acceptor_matches_rate_matrix_null_space():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -295,6 +303,15 @@ def test_photocell_params_reject_bad_inputs():
         _pc(gamma_load=-0.5)
     with pytest.raises(ValueError):
         _pc(t_abs=-2.0)
+
+
+def test_photocell_params_reject_non_finite_values():
+    for name in ("omega_b", "omega_x1", "omega_x2", "omega_alpha", "omega_beta",
+                 "gamma_h", "gamma_x", "gamma_c", "gamma_cb", "gamma_load",
+                 "t_abs", "t_loss"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                _pc(**{name: value})
 
 
 def test_photocell_matches_rate_matrix_null_space():

@@ -96,6 +96,14 @@ def test_params_validation():
     assert p.omega_minus == pytest.approx(0.75)
 
 
+def test_params_reject_non_finite_values():
+    base = dict(omega_abs=1.0, omega_rc=0.5, gamma=0.003, t_abs=1.0, t_loss=0.1)
+    for name in (*base, "gamma_h", "gamma_c"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ThreeLevelParams(**{**base, name: value})
+
+
 def test_weak_coupling_guard():
     p = ThreeLevelParams(omega_abs=1.0, omega_rc=0.1, gamma=0.01, t_abs=1.0, t_loss=0.1)
     with pytest.raises(ValueError):
