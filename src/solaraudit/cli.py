@@ -184,10 +184,9 @@ def _fmo_trace(file_sections, overrides):
     params = _section_params("fmo", file_sections, overrides)
     grid = _linspace(0.0, params["t_max_ps"], params["n_times"], "time grid")
     try:
-        trace_cfg = FmoConfig.from_mapping(params)
+        trace = sigma_trace(FmoConfig.from_mapping(params), grid)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    trace = sigma_trace(trace_cfg, grid)
     rows = list(zip(trace.t_ps, trace.j_abs, trace.j_loss, trace.sink_flow, trace.sigma))
     header = ("t_ps", "j_abs", "j_loss", "sink_flow", "sigma")
     return header, rows, (), "fmo", params, TRACE_UNITS, ()

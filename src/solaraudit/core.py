@@ -14,8 +14,12 @@ The generator is
 with every channel tagged by the bath it exchanges energy with. The
 algebra exists once, as sparse superoperators on vectorized states: one
 dissipator block per bath tag (so heat is booked per bath downstream) and
-their sum with the Hamiltonian block. Propagation applies the exact
-exponential of that generator between grid times.
+their sum with the Hamiltonian block. Jumps and blocks are assembled from
+numpy (row, col, value) index triplets read off the CSR arrays, with one
+sparse product per bath summing over its channels and CSR only as the
+container; no block is built by Kronecker products of sparse matrices.
+Propagation applies the exact exponential of that generator between grid
+times.
 
 scipy.sparse is imported inside the functions that build sparse matrices,
 so a caller that builds no channel or generator never loads scipy.
@@ -190,16 +194,41 @@ class DissipationChannel:
         return self.jump.shape[0]
 
 
-def _coalesce(terms, n):
-    """Sum sparse n x n terms in one COO pass; summing matrices pairwise is
-    quadratic in the number of terms."""
+def _rows(indptr):
+    """Row of every stored entry of a CSR matrix, from its row pointers."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
+def _stack(jumps):
+    """(indptr, indices, data) of the vertical stack (A_1; A_2; ...) of
+    CSR matrices, concatenated from theirs."""
+    counts = np.concatenate([np.diff(a.indptr) for a in jumps])
+    indices = np.concatenate([a.indices for a in jumps])
+    data = np.concatenate([a.data for a in jumps])
+    return np.concatenate([[0], np.cumsum(counts)]), indices, data
+
+
+def _left_right(row, col, val, n, left, right):
+    """Triplets of left X (x) I and right I (x) X^T for the n x n matrix X
+    with entries val at (row, col): the superoperators of X rho and rho X."""
     import scipy.sparse as sp
 
-    coos = [t.tocoo() for t in terms]
-    data = np.concatenate([t.data for t in coos])
-    row = np.concatenate([t.row for t in coos])
-    col = np.concatenate([t.col for t in coos])
-    return sp.coo_array((data, (row, col)), shape=(n, n)).tocsr()
+    m = np.arange(n, dtype=sp.get_index_dtype(maxval=n * n))  # int32 where it fits
+    row, col = row.astype(m.dtype)[:, None], col.astype(m.dtype)[:, None]
+    return [
+        ((row * n + m).ravel(), (col * n + m).ravel(), np.repeat(left * val, n)),
+        ((m * n + col).ravel(), (m * n + row).ravel(), np.repeat(right * val, n)),
+    ]
+
+
+def _csr(parts, size):
+    """Sum of (row, col, value) triplets as one size x size CSR; duplicate
+    entries are summed in a single COO pass."""
+    import scipy.sparse as sp
+
+    row, col, val = (np.concatenate(x) for x in zip(*parts))
+    idx = sp.get_index_dtype(maxval=max(size, val.size))
+    return sp.coo_array((val, (row.astype(idx), col.astype(idx))), shape=(size, size)).tocsr()
 
 
 class LindbladGenerator:
@@ -246,25 +275,32 @@ class LindbladGenerator:
             return
         n, count = self.dim, len(checked)
         h = sp.csr_array(self.hamiltonian)
-        jumps = sp.hstack([ch.jump for ch in checked], format="coo")
+        indptr, scol, sval = _stack([ch.jump for ch in checked])
+        srow = _rows(indptr)
+        jumps = sp.coo_array((sval, (srow % n, scol + srow // n * n)), shape=(n, n * count))
         h_a = (h @ jumps).tocoo()
-        a_h = (sp.vstack([ch.jump for ch in checked], format="csr") @ h).tocoo()
+        a_h = (sp.csr_array((sval, scol, indptr), shape=(n * count, n)) @ h).tocoo()
         a_h_col = a_h.col + (a_h.row // n) * n  # row block k -> column block k
         w_a = np.array([ch.bohr_frequency for ch in checked])[jumps.col // n] * jumps.data
-        row = np.concatenate([h_a.row, a_h.row % n, jumps.row])
+        row = np.concatenate([h_a.row, a_h.row % n, jumps.row]).astype(np.int64)
         col = np.concatenate([h_a.col, a_h_col, jumps.col])
+        # duplicate positions summed once, then the largest |entry| per block
+        cells, at = np.unique(row * (n * count) + col, return_inverse=True)
 
-        def block_abs_max(data, row, col):
-            mat = sp.coo_array((data, (row, col)), shape=(n, n * count)).tocsr().tocoo()
+        def block_abs_max(data):
+            sums = np.bincount(at, data.real, cells.size)
+            sums = sums + 1j * np.bincount(at, data.imag, cells.size)
             out = np.zeros(count)
-            np.maximum.at(out, mat.col // n, np.abs(mat.data))
+            np.maximum.at(out, cells % (n * count) // n, np.abs(sums))
             return out
 
+        products = np.concatenate([h_a.data, -a_h.data])
         defect = np.minimum(
-            block_abs_max(np.concatenate([h_a.data, -a_h.data, -w_a]), row, col),
-            block_abs_max(np.concatenate([h_a.data, -a_h.data, w_a]), row, col),
+            block_abs_max(np.concatenate([products, -w_a])),
+            block_abs_max(np.concatenate([products, w_a])),
         )
-        jnorm = np.maximum(block_abs_max(jumps.data, jumps.row, jumps.col), 1e-300)
+        jnorm = block_abs_max(np.concatenate([np.zeros_like(products), jumps.data]))
+        jnorm = np.maximum(jnorm, 1e-300)
         scale = max(1.0, np.abs(self.hamiltonian).max())
         bad = np.flatnonzero(defect > BOHR_CHECK_TOL * scale * jnorm)
         if bad.size:
@@ -293,35 +329,37 @@ class LindbladGenerator:
             return None
         import scipy.sparse as sp
 
-        n = self.dim
-        rows, cols, vals = [], [], []
-        for ch in channels:
-            a = ch.jump.tocoo()
-            # kron(A, conj(A)) entry by entry
-            rows.append((a.row[:, None] * n + a.row).ravel())
-            cols.append((a.col[:, None] * n + a.col).ravel())
-            vals.append((ch.rate * a.data[:, None] * a.data.conj()).ravel())
-        jumps = sp.coo_array(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n * n, n * n),
+        n, count = self.dim, len(channels)
+        indptr, col, a = _stack([ch.jump for ch in channels])
+        owner, row = np.divmod(_rows(indptr), n)
+        rates = np.array([ch.rate for ch in channels])
+        # One sparse product over the channels gives M = sum_k r_k vec(A_k)
+        # vec(A_k)^dag: the stacked index arrays, read as CSC, hold the
+        # columns r_k vec(A_k) and, read as CSR, the rows vec(A_k)^dag.
+        # M[(i, j), (k, l)] is entry (i n + k, j n + l) of sum_k r_k
+        # kron(A_k, conj(A_k)), and K_b[j, l] = sum_i conj M[(i, j), (i, l)].
+        # The product sums in place what a per-channel kron expansion would
+        # hold as sum_k nnz(A_k)^2 triplets, 119k for the trace model.
+        vecs = row * n + col, indptr[::n]
+        outer = sp.csr_array(
+            sp.csc_array((rates[owner] * a, *vecs), shape=(n * n, count))
+            @ sp.csr_array((a.conj(), *vecs), shape=(count, n * n))
         )
-        # K_b = B^dag B with B the vertical stack of sqrt(r_k) A_k
-        b = sp.vstack([math.sqrt(ch.rate) * ch.jump for ch in channels], format="csr")
-        k_b = b.conj().T @ b
-        eye = sp.identity(n, dtype=complex, format="csr")
-        return _coalesce([jumps, -0.5 * sp.kron(k_b, eye), -0.5 * sp.kron(eye, k_b.T)], n * n)
+        p, q, v = _rows(outer.indptr), outer.indices, outer.data
+        same = p // n == q // n
+        k_b = sp.coo_array((v[same].conj(), (p[same] % n, q[same] % n)), shape=(n, n)).tocsr()
+        kron_pairs = (p // n * n + q // n, p % n * n + q % n, v)
+        k_part = _left_right(_rows(k_b.indptr), k_b.indices, k_b.data, n, -0.5, -0.5)
+        return _csr([kron_pairs, *k_part], n * n)
 
     @cached_property
     def superoperator(self):
         """Vectorized generator as a sparse dim^2 x dim^2 matrix: the
         Hamiltonian block plus every bath block."""
-        import scipy.sparse as sp
-
-        eye = sp.identity(self.dim, dtype=complex, format="csr")
-        h = sp.csr_array(self.hamiltonian)
-        terms = [-1j * sp.kron(h, eye), 1j * sp.kron(eye, h.T)]
-        terms += [blk for blk in self.bath_blocks.values() if blk is not None]
-        return _coalesce(terms, self.dim * self.dim)
+        n = self.dim
+        row, col = np.nonzero(self.hamiltonian)
+        h_block = _csr(_left_right(row, col, self.hamiltonian[row, col], n, -1j, 1j), n * n)
+        return sum((blk for blk in self.bath_blocks.values() if blk is not None), h_block)
 
 
 def _vec(gen, rho):

@@ -67,6 +67,11 @@ def effective_sun_temperature(omega, t_sun_k, lambda_geo):
         )
     # log((x+1)/x) written to survive x many orders below 1
     denom = math.log1p(diluted) - math.log(diluted)
+    if denom == 0.0:
+        raise NumericsError(
+            f"diluted occupation {diluted:.3e} at omega = {omega}, t_sun = {t_sun_k} K "
+            "is too large to resolve; effective temperature not representable"
+        )
     return omega / denom / KB_CM_PER_K
 
 
@@ -302,7 +307,15 @@ def build_model(cfg):
     channels = []
 
     # Radiation: collective antenna dipole plus direct exciton absorption.
-    rate_ant = cfg.gamma_rad * cfg.n_pigments * (cfg.mu_ant_ind / cfg.mu_fmo) ** 2
+    try:
+        rate_ant = cfg.gamma_rad * cfg.n_pigments * (cfg.mu_ant_ind / cfg.mu_fmo) ** 2
+    except OverflowError:
+        rate_ant = math.inf
+    if not math.isfinite(rate_ant):
+        raise NumericsError(
+            f"antenna absorption rate overflows at mu_ant_ind = {cfg.mu_ant_ind}, "
+            f"mu_fmo = {cfg.mu_fmo}"
+        )
     channels += BathSpec("abs", t_abs, rate_ant).thermal_pair(
         np.outer(ground, antenna.conj()), cfg.omega_ant
     )

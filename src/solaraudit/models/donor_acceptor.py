@@ -8,6 +8,7 @@ jump |beta><alpha| at rate gamma_load; a second cold channel recycles
 flux gamma_load * rho_alpha.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,12 +89,17 @@ def donor_acceptor_steady_state(p):
     gh, gc, gcb, g = p.gamma_h, p.gamma_c, p.gamma_cb, p.gamma_load
     if n_h == 0.0:
         raise NumericsError("hot occupation vanished; cycle ratios undefined")
-    r_a = (gc * n_c + g) / (gc * (1.0 + n_c))
-    r_b = (g * gc * (1.0 + n_c) + gh * (1.0 + n_h) * (gc * n_c + g)) / (
-        gh * n_h * gc * (1.0 + n_c)
-    )
-    r_beta = r_b * big_n / (1.0 + big_n) + g / (gcb * (1.0 + big_n))
-    norm = 1.0 + r_a + r_b + r_beta
+    try:
+        r_a = (gc * n_c + g) / (gc * (1.0 + n_c))
+        r_b = (g * gc * (1.0 + n_c) + gh * (1.0 + n_h) * (gc * n_c + g)) / (
+            gh * n_h * gc * (1.0 + n_c)
+        )
+        r_beta = r_b * big_n / (1.0 + big_n) + g / (gcb * (1.0 + big_n))
+        norm = 1.0 + r_a + r_b + r_beta
+    except ZeroDivisionError:  # a rate product underflowed to zero
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise NumericsError("cycle ratios overflow; the rates span too many decades")
     rho_alpha = 1.0 / norm
     return np.array([r_b, r_a, 1.0, r_beta]) * rho_alpha
 

@@ -7,6 +7,7 @@ x1 -> x2 -> alpha and the beta -> b recycle; the load is a one-way jump
 |beta><alpha| at rate gamma_load.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,13 +95,18 @@ def photocell_steady_state(p):
     gh, gx, gc, gcb, g = p.gamma_h, p.gamma_x, p.gamma_c, p.gamma_cb, p.gamma_load
     if n_h == 0.0:
         raise NumericsError("hot occupation vanished; cycle ratios undefined")
-    r_x2 = (gc * n_2c + g) / (gc * (1.0 + n_2c))
-    r_x1 = r_x2 * (gx * n_x * (gc * n_2c + g) + g * gc * (1.0 + n_2c)) / (
-        gx * (1.0 + n_x) * (gc * n_2c + g)
-    )
-    r_b = (gh * (1.0 + n_h) * r_x1 + g) / (gh * n_h)
-    r_beta = r_b * big_n / (1.0 + big_n) + g / (gcb * (1.0 + big_n))
-    norm = r_b + r_x1 + r_x2 + 1.0 + r_beta
+    try:
+        r_x2 = (gc * n_2c + g) / (gc * (1.0 + n_2c))
+        r_x1 = r_x2 * (gx * n_x * (gc * n_2c + g) + g * gc * (1.0 + n_2c)) / (
+            gx * (1.0 + n_x) * (gc * n_2c + g)
+        )
+        r_b = (gh * (1.0 + n_h) * r_x1 + g) / (gh * n_h)
+        r_beta = r_b * big_n / (1.0 + big_n) + g / (gcb * (1.0 + big_n))
+        norm = r_b + r_x1 + r_x2 + 1.0 + r_beta
+    except ZeroDivisionError:  # a rate product underflowed to zero
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise NumericsError("cycle ratios overflow; the rates span too many decades")
     rho_alpha = 1.0 / norm
     return np.array([r_b, r_x1, r_x2, 1.0, r_beta]) * rho_alpha
 

@@ -228,51 +228,30 @@ def transfer_block_hamiltonian(p, n_max, n_offset=0.0):
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    dim = 3 * (n_max + 1)
-    h = np.zeros((dim, dim), dtype=complex)
-    for n in range(n_max + 1):
-        base = p.omega_rc * (n - n_offset)
-        h[_index(0, n, n_max), _index(0, n, n_max)] = -0.5 * p.omega_rc + base
-        h[_index(1, n, n_max), _index(1, n, n_max)] = 0.5 * p.omega_rc + base
-        h[_index(2, n, n_max), _index(2, n, n_max)] = p.omega_abs + base
-    g = math.sqrt(p.gamma)
-    for n in range(1, n_max + 1):
-        # c |1><0| : |0, n> -> sqrt(n) |1, n-1>
-        amp = g * math.sqrt(n)
-        h[_index(1, n - 1, n_max), _index(0, n, n_max)] = amp
-        h[_index(0, n, n_max), _index(1, n - 1, n_max)] = amp
+    base = p.omega_rc * (np.arange(n_max + 1) - n_offset)
+    h = np.diag(
+        np.concatenate([-0.5 * p.omega_rc + base, 0.5 * p.omega_rc + base, p.omega_abs + base])
+    ).astype(complex)
+    # c |1><0| : |0, n> -> sqrt(n) |1, n-1>
+    n = np.arange(1, n_max + 1)
+    amp = math.sqrt(p.gamma) * np.sqrt(n)
+    h[_index(1, n - 1, n_max), _index(0, n, n_max)] = amp
+    h[_index(0, n, n_max), _index(1, n - 1, n_max)] = amp
     return h
 
 
-def _dressed_vectors(n, n_max):
-    dim = 3 * (n_max + 1)
-    plus = np.zeros(dim, dtype=complex)
-    minus = np.zeros(dim, dtype=complex)
-    inv = 1.0 / math.sqrt(2.0)
-    plus[_index(1, n, n_max)] = inv
-    plus[_index(0, n + 1, n_max)] = inv
-    minus[_index(1, n, n_max)] = -inv
-    minus[_index(0, n + 1, n_max)] = inv
-    return plus, minus
-
-
-def _basis_vector(sigma, n, n_max):
-    dim = 3 * (n_max + 1)
-    v = np.zeros(dim, dtype=complex)
-    v[_index(sigma, n, n_max)] = 1.0
-    return v
-
-
-def hamiltonian_transfer_generator(p, n_max, flat_spectrum=True):
+def hamiltonian_transfer_generator(p, n_max):
     """Secular generator of the transfer scheme in the dressed basis.
 
     Hot channels connect |2,n+1> with |+,n> and |-,n>, cold channels connect
-    |2,n> with them; each of the four carries half the bare rate. With
-    flat_spectrum=True occupations are evaluated at the nominal gaps
-    omega_plus / omega_minus (the regime behind the birth-death closed
-    forms); otherwise at the exact dressed gaps, which differ by half the
-    doublet splitting.
+    |2,n> with them; each of the four carries half the bare rate.
+    Occupations are evaluated at the nominal gaps omega_plus / omega_minus
+    (the regime behind the birth-death closed forms), not at the exact
+    dressed gaps, which differ by half the doublet splitting. Each jump
+    |+-,n><2,n'| is built as a CSR holding its two entries.
     """
+    import scipy.sparse as sp
+
     p.require_weak_coupling()
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -283,34 +262,38 @@ def hamiltonian_transfer_generator(p, n_max, flat_spectrum=True):
             f"splitting ({top_split:.3e}); lower n_max or the coupling"
         )
     h = transfer_block_hamiltonian(p, n_max)
-    n_h_flat = bose_occupation(p.omega_plus, p.t_abs)
-    n_c_flat = bose_occupation(p.omega_minus, p.t_loss)
+    dim = h.shape[0]
+    n_h, n_c = p.occupations()
+    inv = 1.0 / math.sqrt(2.0)
+    idx = sp.get_index_dtype(maxval=dim)
+
+    def jump(rows, cols, vals):
+        # rows ascending; row i holds the entries rows == i
+        indptr = np.searchsorted(rows, np.arange(dim + 1)).astype(idx)
+        return sp.csr_array((vals, np.array(cols, dtype=idx), indptr), shape=(dim, dim))
+
     channels = []
     for n in range(n_max):
-        plus, minus = _dressed_vectors(n, n_max)
-        two_up = _basis_vector(2, n + 1, n_max)
-        two_dn = _basis_vector(2, n, n_max)
+        # |+-,n> = (|0,n+1> +- |1,n>)/sqrt(2); index of |0,n+1> < index of |1,n>
+        doublet = np.array([_index(0, n + 1, n_max), _index(1, n, n_max)])
         split = 0.5 * dressed_frequency(n, p.gamma)
-        for sign, dressed in ((+1, plus), (-1, minus)):
-            hot_gap = p.omega_plus - sign * split
-            cold_gap = p.omega_minus - sign * split
-            n_h = n_h_flat if flat_spectrum else bose_occupation(hot_gap, p.t_abs)
-            n_c = n_c_flat if flat_spectrum else bose_occupation(cold_gap, p.t_loss)
-            lower_hot = np.outer(dressed, two_up.conj())
-            lower_cold = np.outer(dressed, two_dn.conj())
-            channels.append(
-                DissipationChannel(lower_hot, 0.5 * p.gamma_h * (1.0 + n_h), "abs", hot_gap)
-            )
-            channels.append(
-                DissipationChannel(lower_hot.conj().T, 0.5 * p.gamma_h * n_h, "abs", hot_gap)
-            )
-            channels.append(
-                DissipationChannel(lower_cold, 0.5 * p.gamma_c * (1.0 + n_c), "loss", cold_gap)
-            )
-            channels.append(
-                DissipationChannel(lower_cold.conj().T, 0.5 * p.gamma_c * n_c, "loss", cold_gap)
-            )
+        for sign in (+1, -1):
+            dressed = (inv, sign * inv)
+            for two, rate, n_bath, bath, gap in (
+                (_index(2, n + 1, n_max), p.gamma_h, n_h, "abs", p.omega_plus - sign * split),
+                (_index(2, n, n_max), p.gamma_c, n_c, "loss", p.omega_minus - sign * split),
+            ):
+                down = jump(doublet, [two, two], dressed)
+                up = jump([two, two], doublet, dressed)
+                channels.append(DissipationChannel(down, 0.5 * rate * (1 + n_bath), bath, gap))
+                channels.append(DissipationChannel(up, 0.5 * rate * n_bath, bath, gap))
     return LindbladGenerator(h, channels)
+
+
+def _group_numbers(n_max):
+    # |1,n> and |2,n> count n quanta, |0,n> counts n-1 (|0,0> counts 0)
+    n = np.arange(n_max + 1.0)
+    return np.concatenate([np.maximum(n - 1.0, 0.0), n, n])
 
 
 def group_number_operator(n_max):
@@ -320,14 +303,7 @@ def group_number_operator(n_max):
     doublet sum to |1,n><1,n| + |0,n+1><0,n+1| the operator is diagonal in
     the product basis.
     """
-    dim = 3 * (n_max + 1)
-    diag = np.zeros(dim)
-    for n in range(n_max + 1):
-        diag[_index(2, n, n_max)] = n
-        diag[_index(1, n, n_max)] = n
-        if n >= 1:
-            diag[_index(0, n, n_max)] = n - 1
-    return np.diag(diag).astype(complex)
+    return np.diag(_group_numbers(n_max)).astype(complex)
 
 
 def dressed_product_state(p, n_max, tail=0.3):
@@ -345,24 +321,23 @@ def dressed_product_state(p, n_max, tail=0.3):
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     bd = birth_death_rates(p)
-    weights = np.array([tail ** (n - 1) for n in range(1, n_max)])
+    weights = tail ** np.arange(n_max - 1.0)
     weights /= weights.sum()
+    n = np.arange(1, n_max)
+    one, zero = _index(1, n, n_max), _index(0, n + 1, n_max)
     dim = 3 * (n_max + 1)
     rho = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, n_max):
-        plus, minus = _dressed_vectors(n, n_max)
-        two = _basis_vector(2, n, n_max)
-        w = weights[n - 1]
-        rho += w * bd.rho_plus * np.outer(plus, plus.conj())
-        rho += w * bd.rho_minus * np.outer(minus, minus.conj())
-        rho += w * bd.rho_two * np.outer(two, two.conj())
+    # doublet n on (|1,n>, |0,n+1>): rho_plus |+,n><+,n| + rho_minus |-,n><-,n|
+    rho[one, one] = rho[zero, zero] = 0.5 * weights * (bd.rho_plus + bd.rho_minus)
+    rho[one, zero] = rho[zero, one] = 0.5 * weights * (bd.rho_plus - bd.rho_minus)
+    rho[_index(2, n, n_max), _index(2, n, n_max)] = weights * bd.rho_two
     return DensityMatrix(rho)
 
 
 def excitation_growth_rate(gen, rho, n_max):
-    """d<N>/dt of the group-number operator under the generator."""
-    number = group_number_operator(n_max)
-    return float(np.trace(number @ liouvillian_apply(gen, rho)).real)
+    """d<N>/dt of the group-number operator under the generator: N is
+    diagonal, so only the diagonal of L rho enters."""
+    return float(_group_numbers(n_max) @ np.diagonal(liouvillian_apply(gen, rho)).real)
 
 
 def require_truncation_ok(states, n_max):

@@ -28,7 +28,12 @@ def bose_occupation(omega, temperature):
         raise ValueError(f"omega must be positive, got {omega}")
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    x = omega / temperature
+    # plain floats: a numpy scalar would warn where the ratio overflows
+    x = float(omega) / float(temperature)
+    if x == 0.0:
+        raise NumericsError(
+            f"occupation diverges: omega / T underflows at omega = {omega}, T = {temperature}"
+        )
     if x > 700.0:
         # expm1 would overflow; occupation is exp(-x) to this accuracy
         return math.exp(-x)

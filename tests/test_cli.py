@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +346,43 @@ def test_occupation_underflow_exits_3(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == "", argv
         assert err.startswith("numerical failure: ") and "hot occupation vanished" in err
+
+
+def test_fmo_trace_extreme_values_exit_cleanly(capsys):
+    # values that pass config validation but break the model build: a
+    # degenerate occupation or an overflowing rate is a numerical failure,
+    # a channel rate the build rejects is a config error
+    for flag, value, expected in (
+        ("omega_ant", "1e-300", 3),
+        ("t_sun", "1e300", 3),
+        ("mu_ant_ind", "1e300", 3),
+        ("mu_fmo", "1e-300", 3),
+        ("mu_fmo", "1e-320", 3),
+        ("omega_ant", "5e-324", 3),
+        ("omega_ant", "1e-320", 2),
+        ("vib_cutoff", "1e-320", 2),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "fmo-trace", "--n_times", "3", f"--{flag}", value)
+        assert code == expected and out == "", (flag, value, code)
+        assert "Traceback" not in err and len(err.splitlines()) == 1, (flag, value)
+        prefix = "error: " if expected == 2 else "numerical failure: "
+        assert err.startswith(prefix), (flag, value)
+
+
+def test_rate_underflow_exits_3_without_warning(capsys):
+    for argv in (
+        ("donor-acceptor", "--gamma_h", "1e-320"),
+        ("donor-acceptor", "--gamma_h", "1e-320", "--t_abs", "0.3"),
+        ("photocell", "--gamma_h", "1e-320"),
+        ("photocell", "--gamma_x", "1e-320", "--gamma_load", "1e-10"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("numerical failure: cycle ratios overflow"), argv
 
 
 def test_nan_cells(capsys):

@@ -204,6 +204,26 @@ def test_bath_blocks_match_direct_formula():
         assert np.abs(liouvillian_apply(gen, rho) - total).max() <= 1e-13 * np.abs(total).max()
 
 
+def test_superoperator_matches_kron_formula():
+    ladder = ThreeLevelParams(
+        omega_abs=1.0, omega_rc=0.5, gamma=0.02, t_abs=2.0, t_loss=0.2,
+        gamma_h=0.01, gamma_c=0.01,
+    )
+    for gen in (
+        build_model(default_config()).generator,
+        hamiltonian_transfer_generator(ladder, 6),
+    ):
+        h, eye = gen.hamiltonian, np.eye(gen.dim)
+        expected = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for ch in gen.channels:
+            a = ch.jump.toarray()
+            k = a.conj().T @ a
+            expected += ch.rate * (
+                np.kron(a, a.conj()) - 0.5 * np.kron(k, eye) - 0.5 * np.kron(eye, k.T)
+            )
+        assert np.abs(gen.superoperator.toarray() - expected).max() <= 1e-13
+
+
 def test_expm_dense_matches_scipy_on_fmo_generator():
     lmat = build_model(default_config()).generator.superoperator.toarray()
     for dt in (0.05 * PS_TO_INTERNAL, 1.0, 100.0):

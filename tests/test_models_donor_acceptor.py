@@ -1,5 +1,7 @@
 """Donor-acceptor and five-level photocell cycles against rate-equation oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,23 @@ def test_donor_acceptor_gibbs_limit():
 def test_donor_acceptor_zero_hot_occupation_raises():
     with pytest.raises(NumericsError, match="hot occupation"):
         donor_acceptor_steady_state(_da(t_abs=1e-3))
+
+
+def test_underflowed_rate_raises_without_warning():
+    # a rate 1e-320 against O(0.1) rates overflows a cycle ratio, or
+    # underflows a rate product to zero; neither may reach inf * 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for steady, p in (
+            (donor_acceptor_steady_state, _da(gamma_h=1e-320)),
+            (donor_acceptor_steady_state, _da(gamma_c=1e-320)),
+            (donor_acceptor_steady_state, _da(gamma_h=1e-320, t_abs=0.3)),
+            (photocell_steady_state, _pc(gamma_h=1e-320)),
+            (photocell_steady_state, _pc(gamma_x=1e-320)),
+            (photocell_steady_state, _pc(gamma_x=1e-320, gamma_load=1e-10)),
+        ):
+            with pytest.raises(NumericsError, match="cycle ratios overflow"):
+                steady(p)
 
 
 def test_donor_acceptor_current_signs():

@@ -396,6 +396,32 @@ def test_dressed_product_state_structure():
         dressed_product_state(p, 1)
 
 
+def test_transfer_jumps_are_two_entry_csr():
+    p = ThreeLevelParams(omega_abs=1.0, omega_rc=0.5, gamma=0.02, t_abs=2.0, t_loss=0.2)
+    n_max = 6
+    gen = hamiltonian_transfer_generator(p, n_max)
+    dim = 3 * (n_max + 1)
+
+    def ket(sigma, n):
+        v = np.zeros(dim)
+        v[_index(sigma, n, n_max)] = 1.0
+        return v
+
+    # per doublet and sign: hot lowering, hot raising, cold lowering, cold raising
+    expected = []
+    for n in range(n_max):
+        for sign in (+1, -1):
+            dressed = (ket(0, n + 1) + sign * ket(1, n)) / math.sqrt(2.0)
+            for two, bath in ((ket(2, n + 1), "abs"), (ket(2, n), "loss")):
+                lower = np.outer(dressed, two.conj())
+                expected += [(lower, bath), (lower.conj().T, bath)]
+    assert len(gen.channels) == len(expected)
+    for ch, (ref, bath) in zip(gen.channels, expected):
+        assert ch.jump.format == "csr" and ch.jump.nnz == 2
+        assert np.array_equal(ch.jump.toarray(), ref)
+        assert ch.bath_id == bath
+
+
 def test_truncation_guard_raises_on_edge_weight():
     n_max = 10
     dim = 3 * (n_max + 1)

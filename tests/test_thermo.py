@@ -1,5 +1,7 @@
 """Heat currents, entropy rate, and second-law verdicts against oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,16 @@ def test_bose_occupation_detailed_balance_identity():
 def test_bose_occupation_monotone_in_temperature():
     values = [bose_occupation(1.0, t) for t in (0.2, 0.5, 1.0, 3.0)]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def test_bose_occupation_extreme_ratios():
+    # a gap/temperature ratio that underflows to zero has no finite
+    # occupation; one that overflows (numpy scalars included) is empty
+    with pytest.raises(NumericsError, match="occupation diverges"):
+        bose_occupation(5e-324, 4000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bose_occupation(np.float64(100.0), 5e-324) == 0.0
 
 
 def test_bose_occupation_rejects_nonpositive():
