@@ -48,6 +48,12 @@ STEADY_STATE_RESIDUAL_TOL = 1e-10
 BATH_IDS = ("abs", "loss", "sink")
 
 
+def require_bath_id(bath_id):
+    """Raise ValueError unless bath_id is one of BATH_IDS."""
+    if bath_id not in BATH_IDS:
+        raise ValueError(f"unknown bath_id {bath_id!r}, expected one of {BATH_IDS}")
+
+
 def require_finite_fields(params):
     """Raise ValueError naming the first float or array field of a params
     dataclass that holds a nan or an infinity."""
@@ -183,10 +189,7 @@ class DissipationChannel:
         if not math.isfinite(rate) or rate < 0:
             raise ValueError(f"channel rate must be finite and >= 0, got {rate}")
         object.__setattr__(self, "rate", rate)
-        if self.bath_id not in BATH_IDS:
-            raise ValueError(
-                f"unknown bath_id {self.bath_id!r}, expected one of {BATH_IDS}"
-            )
+        require_bath_id(self.bath_id)
         object.__setattr__(self, "bohr_frequency", float(self.bohr_frequency))
 
     @property
@@ -311,10 +314,7 @@ class LindbladGenerator:
             )
 
     def bath_channels(self, bath_id):
-        if bath_id not in BATH_IDS:
-            raise ValueError(
-                f"unknown bath_id {bath_id!r}, expected one of {BATH_IDS}"
-            )
+        require_bath_id(bath_id)
         return [ch for ch in self.channels if ch.bath_id == bath_id]
 
     @cached_property

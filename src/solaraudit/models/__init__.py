@@ -1,4 +1,6 @@
-"""The model zoo and the one table of models with closed-form reports."""
+"""The model zoo and the one table of models with closed-form reports.
+The sink-driven models (decay, donor-acceptor, photocell) are rings that
+cycle.py solves."""
 
 from ..errors import ConfigError
 from .three_level import (
@@ -19,14 +21,12 @@ from .three_level import (
 )
 from .donor_acceptor import (
     DonorAcceptorParams,
-    donor_acceptor_currents,
     donor_acceptor_generator,
     donor_acceptor_report,
     donor_acceptor_steady_state,
 )
 from .photocell import (
     PhotocellParams,
-    photocell_currents,
     photocell_generator,
     photocell_report,
     photocell_steady_state,
@@ -79,12 +79,10 @@ __all__ = [
     "require_truncation_ok",
     "transfer_block_hamiltonian",
     "DonorAcceptorParams",
-    "donor_acceptor_currents",
     "donor_acceptor_generator",
     "donor_acceptor_report",
     "donor_acceptor_steady_state",
     "PhotocellParams",
-    "photocell_currents",
     "photocell_generator",
     "photocell_report",
     "photocell_steady_state",

@@ -4,17 +4,13 @@ Levels in order (b, x1, x2, alpha, beta): ground |b>, bright exciton |x1>
 pumped by the hot bath, relaxed exciton |x2>, charge-separated |alpha>
 and the recycled state |beta>. The cold bath drives both cascade steps
 x1 -> x2 -> alpha and the beta -> b recycle; the load is a one-way jump
-|beta><alpha| at rate gamma_load.
+|beta><alpha| at rate gamma_load. The cycle is a ring solved by cycle.py.
 """
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..core import LindbladGenerator, require_finite_fields
-from ..errors import NumericsError
-from ..thermo import BathSpec, ThermoReport
+from ..core import require_finite_fields
+from .cycle import Ring
 
 
 @dataclass(frozen=True)
@@ -54,98 +50,37 @@ class PhotocellParams:
     def hot_gap(self):
         return self.omega_x1 - self.omega_b
 
-    @property
-    def cascade_gap(self):
-        return self.omega_x1 - self.omega_x2
-
-    @property
-    def separation_gap(self):
-        return self.omega_x2 - self.omega_alpha
-
-    @property
-    def recycle_gap(self):
-        return self.omega_beta - self.omega_b
-
-    @property
-    def load_gap(self):
-        return self.omega_alpha - self.omega_beta
+    def ring(self):
+        """b -> x1 (hot pump), x1 -> x2 (cold cascade at gamma_x),
+        x2 -> alpha (cold separation at gamma_c), alpha -> beta (load),
+        beta -> b (cold recycle at gamma_cb)."""
+        return Ring(
+            (self.omega_b, self.omega_x1, self.omega_x2, self.omega_alpha, self.omega_beta),
+            (
+                (0, 1, "abs", self.gamma_h),
+                (1, 2, "loss", self.gamma_x),
+                (2, 3, "loss", self.gamma_c),
+                (3, 4, "sink", self.gamma_load),
+                (4, 0, "loss", self.gamma_cb),
+            ),
+            self.t_abs,
+            self.t_loss,
+        )
 
     def occupations(self):
-        hot = BathSpec("abs", self.t_abs, self.gamma_h)
-        cold = BathSpec("loss", self.t_loss, self.gamma_c)
-        return (
-            hot.occupation(self.hot_gap),
-            cold.occupation(self.cascade_gap),
-            cold.occupation(self.separation_gap),
-            cold.occupation(self.recycle_gap),
-        )
+        """(n_h, n_x, n_2c, N_c): hot pump, cascade, separation, recycle."""
+        return self.ring().occupations()
 
 
 def photocell_steady_state(p):
-    """Steady populations [rho_b, rho_x1, rho_x2, rho_alpha, rho_beta].
-
-    Chained two-state balances against rho_alpha, each link carrying the
-    same net flux gamma_load * rho_alpha:
-
-        rho_x2/rho_alpha = (gc n_2c + G) / (gc (1 + n_2c))
-        rho_x1/rho_x2    = (gx n_x (gc n_2c + G) + G gc (1 + n_2c))
-                           / (gx (1 + n_x)(gc n_2c + G))
-    """
-    n_h, n_x, n_2c, big_n = p.occupations()
-    gh, gx, gc, gcb, g = p.gamma_h, p.gamma_x, p.gamma_c, p.gamma_cb, p.gamma_load
-    if n_h == 0.0:
-        raise NumericsError("hot occupation vanished; cycle ratios undefined")
-    try:
-        r_x2 = (gc * n_2c + g) / (gc * (1.0 + n_2c))
-        r_x1 = r_x2 * (gx * n_x * (gc * n_2c + g) + g * gc * (1.0 + n_2c)) / (
-            gx * (1.0 + n_x) * (gc * n_2c + g)
-        )
-        r_b = (gh * (1.0 + n_h) * r_x1 + g) / (gh * n_h)
-        r_beta = r_b * big_n / (1.0 + big_n) + g / (gcb * (1.0 + big_n))
-        norm = r_b + r_x1 + r_x2 + 1.0 + r_beta
-    except ZeroDivisionError:  # a rate product underflowed to zero
-        norm = math.inf
-    if not math.isfinite(norm):
-        raise NumericsError("cycle ratios overflow; the rates span too many decades")
-    rho_alpha = 1.0 / norm
-    return np.array([r_b, r_x1, r_x2, 1.0, r_beta]) * rho_alpha
-
-
-def photocell_currents(p):
-    """Closed-form steady currents (j_abs, j_loss, power)."""
-    pops = photocell_steady_state(p)
-    flux = p.gamma_load * pops[3]
-    j_abs = p.hot_gap * flux
-    j_loss = -(p.cascade_gap + p.separation_gap + p.recycle_gap) * flux
-    power = -p.load_gap * flux
-    return j_abs, j_loss, power
+    """Steady populations [rho_b, rho_x1, rho_x2, rho_alpha, rho_beta]."""
+    return p.ring().populations()
 
 
 def photocell_report(p):
-    j_abs, j_loss, power = photocell_currents(p)
-    return ThermoReport.from_currents(j_abs, j_loss, power, p.t_abs, p.t_loss, sink_flow=power)
+    return p.ring().report()
 
 
 def photocell_generator(p):
     """Lindblad generator on the 5-level basis (b, x1, x2, alpha, beta)."""
-    h = np.diag(
-        [p.omega_b, p.omega_x1, p.omega_x2, p.omega_alpha, p.omega_beta]
-    ).astype(complex)
-
-    def lowering(i, j):
-        m = np.zeros((5, 5), dtype=complex)
-        m[i, j] = 1.0
-        return m
-
-    hot = BathSpec("abs", p.t_abs, p.gamma_h)
-    cascade = BathSpec("loss", p.t_loss, p.gamma_x)
-    separation = BathSpec("loss", p.t_loss, p.gamma_c)
-    recycle = BathSpec("loss", p.t_loss, p.gamma_cb)
-    load = BathSpec("sink", None, p.gamma_load)
-    channels = []
-    channels += hot.thermal_pair(lowering(0, 1), p.hot_gap)
-    channels += cascade.thermal_pair(lowering(2, 1), p.cascade_gap)
-    channels += separation.thermal_pair(lowering(3, 2), p.separation_gap)
-    channels += recycle.thermal_pair(lowering(0, 4), p.recycle_gap)
-    channels.append(load.one_way(lowering(4, 3), p.load_gap))
-    return LindbladGenerator(h, channels)
+    return p.ring().generator()

@@ -5,10 +5,11 @@ A hot bath pumps |0> <-> |2> at omega_plus = omega_abs + omega_rc/2, a cold
 bath handles |1> <-> |2> at omega_minus = omega_abs - omega_rc/2.
 
 Scheme one ("decay") extracts work through an irreversible sink jump
-|0><1| at rate gamma. Scheme two ("hamiltonian transfer") replaces the sink
-with a coherent swap into a bosonic work repository; in the weak-coupling
-regime the repository occupation follows a birth-death ladder whose net
-growth rate carries the power.
+|0><1| at rate gamma; it is a ring, solved by cycle.py. Scheme two
+("hamiltonian transfer") replaces the sink with a coherent swap into a
+bosonic work repository; in the weak-coupling regime the repository
+occupation follows a birth-death ladder whose net growth rate carries
+the power.
 """
 
 import math
@@ -24,7 +25,8 @@ from ..core import (
     require_finite_fields,
 )
 from ..errors import TruncationOverflowError
-from ..thermo import BathSpec, ThermoReport, bose_occupation
+from ..thermo import ThermoReport
+from .cycle import Ring
 
 TRUNCATION_POPULATION_TOL = 1e-6
 
@@ -76,75 +78,45 @@ class ThreeLevelParams:
             )
 
     def occupations(self):
-        n_h = bose_occupation(self.omega_plus, self.t_abs)
-        n_c = bose_occupation(self.omega_minus, self.t_loss)
-        return n_h, n_c
+        """(n_h, n_c): hot occupation at omega_plus, cold at omega_minus."""
+        return self.ring().occupations()
+
+    def ring(self):
+        """The decay scheme as a ring (cycle.py): hot pump 0 -> 2, cold
+        relaxation 2 -> 1 and the sink jump 1 -> 0 at rate gamma."""
+        return Ring(
+            (-0.5 * self.omega_rc, 0.5 * self.omega_rc, self.omega_abs),
+            ((0, 2, "abs", self.gamma_h), (2, 1, "loss", self.gamma_c), (1, 0, "sink", self.gamma)),
+            self.t_abs,
+            self.t_loss,
+        )
 
 
 # ---------------------------------------------------------------- decay scheme
 
 
+def _decay_ring(p):
+    # a zero bath rate cuts the ring: its populations are undefined
+    for bath, name in (("cold", "gamma_c"), ("hot", "gamma_h")):
+        if getattr(p, name) == 0.0:
+            raise ValueError(f"{bath} bath rate {name} is zero; populations undefined")
+    return p.ring()
+
+
 def decay_steady_populations(p):
-    """Steady populations [rho00, rho11, rho22] of the sink-jump scheme.
-
-    Closed form of the three-state cycle: with hot rates gh*n_h up / gh*(1+n_h)
-    down, cold rates gc*n_c / gc*(1+n_c) and sink rate gamma,
-
-        rho22/rho11 = (gamma + gc n_c) / (gc (1 + n_c))
-        rho11/rho00 = gh n_h gc (1+n_c)
-                      / (gh (1+n_h) gc n_c + gamma (gh (1+n_h) + gc (1+n_c)))
-    """
-    n_h, n_c = p.occupations()
-    gh, gc, g = p.gamma_h, p.gamma_c, p.gamma
-    if gc == 0.0:
-        raise ValueError("cold bath rate gamma_c is zero; populations undefined")
-    r21 = (g + gc * n_c) / (gc * (1.0 + n_c))
-    den = gh * (1.0 + n_h) * gc * n_c + g * (gh * (1.0 + n_h) + gc * (1.0 + n_c))
-    if den == 0.0:
-        raise ValueError("all de-excitation pathways vanish; populations undefined")
-    r10 = gh * n_h * gc * (1.0 + n_c) / den
-    rho0 = 1.0 / (1.0 + r10 * (1.0 + r21))
-    rho1 = r10 * rho0
-    rho2 = r21 * rho1
-    return np.array([rho0, rho1, rho2])
-
-
-def _cycle_currents(p, flux):
-    """(j_abs, j_loss, power) of a net cycle flux through the three levels:
-    in at omega_plus, out at omega_minus, omega_rc extracted per cycle."""
-    return p.omega_plus * flux, -p.omega_minus * flux, -p.omega_rc * flux
+    """Steady populations [rho00, rho11, rho22] of the sink-jump scheme."""
+    return _decay_ring(p).populations()
 
 
 def decay_report(p):
-    """Steady-state audit of the decay scheme.
-
-    The cycle flux equals gamma*rho11 and the sink carries the power,
-    which is negative always.
-    """
-    j_abs, j_loss, power = _cycle_currents(p, p.gamma * decay_steady_populations(p)[1])
-    return ThermoReport.from_currents(j_abs, j_loss, power, p.t_abs, p.t_loss, sink_flow=power)
-
-
-def decay_hamiltonian(p):
-    return np.diag([-0.5 * p.omega_rc, 0.5 * p.omega_rc, p.omega_abs]).astype(complex)
+    """Steady-state audit of the decay scheme; the sink carries the power,
+    which is negative always."""
+    return _decay_ring(p).report()
 
 
 def decay_generator(p):
     """Lindblad generator of the decay scheme (dim 3)."""
-    h = decay_hamiltonian(p)
-    down_hot = np.zeros((3, 3), dtype=complex)
-    down_hot[0, 2] = 1.0
-    down_cold = np.zeros((3, 3), dtype=complex)
-    down_cold[1, 2] = 1.0
-    sink_jump = np.zeros((3, 3), dtype=complex)
-    sink_jump[0, 1] = 1.0
-    channels = []
-    channels += BathSpec("abs", p.t_abs, p.gamma_h).thermal_pair(down_hot, p.omega_plus)
-    channels += BathSpec("loss", p.t_loss, p.gamma_c).thermal_pair(
-        down_cold, p.omega_minus
-    )
-    channels.append(BathSpec("sink", None, p.gamma).one_way(sink_jump, p.omega_rc))
-    return LindbladGenerator(h, channels)
+    return p.ring().generator()
 
 
 # --------------------------------------------------- hamiltonian transfer scheme
@@ -212,7 +184,8 @@ def hamiltonian_transfer_report(p):
     j_loss = -omega_minus (s - r), power = -omega_rc (s - r). Work is
     extracted exactly when the repository grows (s > r).
     """
-    j_abs, j_loss, power = _cycle_currents(p, birth_death_rates(p).net)
+    net = birth_death_rates(p).net
+    j_abs, j_loss, power = p.omega_plus * net, -p.omega_minus * net, -p.omega_rc * net
     return ThermoReport.from_currents(j_abs, j_loss, power, p.t_abs, p.t_loss, sink_flow=0.0)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BATH_IDS, _as_matrix, _vec, DissipationChannel
+from .core import _as_matrix, _vec, DissipationChannel, require_bath_id
 from .errors import NumericsError
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
@@ -53,10 +53,7 @@ class BathSpec:
     gamma0: float
 
     def __post_init__(self):
-        if self.bath_id not in BATH_IDS:
-            raise ValueError(
-                f"unknown bath_id {self.bath_id!r}, expected one of {BATH_IDS}"
-            )
+        require_bath_id(self.bath_id)
         if self.bath_id == "sink":
             if self.temperature is not None:
                 raise ValueError("sink baths carry no temperature")
@@ -102,17 +99,15 @@ def heat_current(gen, bath_id, rho):
     Positive values mean the bath feeds energy into the system. Returns 0.0
     if no channel carries the tag (a decoupled bath moves no heat).
     """
-    if bath_id not in BATH_IDS:
-        raise ValueError(
-            f"unknown bath_id {bath_id!r}, expected one of {BATH_IDS}"
-        )
+    require_bath_id(bath_id)
     block = gen.bath_blocks[bath_id]
     if block is None:
         return 0.0
     h = gen.hamiltonian
     d_rho = block @ _vec(gen, rho)
     val = h.T.reshape(-1) @ d_rho
-    scale = max(1.0, np.linalg.norm(d_rho) * np.linalg.norm(h))
+    with np.errstate(over="ignore"):  # an inf scale accepts any residue
+        scale = max(1.0, np.linalg.norm(d_rho) * np.linalg.norm(h))
     if abs(val.imag) > 1e-12 * scale:
         raise NumericsError(
             f"heat current has imaginary residue {val.imag:.3e} beyond tolerance"
@@ -187,8 +182,9 @@ class ThermoReport:
 
     power < 0 means work is extracted. sink_flow records Tr[D_sink(rho) H]
     so the first law j_abs + j_loss + power = 0 can be checked even though
-    sigma never sees the sink. Non-finite j_abs, j_loss or power raise
-    NumericsError: the first-law check cannot see a NaN.
+    sigma never sees the sink. Non-finite j_abs, j_loss, power or sigma
+    raise NumericsError: the first-law check cannot see a NaN, and an
+    infinite sigma must not get a verdict.
     """
 
     j_abs: float
@@ -204,10 +200,10 @@ class ThermoReport:
             raise ValueError(
                 f"verdict must be one of {VERDICTS}, got {self.verdict!r}"
             )
-        if not all(math.isfinite(x) for x in (self.j_abs, self.j_loss, self.power)):
+        if not all(math.isfinite(x) for x in (self.j_abs, self.j_loss, self.power, self.sigma)):
             raise NumericsError(
-                f"non-finite report: j_abs = {self.j_abs}, "
-                f"j_loss = {self.j_loss}, power = {self.power}"
+                f"non-finite report: j_abs = {self.j_abs}, j_loss = {self.j_loss}, "
+                f"power = {self.power}, sigma = {self.sigma}"
             )
         closure = abs(self.j_abs + self.j_loss + self.power)
         if closure > FIRST_LAW_RELATIVE_TOL * max(abs(self.j_abs), 1e-30):
@@ -218,7 +214,10 @@ class ThermoReport:
     @classmethod
     def from_currents(cls, j_abs, j_loss, power, t_abs, t_loss, sink_flow):
         """Report on steady currents: sigma from the two thermal baths only,
-        ratio = -j_loss/j_abs (nan when j_abs is zero), and the verdict."""
+        ratio = -j_loss/j_abs (nan when j_abs is zero), and the verdict.
+        The divisions run on plain floats, where a numpy scalar would warn
+        on overflow; an overflowed sigma is then rejected as non-finite."""
+        j_abs, j_loss, t_abs, t_loss = map(float, (j_abs, j_loss, t_abs, t_loss))
         sigma = -j_abs / t_abs - j_loss / t_loss
         ratio = -j_loss / j_abs if j_abs != 0.0 else math.nan
         verdict = second_law_verdict(j_abs, j_loss, t_abs, t_loss)

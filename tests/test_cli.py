@@ -190,6 +190,7 @@ def test_bad_values_exit_2(capsys):
         (("toy-ham", "--gamma", "0"), "both bath rates positive"),
         (("toy-decay", "--gamma", "0"), "gamma_c is zero"),
         (("compare-power", "--gamma", "0"), "gamma_c is zero"),
+        (("toy-decay", "--gamma_h", "0"), "gamma_h is zero"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
@@ -339,6 +340,7 @@ def test_fmo_trace_huge_time_span(capsys):
 def test_occupation_underflow_exits_3(capsys):
     # a hot gap of 1000 temperatures underflows the Bose occupation to zero
     for argv in (
+        ("toy-decay", "--t_abs", "1e-3"),
         ("donor-acceptor", "--t_abs", "1e-3"),
         ("photocell", "--t_abs", "1e-3"),
         ("sweep", "--model", "photocell", "--t_abs", "1e-3", "--axis_stop", "0.98"),
@@ -369,10 +371,17 @@ def test_fmo_trace_extreme_values_exit_cleanly(capsys):
         assert "Traceback" not in err and len(err.splitlines()) == 1, (flag, value)
         prefix = "error: " if expected == 2 else "numerical failure: "
         assert err.startswith(prefix), (flag, value)
+    # a rate whose heat-current residue scale overflows runs without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "fmo-trace", "--n_times", "3", "--gamma_rad", "1e300")
+    assert code == 0 and err == ""
 
 
 def test_rate_underflow_exits_3_without_warning(capsys):
     for argv in (
+        ("toy-decay", "--gamma_h", "1e-320"),
+        ("toy-decay", "--gamma_c", "1e-320"),
         ("donor-acceptor", "--gamma_h", "1e-320"),
         ("donor-acceptor", "--gamma_h", "1e-320", "--t_abs", "0.3"),
         ("photocell", "--gamma_h", "1e-320"),

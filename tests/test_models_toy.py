@@ -219,6 +219,19 @@ def test_gibbs_limit_without_sink_at_equal_temperatures():
     assert np.max(np.abs(rho.entries - gibbs.entries)) < 1e-10
 
 
+def test_decay_without_sink_in_cold_vacuum_is_absorbing():
+    # no sink and an empty cold bath: |1> is reached and never left, so the
+    # steady state is |1><1| and no current flows
+    p = ThreeLevelParams(
+        omega_abs=1.0, omega_rc=0.5, gamma=0.0, t_abs=1.0, t_loss=1e-3,
+        gamma_h=1e-3, gamma_c=1e-3,
+    )
+    assert decay_steady_populations(p).tolist() == [0.0, 1.0, 0.0]
+    rep = decay_report(p)
+    assert (rep.j_abs, rep.j_loss, rep.power) == (0.0, 0.0, 0.0)
+    assert rep.verdict == "undefined"
+
+
 def test_trace_preserved_along_decay_trajectory():
     p = ThreeLevelParams(omega_abs=1.0, omega_rc=0.5, gamma=0.01, t_abs=1.0, t_loss=0.05)
     rho0 = DensityMatrix.pure([0.0, 0.0, 1.0])

@@ -282,6 +282,7 @@ def test_thermo_report_rejects_non_finite_fields():
         (nan, -0.4, -0.6, 0.1, 0.4),
         (1.0, inf, -0.6, 0.1, 0.4),
         (1.0, -0.4, -inf, 0.1, 0.4),
+        (1.0, -0.4, -0.6, inf, 0.4),
     ):
         with pytest.raises(NumericsError):
             ThermoReport(*fields, "consistent")
