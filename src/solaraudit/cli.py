@@ -89,38 +89,18 @@ def _section_params(section, file_sections, overrides):
 
 def _sweep_params(file_sections, overrides):
     """Sweep settings come from [sweep]; the swept model's fixed values
-    come from its own section. Flags may touch either namespace, with the
-    model chosen first so the flag namespace is well defined."""
-    sweep_params = dict(cfg.default_section("sweep"))
-    sweep_params.update(file_sections.get("sweep", {}))
-    if "model" in overrides:
-        chosen = cfg.convert_section("sweep", {"model": overrides["model"]}, where="flags")
-        sweep_params["model"] = chosen["model"]
+    come from its own section. Each flag goes to the one section whose
+    schema has its key, sweep keys first, so --model picks the model
+    section wherever it sits in argv."""
+    sweep_flags = {k: v for k, v in overrides.items() if k in cfg.SCHEMAS["sweep"]}
+    sweep_params = _section_params("sweep", file_sections, sweep_flags)
     model = sweep_params["model"]
-    model_section = MODELS[model][0]
-
-    fixed = dict(cfg.default_section(model_section))
-    fixed.update(file_sections.get(model_section, {}))
-
-    sweep_schema = cfg.SCHEMAS["sweep"]
-    model_schema = cfg.SCHEMAS[model_section]
-    sweep_flags = {}
-    model_flags = {}
-    unknown = []
-    for key, value in overrides.items():
-        if key in sweep_schema:
-            sweep_flags[key] = value
-        elif key in model_schema:
-            model_flags[key] = value
-        else:
-            unknown.append("--" + key)
+    section = MODELS[model][0]
+    model_flags = {k: v for k, v in overrides.items() if k not in sweep_flags}
+    unknown = sorted("--" + k for k in model_flags if k not in cfg.SCHEMAS[section])
     if unknown:
-        raise ConfigError(
-            f"unknown flags for a sweep over {model}: " + ", ".join(sorted(unknown))
-        )
-    sweep_params.update(cfg.convert_section("sweep", sweep_flags, where="flags"))
-    fixed.update(cfg.convert_section(model_section, model_flags, where="flags"))
-    return sweep_params, fixed
+        raise ConfigError(f"unknown flags for a sweep over {model}: " + ", ".join(unknown))
+    return sweep_params, _section_params(section, file_sections, model_flags)
 
 
 def _linspace(start, stop, points, what):

@@ -6,6 +6,7 @@ file, so the code itself carries no parameter values. Unknown sections or
 keys are errors rather than silent no-ops, and duplicates are rejected.
 """
 
+import dataclasses
 import math
 from functools import lru_cache
 from importlib import resources
@@ -63,18 +64,10 @@ def _to_float(raw):
     return value
 
 
-def _to_int(raw):
-    return int(raw)
-
-
 def _to_auto_float(raw):
     if raw == "auto":
         return None
     return _to_float(raw)
-
-
-def _to_str(raw):
-    return raw
 
 
 def _choice(*options):
@@ -86,52 +79,21 @@ def _choice(*options):
     return convert
 
 
+def _params_schema(params_cls):
+    """A closed-form model's section: one key per field of its params
+    dataclass, which also accepts 'auto' where the field defaults to None."""
+    return {
+        field.name: _to_auto_float if field.default is None else _to_float
+        for field in dataclasses.fields(params_cls)
+    }
+
+
 SCHEMAS = {
-    "toy": {
-        "omega_abs": _to_float,
-        "omega_rc": _to_float,
-        "gamma": _to_float,
-        "gamma_h": _to_auto_float,
-        "gamma_c": _to_auto_float,
-        "t_abs": _to_float,
-        "t_loss": _to_float,
-    },
-    "donor_acceptor": {
-        key: _to_float
-        for key in (
-            "omega_b",
-            "omega_a",
-            "omega_alpha",
-            "omega_beta",
-            "gamma_h",
-            "gamma_c",
-            "gamma_cb",
-            "gamma_load",
-            "t_abs",
-            "t_loss",
-        )
-    },
-    "photocell": {
-        key: _to_float
-        for key in (
-            "omega_b",
-            "omega_x1",
-            "omega_x2",
-            "omega_alpha",
-            "omega_beta",
-            "gamma_h",
-            "gamma_x",
-            "gamma_c",
-            "gamma_cb",
-            "gamma_load",
-            "t_abs",
-            "t_loss",
-        )
-    },
+    **{section: _params_schema(params_cls) for section, params_cls, _ in MODELS.values()},
     "fmo": {
-        "data_file": _to_str,
+        "data_file": str,
         "omega_ant": _to_float,
-        "n_pigments": _to_int,
+        "n_pigments": int,
         "mu_ant_ind": _to_float,
         "mu_fmo": _to_float,
         "lambda_geo": _to_float,
@@ -143,14 +105,14 @@ SCHEMAS = {
         "vib_reorganization": _to_float,
         "vib_cutoff": _to_float,
         "t_max_ps": _to_float,
-        "n_times": _to_int,
+        "n_times": int,
     },
     "sweep": {
         "model": _choice(*MODELS),
-        "axis": _to_str,
+        "axis": str,
         "axis_start": _to_float,
         "axis_stop": _to_float,
-        "axis_points": _to_int,
+        "axis_points": int,
     },
     "compare_power": {
         "omega_abs": _to_float,
@@ -159,7 +121,7 @@ SCHEMAS = {
         "t_abs": _to_float,
         "ratio_start": _to_float,
         "ratio_stop": _to_float,
-        "ratio_points": _to_int,
+        "ratio_points": int,
     },
 }
 

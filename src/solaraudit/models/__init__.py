@@ -38,8 +38,9 @@ from .collective import (
 )
 
 # model name -> (config section of its parameters, params class, report).
-# The sweep model choice, the sweep's section lookup and the CLI's report
-# commands (model name with '-' for '_') all read this table.
+# The config schemas (one key per params field), the sweep model choice,
+# the sweep's section lookup and the CLI's report commands (model name
+# with '-' for '_') all read this table.
 MODELS = {
     "toy_decay": ("toy", ThreeLevelParams, decay_report),
     "toy_ham": ("toy", ThreeLevelParams, hamiltonian_transfer_report),

@@ -7,6 +7,7 @@ energy flow is recorded separately so the first law can still be closed.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,6 +205,11 @@ class ThermoReport:
             raise NumericsError(
                 f"non-finite report: j_abs = {self.j_abs}, j_loss = {self.j_loss}, "
                 f"power = {self.power}, sigma = {self.sigma}"
+            )
+        if any(0.0 < abs(x) < sys.float_info.min for x in (self.j_abs, self.j_loss, self.power)):
+            raise NumericsError(
+                f"subnormal report: j_abs = {self.j_abs}, j_loss = {self.j_loss}, "
+                f"power = {self.power} have lost precision"
             )
         closure = abs(self.j_abs + self.j_loss + self.power)
         if closure > FIRST_LAW_RELATIVE_TOL * max(abs(self.j_abs), 1e-30):

@@ -262,6 +262,29 @@ def test_sweep_unknown_flag(capsys):
         "--axis_start", "0.1", "--axis_stop", "0.3", "--axis_points", "3",
     )
     assert code == 0 and out.count("\n") >= 4
+    # a model key and a sweep key route to their sections; the unknown
+    # key is still named
+    code, out, err = run_cli(
+        capsys, "sweep", "--t_loss", "0.5", "--axis_points", "3", "--omega_x1", "1.0",
+    )
+    assert code == 2 and out == ""
+    assert "unknown flags for a sweep over toy_decay: --omega_x1" in err
+
+
+def test_auto_only_where_params_default_to_none(capsys):
+    # a closed-form section is its params dataclass's fields; 'auto' is a
+    # value only where the field defaults to None
+    for fmt in ("csv", "json"):
+        plain = run_cli(capsys, "toy-decay", "--format", fmt)
+        assert plain[0] == 0
+        assert run_cli(capsys, "toy-decay", "--gamma_h", "auto", "--format", fmt) == plain
+    for argv, key in (
+        (("donor-acceptor", "--gamma_h", "auto"), "gamma_h"),
+        (("photocell", "--gamma_x", "auto"), "gamma_x"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and repr(key) in err, argv
 
 
 def test_grid_validation(capsys):
@@ -379,19 +402,30 @@ def test_fmo_trace_extreme_values_exit_cleanly(capsys):
 
 
 def test_rate_underflow_exits_3_without_warning(capsys):
-    for argv in (
+    overflow = (
         ("toy-decay", "--gamma_h", "1e-320"),
         ("toy-decay", "--gamma_c", "1e-320"),
         ("donor-acceptor", "--gamma_h", "1e-320"),
         ("donor-acceptor", "--gamma_h", "1e-320", "--t_abs", "0.3"),
         ("photocell", "--gamma_h", "1e-320"),
         ("photocell", "--gamma_x", "1e-320", "--gamma_load", "1e-10"),
-    ):
+    )
+    # currents that come out subnormal have lost digits of their ratio
+    subnormal = (
+        ("toy-decay", "--gamma", "1e-320"),
+        ("toy-ham", "--gamma_h", "1e-320"),
+        ("toy-ham", "--gamma", "1e-320"),
+        ("donor-acceptor", "--gamma_load", "1e-320"),
+        ("photocell", "--gamma_load", "1e-320"),
+        ("compare-power", "--gamma", "1e-320"),
+    )
+    for argv in overflow + subnormal:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == "", argv
-        assert err.startswith("numerical failure: cycle ratios overflow"), argv
+        reason = "cycle ratios overflow" if argv in overflow else "subnormal report"
+        assert err.startswith("numerical failure: " + reason), argv
 
 
 def test_nan_cells(capsys):
