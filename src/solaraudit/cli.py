@@ -228,3 +228,7 @@ def main(argv):
 
 def entry():
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -4,7 +4,7 @@ Conventions: hbar = 1, energies and rates share one unit system and time is
 measured in the inverse of that unit. States are dim x dim complex matrices
 wrapped in DensityMatrix, which enforces Hermiticity, unit trace and
 positivity (within a small floor). Hamiltonians are plain ndarrays; jump
-operators are stored as sparse CSR matrices.
+operators are stored as Triplets, numpy (row, col, value) arrays.
 
 The generator is
 
@@ -12,17 +12,14 @@ The generator is
                  - 1/2 {A_k^dag A_k, rho})
 
 with every channel tagged by the bath it exchanges energy with. The
-algebra exists once, as sparse superoperators on vectorized states: one
+algebra exists once, as Triplets superoperators on vectorized states: one
 dissipator block per bath tag (so heat is booked per bath downstream) and
-their sum with the Hamiltonian block. Jumps and blocks are assembled from
-numpy (row, col, value) index triplets read off the CSR arrays, with one
-sparse product per bath summing over its channels and CSR only as the
-container; no block is built by Kronecker products of sparse matrices.
+their sum with the Hamiltonian block, each bath block from one product
+over its channels. Products and sums run dense up to the size of the
+dense-propagation superoperator and by sorting triplets above it.
 Propagation applies the exact exponential of that generator between grid
-times.
-
-scipy.sparse is imported inside the functions that build sparse matrices,
-so a caller that builds no channel or generator never loads scipy.
+times; scipy is imported only for its expm_multiply above
+DENSE_PROPAGATION_MAX_DIM.
 """
 
 import math
@@ -44,6 +41,13 @@ TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = 1e-9
 BOHR_CHECK_TOL = 1e-9
 STEADY_STATE_RESIDUAL_TOL = 1e-10
+
+# A dense exponential costs ~20 (dim^2)^3 complex flops per distinct step
+# whatever |L dt| is; expm_multiply costs ~|L dt| sparse matvecs per step.
+# On a 2-core x86-64 host one dense exponential takes ~0.1 s at dim 16 and
+# 1.5 s at dim 30, while nine steps of the transfer ladder (|L| ~ 10) take
+# 0.01 s on the expm_multiply path at dims 12 to 30.
+DENSE_PROPAGATION_MAX_DIM = 16
 
 BATH_IDS = ("abs", "loss", "sink")
 
@@ -161,30 +165,98 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
+def _index_dtype(size):  # int32 where indices up to size fit
+    return np.int32 if size <= np.iinfo(np.int32).max else np.int64
+
+
+def _fits_dense(rows, cols):  # no larger than the dense-propagation superoperator
+    return rows * cols <= DENSE_PROPAGATION_MAX_DIM**4
+
+
+class Triplets:
+    """Sparse complex matrix: (row, col, data) arrays holding each position
+    at most once, plus the shape. Triplets.summed adds repeated positions."""
+
+    __slots__ = ("row", "col", "data", "shape", "nnz", "_dense")
+
+    def __init__(self, row, col, data, shape):
+        idx = _index_dtype(max(shape))
+        self.row, self.col = np.asarray(row, dtype=idx), np.asarray(col, dtype=idx)
+        self.data = np.asarray(data, dtype=complex)
+        self.shape, self.nnz, self._dense = tuple(shape), self.data.size, None
+
+    @classmethod
+    def from_dense(cls, a):
+        a = np.asarray(a, dtype=complex)
+        if a.ndim != 2:
+            raise ValueError(f"matrix must be 2d, got shape {a.shape}")
+        row, col = np.nonzero(a)
+        return cls(row, col, a[row, col], a.shape)
+
+    @classmethod
+    def summed(cls, parts, shape):
+        """Sum of (row, col, value) parts, values at one position added in
+        order; exact-zero sums are dropped. Bins all cells if _fits_dense, else sorts."""
+        row, col, val = (np.concatenate(x) for x in zip(*parts))
+        rows, cols = shape
+        key = row.astype(np.int64) * cols + col
+        dense = _fits_dense(rows, cols)
+        cells, at = (np.arange(rows * cols), key) if dense else np.unique(key, return_inverse=True)
+        sums = np.bincount(at, val.real, cells.size) + 1j * np.bincount(at, val.imag, cells.size)
+        keep = np.flatnonzero(sums)
+        return cls(*np.divmod(cells[keep], cols), sums[keep], shape)
+
+    def __matmul__(self, x):
+        if _fits_dense(*self.shape):  # a dense copy is several times faster
+            if self._dense is None:
+                self._dense = self.toarray()
+            return self._dense @ x
+        y, n = self.data * x[self.col], self.shape[0]
+        return np.bincount(self.row, y.real, n) + 1j * np.bincount(self.row, y.imag, n)
+
+    def toarray(self):
+        out = np.zeros(self.shape, dtype=complex)
+        out[self.row, self.col] = self.data
+        return out
+
+
+def _product(a, b):
+    """a @ b of two Triplets; dense when the product fits _fits_dense,
+    else every entry (i, k) of a meets each entry of row k of b."""
+    shape = (a.shape[0], b.shape[1])
+    if _fits_dense(*shape):
+        return Triplets.from_dense(a.toarray() @ b.toarray())
+    order = np.argsort(b.row, kind="stable")
+    start = np.searchsorted(b.row, np.arange(b.shape[0] + 1), sorter=order)
+    lo, reps = start[a.col], np.diff(start)[a.col]
+    ia = np.repeat(np.arange(a.nnz), reps)
+    ib = order[np.arange(ia.size) - np.repeat(np.cumsum(reps) - reps - lo, reps)]
+    return Triplets.summed([(a.row[ia], b.col[ib], a.data[ia] * b.data[ib])], shape)
+
+
 @dataclass(frozen=True)
 class DissipationChannel:
     """One GKLS jump operator with its rate and bath tag.
 
-    The jump may be given dense or sparse; it is stored as a CSR matrix.
+    The jump may be given dense or as Triplets; it is stored as Triplets.
     bohr_frequency is the magnitude of the level gap the jump connects. It is
     checked against the attached Hamiltonian at generator construction unless
     check_bohr is False (needed for jumps that do not connect eigenstates,
     which is itself a modeling statement worth keeping visible).
     """
 
-    jump: "scipy.sparse.csr_array"
+    jump: Triplets
     rate: float
     bath_id: str
     bohr_frequency: float
     check_bohr: bool = True
 
     def __post_init__(self):
-        import scipy.sparse as sp
-
-        jump = self.jump if sp.issparse(self.jump) else np.asarray(self.jump)
-        if jump.ndim != 2 or jump.shape[0] != jump.shape[1]:
-            raise ValueError(f"jump operator must be square, got shape {jump.shape}")
-        object.__setattr__(self, "jump", sp.csr_array(jump, dtype=complex))
+        jump = self.jump if isinstance(self.jump, Triplets) else Triplets.from_dense(self.jump)
+        index = np.concatenate([jump.row, jump.col])
+        if jump.shape[0] != jump.shape[1] or ((index < 0) | (index >= jump.shape[0])).any():
+            raise ValueError(f"jump operator must be square with entries inside, got {jump.shape}")
+        object.__setattr__(self, "jump", jump)
         rate = float(self.rate)
         if not math.isfinite(rate) or rate < 0:
             raise ValueError(f"channel rate must be finite and >= 0, got {rate}")
@@ -197,48 +269,29 @@ class DissipationChannel:
         return self.jump.shape[0]
 
 
-def _rows(indptr):
-    """Row of every stored entry of a CSR matrix, from its row pointers."""
-    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+def _stacked(jumps):
+    """Owner index, row, col and value of every stored entry of the jumps."""
+    owner = np.repeat(np.arange(len(jumps)), [a.nnz for a in jumps])
+    return owner, *(np.concatenate([getattr(a, x) for a in jumps]) for x in ("row", "col", "data"))
 
 
-def _stack(jumps):
-    """(indptr, indices, data) of the vertical stack (A_1; A_2; ...) of
-    CSR matrices, concatenated from theirs."""
-    counts = np.concatenate([np.diff(a.indptr) for a in jumps])
-    indices = np.concatenate([a.indices for a in jumps])
-    data = np.concatenate([a.data for a in jumps])
-    return np.concatenate([[0], np.cumsum(counts)]), indices, data
-
-
-def _left_right(row, col, val, n, left, right):
-    """Triplets of left X (x) I and right I (x) X^T for the n x n matrix X
-    with entries val at (row, col): the superoperators of X rho and rho X."""
-    import scipy.sparse as sp
-
-    m = np.arange(n, dtype=sp.get_index_dtype(maxval=n * n))  # int32 where it fits
-    row, col = row.astype(m.dtype)[:, None], col.astype(m.dtype)[:, None]
+def _left_right(x, y):
+    """Triplets of X (x) I and I (x) Y^T for square Triplets X and Y: the
+    superoperator of rho -> X rho + rho Y."""
+    n = x.shape[0]
+    m = np.arange(n, dtype=_index_dtype(n * n))
+    xr, xc, yr, yc = (a.astype(m.dtype)[:, None] for a in (x.row, x.col, y.row, y.col))
     return [
-        ((row * n + m).ravel(), (col * n + m).ravel(), np.repeat(left * val, n)),
-        ((m * n + col).ravel(), (m * n + row).ravel(), np.repeat(right * val, n)),
+        ((xr * n + m).ravel(), (xc * n + m).ravel(), np.repeat(x.data, n)),
+        ((m * n + yc).ravel(), (m * n + yr).ravel(), np.repeat(y.data, n)),
     ]
-
-
-def _csr(parts, size):
-    """Sum of (row, col, value) triplets as one size x size CSR; duplicate
-    entries are summed in a single COO pass."""
-    import scipy.sparse as sp
-
-    row, col, val = (np.concatenate(x) for x in zip(*parts))
-    idx = sp.get_index_dtype(maxval=max(size, val.size))
-    return sp.coo_array((val, (row.astype(idx), col.astype(idx))), shape=(size, size)).tocsr()
 
 
 class LindbladGenerator:
     """Hamiltonian plus tagged dissipation channels on one Hilbert space.
 
     Superoperators act on row-major vectorized states,
-    vec(A X B) = kron(A, B^T) vec(X). Each bath tag gets one sparse block
+    vec(A X B) = kron(A, B^T) vec(X). Each bath tag gets one block
 
         D_b = sum_k r_k A_k (x) conj(A_k) - 1/2 (K_b (x) I + I (x) K_b^T),
         K_b = sum_k r_k A_k^dag A_k,
@@ -267,43 +320,27 @@ class LindbladGenerator:
         self._check_bohr_frequencies()
 
     def _check_bohr_frequencies(self):
-        # All checked jumps side by side, (A_1 | A_2 | ...): column block k
-        # of H (A_1 | ...) - (A_1 H | ...) -/+ w_k (A_1 | ...) is the
-        # defect matrix of channel k, so the whole check is a few sparse
-        # products instead of several per channel.
-        import scipy.sparse as sp
-
+        # All checked jumps side by side, J = (A_1 | A_2 | ...): column block
+        # k of H J - (A_1 H | A_2 H | ...) -/+ w_k J is the defect matrix of
+        # channel k, so the whole check is two products.
         checked = [ch for ch in self.channels if ch.check_bohr and ch.rate != 0.0]
         if not checked:
             return
         n, count = self.dim, len(checked)
-        h = sp.csr_array(self.hamiltonian)
-        indptr, scol, sval = _stack([ch.jump for ch in checked])
-        srow = _rows(indptr)
-        jumps = sp.coo_array((sval, (srow % n, scol + srow // n * n)), shape=(n, n * count))
-        h_a = (h @ jumps).tocoo()
-        a_h = (sp.csr_array((sval, scol, indptr), shape=(n * count, n)) @ h).tocoo()
-        a_h_col = a_h.col + (a_h.row // n) * n  # row block k -> column block k
-        w_a = np.array([ch.bohr_frequency for ch in checked])[jumps.col // n] * jumps.data
-        row = np.concatenate([h_a.row, a_h.row % n, jumps.row]).astype(np.int64)
-        col = np.concatenate([h_a.col, a_h_col, jumps.col])
-        # duplicate positions summed once, then the largest |entry| per block
-        cells, at = np.unique(row * (n * count) + col, return_inverse=True)
-
-        def block_abs_max(data):
-            sums = np.bincount(at, data.real, cells.size)
-            sums = sums + 1j * np.bincount(at, data.imag, cells.size)
-            out = np.zeros(count)
-            np.maximum.at(out, cells % (n * count) // n, np.abs(sums))
-            return out
-
-        products = np.concatenate([h_a.data, -a_h.data])
-        defect = np.minimum(
-            block_abs_max(np.concatenate([products, -w_a])),
-            block_abs_max(np.concatenate([products, w_a])),
-        )
-        jnorm = block_abs_max(np.concatenate([np.zeros_like(products), jumps.data]))
-        jnorm = np.maximum(jnorm, 1e-300)
+        owner, row, col, a = _stacked([ch.jump for ch in checked])
+        h = Triplets.from_dense(self.hamiltonian)
+        jcol = col + owner * n
+        h_a = _product(h, Triplets(row, jcol, a, (n, n * count)))
+        a_h = _product(Triplets(row + owner * n, col, a, (n * count, n)), h)
+        a_h_col = a_h.col + a_h.row // n * n  # row block k -> column block k
+        products = [(h_a.row, h_a.col, h_a.data), (a_h.row % n, a_h_col, -a_h.data)]
+        w_a = np.array([ch.bohr_frequency for ch in checked])[owner] * a
+        defect, jnorm = np.full((2, count), 0.0), np.full(count, 1e-300)
+        for d, sign in zip(defect, (-1.0, 1.0)):  # largest |entry| per block
+            d_k = Triplets.summed([*products, (row, jcol, sign * w_a)], (n, n * count))
+            np.maximum.at(d, d_k.col // n, np.abs(d_k.data))
+        defect = defect.min(axis=0)
+        np.maximum.at(jnorm, owner, np.abs(a))
         scale = max(1.0, np.abs(self.hamiltonian).max())
         bad = np.flatnonzero(defect > BOHR_CHECK_TOL * scale * jnorm)
         if bad.size:
@@ -319,47 +356,47 @@ class LindbladGenerator:
 
     @cached_property
     def bath_blocks(self):
-        """Sparse dissipator block D_b per bath tag; None for a tag that no
+        """Dissipator block D_b per bath tag, as Triplets; None for a tag that no
         channel of nonzero rate carries."""
-        return {b: self._bath_block(self.bath_channels(b)) for b in BATH_IDS}
+        n = self.dim
+        return {
+            b: t and Triplets.summed([t[0], *_left_right(t[1], t[1])], (n * n, n * n))
+            for b, t in self._bath_terms.items()
+        }
 
-    def _bath_block(self, channels):
+    @cached_property
+    def _bath_terms(self):
+        return {b: self._bath_term(self.bath_channels(b)) for b in BATH_IDS}
+
+    def _bath_term(self, channels):
         channels = [ch for ch in channels if ch.rate != 0.0]
         if not channels:
             return None
-        import scipy.sparse as sp
-
         n, count = self.dim, len(channels)
-        indptr, col, a = _stack([ch.jump for ch in channels])
-        owner, row = np.divmod(_rows(indptr), n)
+        owner, row, col, a = _stacked([ch.jump for ch in channels])
         rates = np.array([ch.rate for ch in channels])
-        # One sparse product over the channels gives M = sum_k r_k vec(A_k)
-        # vec(A_k)^dag: the stacked index arrays, read as CSC, hold the
-        # columns r_k vec(A_k) and, read as CSR, the rows vec(A_k)^dag.
-        # M[(i, j), (k, l)] is entry (i n + k, j n + l) of sum_k r_k
-        # kron(A_k, conj(A_k)), and K_b[j, l] = sum_i conj M[(i, j), (i, l)].
-        # The product sums in place what a per-channel kron expansion would
-        # hold as sum_k nnz(A_k)^2 triplets, 119k for the trace model.
-        vecs = row * n + col, indptr[::n]
-        outer = sp.csr_array(
-            sp.csc_array((rates[owner] * a, *vecs), shape=(n * n, count))
-            @ sp.csr_array((a.conj(), *vecs), shape=(count, n * n))
-        )
-        p, q, v = _rows(outer.indptr), outer.indices, outer.data
+        # M = sum_k r_k vec(A_k) vec(A_k)^dag, one product of the columns
+        # r_k vec(A_k) with the rows vec(A_k)^dag, holds sum_k r_k A_k (x)
+        # conj(A_k): M[(i, j), (k, l)] is its entry (i n + k, j n + l).
+        # K_b[j, l] = sum_i conj M[(i, j), (i, l)]; -K_b / 2 is returned.
+        vec = row.astype(np.int64) * n + col
+        columns = Triplets(vec, owner, rates[owner] * a, (n * n, count))
+        m = _product(columns, Triplets(owner, vec, a.conj(), (count, n * n)))
+        p, q, v = m.row, m.col, m.data
         same = p // n == q // n
-        k_b = sp.coo_array((v[same].conj(), (p[same] % n, q[same] % n)), shape=(n, n)).tocsr()
-        kron_pairs = (p // n * n + q // n, p % n * n + q % n, v)
-        k_part = _left_right(_rows(k_b.indptr), k_b.indices, k_b.data, n, -0.5, -0.5)
-        return _csr([kron_pairs, *k_part], n * n)
+        k_half = Triplets.summed([(p[same] % n, q[same] % n, -0.5 * v[same].conj())], (n, n))
+        return (p // n * n + q // n, p % n * n + q % n, v), k_half
 
     @cached_property
     def superoperator(self):
-        """Vectorized generator as a sparse dim^2 x dim^2 matrix: the
-        Hamiltonian block plus every bath block."""
+        """Vectorized generator as dim^2 x dim^2 Triplets, summed as every
+        sum_k r_k A_k (x) conj(A_k) plus G (x) I + I (x) conj(G), where
+        G = -i H - sum_b K_b / 2."""
         n = self.dim
-        row, col = np.nonzero(self.hamiltonian)
-        h_block = _csr(_left_right(row, col, self.hamiltonian[row, col], n, -1j, 1j), n * n)
-        return sum((blk for blk in self.bath_blocks.values() if blk is not None), h_block)
+        terms = [t for t in self._bath_terms.values() if t is not None]
+        g = -1j * self.hamiltonian + sum(k_half.toarray() for _, k_half in terms)
+        parts = _left_right(Triplets.from_dense(g), Triplets.from_dense(g.conj().T))
+        return Triplets.summed([*(kron for kron, _ in terms), *parts], (n * n, n * n))
 
 
 def _vec(gen, rho):
@@ -389,20 +426,12 @@ def floor_positivity(matrix):
             f"positivity violation: eigenvalue {w[0]:.3e} below -{EIGENVALUE_FLOOR:.0e}"
         )
     if w[0] < 0:
-        w = np.clip(w, 0.0, None)
-        sym = (u * w) @ u.conj().T
+        neg = w < 0  # a rebuild from all of u would spread rounding noise into zeros
+        sym = sym - (u[:, neg] * w[neg]) @ u[:, neg].conj().T
     tr = sym.trace().real
     if tr <= 0:
         raise StateValidationError(f"state trace collapsed to {tr:.3e}")
     return sym / tr
-
-
-# A dense exponential costs ~20 (dim^2)^3 complex flops per distinct step
-# whatever |L dt| is; expm_multiply costs ~|L dt| sparse matvecs per step.
-# On a 2-core x86-64 host one dense exponential takes ~0.1 s at dim 16 and
-# 1.5 s at dim 30, while nine steps of the transfer ladder (|L| ~ 10) take
-# 0.01 s on the expm_multiply path at dims 12 to 30.
-DENSE_PROPAGATION_MAX_DIM = 16
 
 
 def expm_dense(a):
@@ -456,7 +485,7 @@ def propagate(gen, rho0, t_grid):
         raise DimensionMismatchError(gen.dim, rho0.dim, what="initial state")
 
     lmat = gen.superoperator
-    lnorm = float(abs(lmat).sum(axis=0).max())
+    lnorm = float(np.bincount(lmat.col, np.abs(lmat.data), lmat.shape[1]).max())
     if gen.dim <= DENSE_PROPAGATION_MAX_DIM:
         lmat = lmat.toarray()
         cache = {}
@@ -467,7 +496,10 @@ def propagate(gen, rho0, t_grid):
             return cache[dt] @ y
 
     else:
+        import scipy.sparse as sp
         from scipy.sparse.linalg import expm_multiply
+
+        lmat = sp.csr_array((lmat.data, (lmat.row, lmat.col)), shape=lmat.shape)
 
         def advance(y, dt):
             with np.errstate(over="ignore", invalid="ignore"):

@@ -2,7 +2,7 @@
 The sink-driven models (decay, donor-acceptor, photocell) are rings that
 cycle.py solves."""
 
-from ..errors import ConfigError
+from ..errors import ConfigError, NumericsError
 from .three_level import (
     ThreeLevelParams,
     BirthDeathRates,
@@ -52,14 +52,16 @@ MODELS = {
 def model_report(model, values, where=""):
     """Build the model's params from values and return its report.
 
-    A value the params or the report rejects is a ConfigError, its message
-    prefixed with `where`.
+    A value the params or the report rejects is a ConfigError, and a failed
+    computation a NumericsError; either message is prefixed with `where`.
     """
     _, params_cls, report = MODELS[model]
     try:
         return report(params_cls(**values))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}{exc}")
+    except NumericsError as exc:
+        raise NumericsError(f"{where}{exc}")
 
 
 __all__ = [

@@ -21,6 +21,7 @@ from ..core import (
     DensityMatrix,
     DissipationChannel,
     LindbladGenerator,
+    Triplets,
     liouvillian_apply,
     require_finite_fields,
 )
@@ -221,10 +222,8 @@ def hamiltonian_transfer_generator(p, n_max):
     Occupations are evaluated at the nominal gaps omega_plus / omega_minus
     (the regime behind the birth-death closed forms), not at the exact
     dressed gaps, which differ by half the doublet splitting. Each jump
-    |+-,n><2,n'| is built as a CSR holding its two entries.
+    |+-,n><2,n'| is built as Triplets holding its two entries.
     """
-    import scipy.sparse as sp
-
     p.require_weak_coupling()
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -238,16 +237,9 @@ def hamiltonian_transfer_generator(p, n_max):
     dim = h.shape[0]
     n_h, n_c = p.occupations()
     inv = 1.0 / math.sqrt(2.0)
-    idx = sp.get_index_dtype(maxval=dim)
-
-    def jump(rows, cols, vals):
-        # rows ascending; row i holds the entries rows == i
-        indptr = np.searchsorted(rows, np.arange(dim + 1)).astype(idx)
-        return sp.csr_array((vals, np.array(cols, dtype=idx), indptr), shape=(dim, dim))
-
     channels = []
     for n in range(n_max):
-        # |+-,n> = (|0,n+1> +- |1,n>)/sqrt(2); index of |0,n+1> < index of |1,n>
+        # |+-,n> = (|0,n+1> +- |1,n>)/sqrt(2)
         doublet = np.array([_index(0, n + 1, n_max), _index(1, n, n_max)])
         split = 0.5 * dressed_frequency(n, p.gamma)
         for sign in (+1, -1):
@@ -256,8 +248,8 @@ def hamiltonian_transfer_generator(p, n_max):
                 (_index(2, n + 1, n_max), p.gamma_h, n_h, "abs", p.omega_plus - sign * split),
                 (_index(2, n, n_max), p.gamma_c, n_c, "loss", p.omega_minus - sign * split),
             ):
-                down = jump(doublet, [two, two], dressed)
-                up = jump([two, two], doublet, dressed)
+                down = Triplets(doublet, [two, two], dressed, (dim, dim))
+                up = Triplets([two, two], doublet, dressed, (dim, dim))
                 channels.append(DissipationChannel(down, 0.5 * rate * (1 + n_bath), bath, gap))
                 channels.append(DissipationChannel(up, 0.5 * rate * n_bath, bath, gap))
     return LindbladGenerator(h, channels)

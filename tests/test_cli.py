@@ -418,14 +418,20 @@ def test_rate_underflow_exits_3_without_warning(capsys):
         ("donor-acceptor", "--gamma_load", "1e-320"),
         ("photocell", "--gamma_load", "1e-320"),
         ("compare-power", "--gamma", "1e-320"),
+        ("sweep", "--gamma", "1e-320"),
     )
+    # a failure inside a sweep or a power comparison names its point
+    where = {
+        "compare-power": "temperature ratio 0.02: ",
+        "sweep": "sweep point omega_ratio = 0.02: ",
+    }
     for argv in overflow + subnormal:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == "", argv
         reason = "cycle ratios overflow" if argv in overflow else "subnormal report"
-        assert err.startswith("numerical failure: " + reason), argv
+        assert err.startswith("numerical failure: " + where.get(argv[0], "") + reason), argv
 
 
 def test_nan_cells(capsys):
@@ -519,26 +525,62 @@ def test_console_script_subprocess(tmp_path):
 
 
 def test_cli_leaves_scipy_linalg_unimported(tmp_path):
-    # importing scipy.sparse costs a command ~0.25 s and ~20 MB of resident
-    # memory, scipy.linalg ~0.1 s and ~7 MB more. The closed-form commands
-    # build no generator, so they may not load scipy at all; the dense
-    # propagation path of fmo-trace may load neither scipy.linalg nor
-    # scipy.sparse.linalg.
+    # importing scipy.sparse costs a command ~0.2 s and ~20 MB of resident
+    # memory. Generators are numpy triplets and fmo-trace (dim 10)
+    # propagates dense, so no command may load any scipy module; only
+    # propagation above dim 16 needs scipy's expm_multiply.
     code = (
         "import contextlib, io, sys\n"
         "import solaraudit\n"
         "from solaraudit.cli import main\n"
         "closed = [['toy-decay'], ['toy-ham'], ['donor-acceptor'], ['photocell'],\n"
         "          ['compare-power'], ['sweep', '--model', 'toy_decay'],\n"
-        "          ['sweep', '--model', 'toy_ham']]\n"
+        "          ['sweep', '--model', 'toy_ham'], ['fmo-trace', '--n_times', '3']]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    closed_codes = [main(argv) for argv in closed]\n"
-        "    scipy_modules = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "    codes = [main(['toy-decay']), main(['fmo-trace', '--n_times', '3'])]\n"
-        "print(closed_codes, scipy_modules)\n"
-        "print(codes, sorted(m for m in sys.modules\n"
-        "                    if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))\n"
+        "    codes = [main(argv) for argv in closed]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = run_python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0] []", "[0, 0] []"]
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0] []"]
+
+
+def test_small_generators_leave_scipy_unimported(tmp_path):
+    # the steady-state audit of the zoo: an FMO thermal control (dim 10)
+    # and a decay generator, steady state and per-bath heat currents
+    code = (
+        "import math, sys\n"
+        "from solaraudit import config, heat_current, steady_state\n"
+        "from solaraudit.fmo import build_model, default_config\n"
+        "from solaraudit.models import ThreeLevelParams, decay_generator\n"
+        "thermal = build_model(default_config(gamma_sink=0.0, lambda_geo=1e-4)).generator\n"
+        "decay = decay_generator(ThreeLevelParams(**config.default_section('toy')))\n"
+        "for gen in (thermal, decay):\n"
+        "    rho = steady_state(gen)\n"
+        "    currents = [heat_current(gen, b, rho) for b in ('abs', 'loss', 'sink')]\n"
+        "    print(all(map(math.isfinite, currents)))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True", "True", "[]"]
+
+
+def test_module_runs_the_cli(tmp_path):
+    # `python -m solaraudit.cli` runs the same entry point as the script
+    package_root = str(Path(solaraudit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "solaraudit.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    proc = run("toy-decay")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == REPORT_HEADER
+    proc = run("toy-decay", "--omega_rc", "9")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")

@@ -20,7 +20,7 @@ from solaraudit import (
     propagate,
     steady_state,
 )
-from solaraudit.core import BATH_IDS, expm_dense
+from solaraudit.core import BATH_IDS, Triplets, expm_dense
 from solaraudit.fmo import PS_TO_INTERNAL, build_model, default_config
 from solaraudit.models import ThreeLevelParams, hamiltonian_transfer_generator
 from solaraudit.thermo import BathSpec
@@ -163,12 +163,49 @@ def test_channel_stores_sparse_jump():
     dense = np.zeros((3, 3), dtype=complex)
     dense[0, 2] = 0.5
     ch = DissipationChannel(dense, 0.1, "loss", 0.0, check_bohr=False)
-    assert ch.jump.format == "csr" and ch.jump.nnz == 1
+    assert isinstance(ch.jump, Triplets) and ch.jump.nnz == 1
     assert np.array_equal(ch.jump.toarray(), dense)
     again = DissipationChannel(ch.jump, 0.1, "loss", 0.0, check_bohr=False)
     assert np.array_equal(again.jump.toarray(), dense)
-    with pytest.raises(ValueError):
-        DissipationChannel(np.zeros((2, 3)), 0.1, "loss", 0.0)
+    outside = (Triplets([0], [3], [1.0], (3, 3)), Triplets([-1], [0], [1.0], (3, 3)))
+    for bad in (np.zeros((2, 3)), *outside):
+        with pytest.raises(ValueError, match="must be square"):
+            DissipationChannel(bad, 0.1, "loss", 0.0)
+
+
+def test_triplets_sum_duplicates_and_match_dense():
+    # a 100 x 100 matrix (a dim-10 superoperator) is summed and multiplied
+    # dense, a 441 x 441 one (dim 21) by sorting; both agree with numpy,
+    # and a position whose values cancel exactly is not stored
+    rng = np.random.default_rng(5)
+    for size in (100, 441):
+        row, col = rng.integers(0, size - 1, size=(2, 3000))
+        val = rng.normal(size=3000) + 1j * rng.normal(size=3000)
+        row, col = np.append(row, [size - 1] * 2), np.append(col, [size - 1] * 2)
+        val = np.append(val, [0.5 + 2j, -0.5 - 2j])
+        expected = np.zeros((size, size), dtype=complex)
+        np.add.at(expected, (row, col), val)
+        parts = [(row[:1000], col[:1000], val[:1000]), (row[1000:], col[1000:], val[1000:])]
+        t = Triplets.summed(parts, (size, size))
+        assert t.nnz == np.count_nonzero(expected) == np.unique(t.row * size + t.col).size
+        assert np.abs(t.toarray() - expected).max() <= 1e-14
+        x = rng.normal(size=size) + 1j * rng.normal(size=size)
+        assert np.abs(t @ x - expected @ x).max() <= 1e-12
+        square = expected @ expected
+        prod = core._product(t, t)
+        assert np.abs(prod.toarray() - square).max() <= 1e-12 * np.abs(square).max()
+    ladder = ThreeLevelParams(
+        omega_abs=1.0, omega_rc=0.5, gamma=0.02, t_abs=2.0, t_loss=0.2,
+        gamma_h=0.01, gamma_c=0.01,
+    )
+    for gen in (
+        build_model(default_config()).generator,
+        hamiltonian_transfer_generator(ladder, 6),
+    ):
+        x = random_state(rng, gen.dim).entries.reshape(-1)
+        for m in (gen.superoperator, *filter(None, gen.bath_blocks.values())):
+            assert m.shape == (gen.dim**2, gen.dim**2)
+            assert np.abs(m @ x - m.toarray() @ x).max() <= 1e-13 * np.abs(m.data).max()
 
 
 def test_bath_blocks_match_direct_formula():
@@ -372,6 +409,27 @@ def test_floor_positivity_clips_and_renormalizes():
     fixed = floor_positivity(m)
     w = np.linalg.eigvalsh(fixed)
     assert w[0] >= 0.0
+    assert abs(fixed.trace().real - 1.0) < 1e-14
+
+
+def test_floor_positivity_repairs_only_the_clipped_directions():
+    # one block holds an eigenvalue to clip; the other block must come back
+    # as the input over the new trace, free of the rounding noise that
+    # rebuilding the whole state from its eigenvectors adds (~2000 ulp on
+    # its 1e-4 coherences)
+    rng = np.random.default_rng(29)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    noise = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    other = np.diag([0.6, 0.3, 0.1]) + 1e-4 * noise
+    state = np.zeros((6, 6), dtype=complex)
+    state[:3, :3] = (q * [-1e-12, 0.3, 0.2]) @ q.conj().T
+    state[3:, 3:] = 0.25 * (other + other.conj().T)
+    state = 0.5 * (state + state.conj().T)
+    assert np.linalg.eigvalsh(state)[0] < 0.0
+    fixed = floor_positivity(state)
+    ratio = fixed[3:, 3:] / state[3:, 3:]
+    assert np.abs(ratio - ratio[0, 0]).max() <= 4 * np.finfo(float).eps * abs(ratio[0, 0])
+    assert np.linalg.eigvalsh(fixed)[0] >= -1e-16
     assert abs(fixed.trace().real - 1.0) < 1e-14
 
 

@@ -29,6 +29,7 @@ from solaraudit.models import (
     require_truncation_ok,
     transfer_block_hamiltonian,
 )
+from solaraudit.core import Triplets
 from solaraudit.models.three_level import _index
 from solaraudit.thermo import bose_occupation
 
@@ -430,7 +431,7 @@ def test_transfer_jumps_are_two_entry_csr():
                 expected += [(lower, bath), (lower.conj().T, bath)]
     assert len(gen.channels) == len(expected)
     for ch, (ref, bath) in zip(gen.channels, expected):
-        assert ch.jump.format == "csr" and ch.jump.nnz == 2
+        assert isinstance(ch.jump, Triplets) and ch.jump.nnz == 2
         assert np.array_equal(ch.jump.toarray(), ref)
         assert ch.bath_id == bath
 
