@@ -177,13 +177,13 @@ class Triplets:
     """Sparse complex matrix: (row, col, data) arrays holding each position
     at most once, plus the shape. Triplets.summed adds repeated positions."""
 
-    __slots__ = ("row", "col", "data", "shape", "nnz", "_dense")
+    __slots__ = ("row", "col", "data", "shape", "nnz")
 
     def __init__(self, row, col, data, shape):
         idx = _index_dtype(max(shape))
         self.row, self.col = np.asarray(row, dtype=idx), np.asarray(col, dtype=idx)
         self.data = np.asarray(data, dtype=complex)
-        self.shape, self.nnz, self._dense = tuple(shape), self.data.size, None
+        self.shape, self.nnz = tuple(shape), self.data.size
 
     @classmethod
     def from_dense(cls, a):
@@ -207,10 +207,6 @@ class Triplets:
         return cls(*np.divmod(cells[keep], cols), sums[keep], shape)
 
     def __matmul__(self, x):
-        if _fits_dense(*self.shape):  # a dense copy is several times faster
-            if self._dense is None:
-                self._dense = self.toarray()
-            return self._dense @ x
         y, n = self.data * x[self.col], self.shape[0]
         return np.bincount(self.row, y.real, n) + 1j * np.bincount(self.row, y.imag, n)
 
@@ -238,7 +234,7 @@ def _product(a, b):
 class DissipationChannel:
     """One GKLS jump operator with its rate and bath tag.
 
-    The jump may be given dense or as Triplets; it is stored as Triplets.
+    The jump (dense or Triplets) is stored as Triplets, repeated positions summed.
     bohr_frequency is the magnitude of the level gap the jump connects. It is
     checked against the attached Hamiltonian at generator construction unless
     check_bohr is False (needed for jumps that do not connect eigenstates,
@@ -256,6 +252,8 @@ class DissipationChannel:
         index = np.concatenate([jump.row, jump.col])
         if jump.shape[0] != jump.shape[1] or ((index < 0) | (index >= jump.shape[0])).any():
             raise ValueError(f"jump operator must be square with entries inside, got {jump.shape}")
+        if np.unique(jump.row.astype(np.int64) * jump.shape[0] + jump.col).size < jump.nnz:
+            jump = Triplets.summed([(jump.row, jump.col, jump.data)], jump.shape)
         object.__setattr__(self, "jump", jump)
         rate = float(self.rate)
         if not math.isfinite(rate) or rate < 0:

@@ -61,7 +61,9 @@ def model_report(model, values, where=""):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}{exc}")
     except NumericsError as exc:
-        raise NumericsError(f"{where}{exc}")
+        if not where:
+            raise
+        raise NumericsError(f"{where}{exc}") from exc
 
 
 __all__ = [

@@ -171,10 +171,24 @@ def test_channel_stores_sparse_jump():
     for bad in (np.zeros((2, 3)), *outside):
         with pytest.raises(ValueError, match="must be square"):
             DissipationChannel(bad, 0.1, "loss", 0.0)
+    # a jump holding one position twice means their sum, on the dense-
+    # propagation path (dim 3) and on the expm_multiply one (dim 20) alike
+    for dim in (3, 20):
+        twice = Triplets([0, 0, 2], [1, 1, 0], [0.25, 0.5j, 1.0], (dim, dim))
+        summed = np.zeros((dim, dim), dtype=complex)
+        summed[0, 1], summed[2, 0] = 0.25 + 0.5j, 1.0
+        ch = DissipationChannel(twice, 0.1, "loss", 0.0, check_bohr=False)
+        assert ch.jump.nnz == 2 and np.array_equal(ch.jump.toarray(), summed)
+        h = np.diag(np.arange(dim, dtype=float))
+        gen = LindbladGenerator(h, [ch]).superoperator
+        ref = LindbladGenerator(h, [DissipationChannel(summed, 0.1, "loss", 0.0, check_bohr=False)])
+        assert np.array_equal(gen.toarray(), ref.superoperator.toarray())
+        x = np.arange(dim * dim) + 1j
+        assert np.abs(gen @ x - ref.superoperator.toarray() @ x).max() <= 1e-13
 
 
 def test_triplets_sum_duplicates_and_match_dense():
-    # a 100 x 100 matrix (a dim-10 superoperator) is summed and multiplied
+    # a 100 x 100 matrix (a dim-10 superoperator) is summed and squared
     # dense, a 441 x 441 one (dim 21) by sorting; both agree with numpy,
     # and a position whose values cancel exactly is not stored
     rng = np.random.default_rng(5)

@@ -8,6 +8,7 @@ import scipy.linalg
 
 from solaraudit import (
     DensityMatrix,
+    NumericsError,
     TruncationOverflowError,
     heat_current,
     liouvillian_apply,
@@ -26,9 +27,11 @@ from solaraudit.models import (
     group_number_operator,
     hamiltonian_transfer_generator,
     hamiltonian_transfer_report,
+    model_report,
     require_truncation_ok,
     transfer_block_hamiltonian,
 )
+from solaraudit.config import default_section
 from solaraudit.core import Triplets
 from solaraudit.models.three_level import _index
 from solaraudit.thermo import bose_occupation
@@ -538,3 +541,17 @@ def test_heat_current_matches_transfer_report_scaling():
     rep = hamiltonian_transfer_report(p)
     j_abs = heat_current(gen, "abs", rho)
     assert j_abs == pytest.approx(rep.j_abs, rel=0.05)
+
+
+def test_model_report_names_only_a_given_point():
+    # without a point to name the error passes as raised; at a point it is
+    # re-raised under the point's prefix, chained from the original
+    values = {**default_section("toy"), "gamma": 1e-320}
+    with pytest.raises(NumericsError) as bare:
+        model_report("toy_decay", values)
+    assert bare.value.__context__ is None
+    assert str(bare.value).startswith("subnormal report")
+    with pytest.raises(NumericsError) as named:
+        model_report("toy_decay", values, "point 1: ")
+    assert str(named.value) == "point 1: " + str(bare.value)
+    assert isinstance(named.value.__cause__, NumericsError)
