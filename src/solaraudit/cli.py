@@ -18,7 +18,7 @@ from .errors import ConfigError, NumericsError
 from .fmo import FmoConfig, sigma_trace
 from .models import MODELS, model_report
 from .output import emit_csv, emit_json, format_number, write_output
-from .sweeps import SweepSpec, power_comparison, run_sweep
+from .sweeps import AUTO_AXIS_STOP, SweepSpec, defined_stop, power_comparison, run_sweep
 
 REPORT_HEADER = ("j_abs", "j_loss", "power", "ratio", "sigma", "verdict")
 
@@ -123,12 +123,12 @@ def _report(model, file_sections, overrides):
 
 def _sweep(file_sections, overrides):
     sweep_params, fixed = _sweep_params(file_sections, overrides)
-    grid = _linspace(
-        sweep_params["axis_start"],
-        sweep_params["axis_stop"],
-        sweep_params["axis_points"],
-        "sweep grid",
-    )
+    start, stop, points = (sweep_params[k] for k in ("axis_start", "axis_stop", "axis_points"))
+    grid = _linspace(start, AUTO_AXIS_STOP if stop is None else stop, points, "sweep grid")
+    if stop is None:
+        stop = defined_stop(sweep_params["model"], fixed, sweep_params["axis"], grid)
+        sweep_params["axis_stop"] = stop
+        grid = _linspace(start, stop, points, "sweep grid")
     spec = SweepSpec(
         model=sweep_params["model"],
         axis=sweep_params["axis"],

@@ -111,7 +111,7 @@ SCHEMAS = {
         "model": _choice(*MODELS),
         "axis": str,
         "axis_start": _to_float,
-        "axis_stop": _to_float,
+        "axis_stop": _to_auto_float,
         "axis_points": int,
     },
     "compare_power": {

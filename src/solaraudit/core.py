@@ -12,10 +12,10 @@ The generator is
                  - 1/2 {A_k^dag A_k, rho})
 
 with every channel tagged by the bath it exchanges energy with. The
-algebra exists once, as Triplets superoperators on vectorized states: one
-dissipator block per bath tag (so heat is booked per bath downstream) and
-their sum with the Hamiltonian block, each bath block from one product
-over its channels. Products and sums run dense up to the size of the
+algebra exists once, as a Triplets superoperator on vectorized states
+summed from one product over each bath's channels; the same product gives
+each bath's dim x dim heat operator D_b^dag(H), so heat is booked per bath
+downstream. Products and sums run dense up to the size of the
 dense-propagation superoperator and by sorting triplets above it.
 Propagation applies the exact exponential of that generator between grid
 times; scipy is imported only for its expm_multiply above
@@ -289,13 +289,14 @@ class LindbladGenerator:
     """Hamiltonian plus tagged dissipation channels on one Hilbert space.
 
     Superoperators act on row-major vectorized states,
-    vec(A X B) = kron(A, B^T) vec(X). Each bath tag gets one block
+    vec(A X B) = kron(A, B^T) vec(X). Each bath tag b has the dissipator
 
         D_b = sum_k r_k A_k (x) conj(A_k) - 1/2 (K_b (x) I + I (x) K_b^T),
+        Q_b = D_b^dag(H) = sum_k r_k A_k^dag H A_k - 1/2 {K_b, H} (heat operator),
         K_b = sum_k r_k A_k^dag A_k,
 
     over the channels k carrying the tag, and the full generator is the
-    Hamiltonian block -i (H (x) I - I (x) H^T) plus the bath blocks.
+    Hamiltonian part -i (H (x) I - I (x) H^T) plus every D_b.
     """
 
     def __init__(self, hamiltonian, channels):
@@ -353,14 +354,9 @@ class LindbladGenerator:
         return [ch for ch in self.channels if ch.bath_id == bath_id]
 
     @cached_property
-    def bath_blocks(self):
-        """Dissipator block D_b per bath tag, as Triplets; None for a tag that no
-        channel of nonzero rate carries."""
-        n = self.dim
-        return {
-            b: t and Triplets.summed([t[0], *_left_right(t[1], t[1])], (n * n, n * n))
-            for b, t in self._bath_terms.items()
-        }
+    def heat_operators(self):
+        """Q_b per bath tag (dim x dim); None for a tag no channel of nonzero rate carries."""
+        return {b: t and t[2] for b, t in self._bath_terms.items()}
 
     @cached_property
     def _bath_terms(self):
@@ -377,13 +373,17 @@ class LindbladGenerator:
         # r_k vec(A_k) with the rows vec(A_k)^dag, holds sum_k r_k A_k (x)
         # conj(A_k): M[(i, j), (k, l)] is its entry (i n + k, j n + l).
         # K_b[j, l] = sum_i conj M[(i, j), (i, l)]; -K_b / 2 is returned.
+        # An entry v of M at ((k, l), (i, j)) is sum_c r_c A_c[k, l] conj
+        # A_c[i, j] and adds H[i, k] v to sum_c r_c A_c^dag H A_c at (j, l).
         vec = row.astype(np.int64) * n + col
         columns = Triplets(vec, owner, rates[owner] * a, (n * n, count))
         m = _product(columns, Triplets(owner, vec, a.conj(), (count, n * n)))
         p, q, v = m.row, m.col, m.data
         same = p // n == q // n
         k_half = Triplets.summed([(p[same] % n, q[same] % n, -0.5 * v[same].conj())], (n, n))
-        return (p // n * n + q // n, p % n * n + q % n, v), k_half
+        k_half, h = k_half.toarray(), self.hamiltonian
+        heat = Triplets.summed([(q % n, p % n, h[q // n, p // n] * v)], (n, n)).toarray()
+        return (p // n * n + q // n, p % n * n + q % n, v), k_half, heat + k_half @ h + h @ k_half
 
     @cached_property
     def superoperator(self):
@@ -392,9 +392,9 @@ class LindbladGenerator:
         G = -i H - sum_b K_b / 2."""
         n = self.dim
         terms = [t for t in self._bath_terms.values() if t is not None]
-        g = -1j * self.hamiltonian + sum(k_half.toarray() for _, k_half in terms)
+        g = -1j * self.hamiltonian + sum(k_half for _, k_half, _ in terms)
         parts = _left_right(Triplets.from_dense(g), Triplets.from_dense(g.conj().T))
-        return Triplets.summed([*(kron for kron, _ in terms), *parts], (n * n, n * n))
+        return Triplets.summed([*(kron for kron, _, _ in terms), *parts], (n * n, n * n))
 
 
 def _vec(gen, rho):

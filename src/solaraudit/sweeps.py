@@ -14,6 +14,7 @@ from .models import MODELS, model_report
 
 SWEEP_AXES = ("omega_ratio", "temp_ratio")
 EDGE_TOL = 1e-6
+AUTO_AXIS_STOP = 1.98  # [sweep] axis_stop = auto: see defined_stop
 
 
 def _apply_axis(model, fixed, axis, x):
@@ -38,6 +39,22 @@ def _apply_axis(model, fixed, axis, x):
             values["omega_x1"] - values["omega_b"]
         )
     return values
+
+
+def defined_stop(model, fixed, axis, grid):
+    """Stop for [sweep] axis_stop = auto, given the grid up to AUTO_AXIS_STOP:
+    its last point where the model's parameters are valid (omega_ratio
+    closes the recycle gap of the four- and five-level models before x = 1),
+    or its end when only the first point is, so that the sweep names the
+    first invalid point as with any explicit stop."""
+    params_cls = MODELS[model][1]
+    for x in grid[:0:-1]:
+        try:
+            params_cls(**_apply_axis(model, fixed, axis, float(x)))
+            return float(x)
+        except (TypeError, ValueError):
+            pass
+    return float(grid[-1])
 
 
 @dataclass(frozen=True)

@@ -94,21 +94,21 @@ class BathSpec:
 
 
 def heat_current(gen, bath_id, rho):
-    """Energy flow into the system from one bath: Tr[D_bath(rho) H].
+    """Energy flow into the system from one bath: J_b = Tr[D_b(rho) H].
 
-    Evaluated as vec(H^T) . (D_bath vec(rho)) on the generator's bath block.
-    Positive values mean the bath feeds energy into the system. Returns 0.0
-    if no channel carries the tag (a decoupled bath moves no heat).
+    Evaluated as Tr[rho Q_b] = vec(rho) . vec(Q_b^T) with the heat operator
+    Q_b = D_b^dag(H) (Alicki, J. Phys. A 12, L103, 1979). Positive values mean
+    the bath feeds energy in; 0.0 if no channel carries the tag. A residue
+    Im J_b beyond 1e-12 |rho| |Q_b| (a non-Hermitian rho) raises NumericsError.
     """
     require_bath_id(bath_id)
-    block = gen.bath_blocks[bath_id]
-    if block is None:
+    q = gen.heat_operators[bath_id]
+    if q is None:
         return 0.0
-    h = gen.hamiltonian
-    d_rho = block @ _vec(gen, rho)
-    val = h.T.reshape(-1) @ d_rho
+    r = _vec(gen, rho)
+    val = r @ q.T.reshape(-1)
     with np.errstate(over="ignore"):  # an inf scale accepts any residue
-        scale = max(1.0, np.linalg.norm(d_rho) * np.linalg.norm(h))
+        scale = max(1.0, np.linalg.norm(r) * np.linalg.norm(q))
     if abs(val.imag) > 1e-12 * scale:
         raise NumericsError(
             f"heat current has imaginary residue {val.imag:.3e} beyond tolerance"

@@ -234,6 +234,27 @@ def test_sweep_json_violations(capsys):
     assert hi == pytest.approx(1.98, rel=1e-12)
 
 
+def test_sweep_default_stop_stays_inside_the_model_domain(capsys):
+    # the default axis_stop (auto) ends the donor-acceptor and photocell
+    # grids at 0.98, inside their omega_ratio domain x < 0.99, and is the
+    # same as naming it; an explicit stop past the domain still fails and
+    # names the first point outside it
+    for model in ("donor_acceptor", "photocell"):
+        bare = run_cli(capsys, "sweep", "--model", model, "--format", "json")
+        assert bare[0] == 0 and json.loads(bare[1])["params"]["axis_stop"] == 0.98
+        named = run_cli(capsys, "sweep", "--model", model, "--axis_stop", "auto", "--format", "json")
+        assert named == bare
+        code, out, err = run_cli(capsys, "sweep", "--model", model, "--axis_stop", "1.98")
+        assert code == 2 and out == ""
+        assert err.startswith("error: sweep point omega_ratio = 1.02: recycle gap")
+    # where the whole 0.02..1.98 grid is defined, auto is 1.98 at any start
+    for argv in (("--axis", "temp_ratio"), ("--model", "toy_ham", "--axis_start", "0.1")):
+        auto = run_cli(capsys, "sweep", *argv, "--format", "json")
+        assert auto[0] == 0 and auto == run_cli(
+            capsys, "sweep", *argv, "--axis_stop", "1.98", "--format", "json"
+        )
+
+
 def test_sweep_flag_namespaces(capsys):
     # --t_loss belongs to the model section, --axis_points to [sweep],
     # and the model choice applies no matter where it sits in argv.

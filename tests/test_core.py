@@ -25,7 +25,7 @@ from solaraudit.fmo import PS_TO_INTERNAL, build_model, default_config
 from solaraudit.models import ThreeLevelParams, hamiltonian_transfer_generator
 from solaraudit.thermo import BathSpec
 
-from dissipator_oracle import dissipator_action
+from dissipator_oracle import dissipator_action, heat_operator
 
 
 def qubit_decay_generator(omega=1.0, gamma=0.1):
@@ -114,9 +114,14 @@ def test_dissipator_action_matches_direct_formula():
     )
     assert np.abs(dissipator_action(ch, rho) - expected).max() < 1e-14
     gen = LindbladGenerator(np.zeros((3, 3)), [ch])
-    via_block = (gen.bath_blocks["loss"] @ r.reshape(-1)).reshape(3, 3)
-    assert np.abs(via_block - expected).max() < 1e-14
-    assert gen.bath_blocks["abs"] is None and gen.bath_blocks["sink"] is None
+    assert np.abs(liouvillian_apply(gen, rho) - expected).max() < 1e-14
+    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    h = h + h.conj().T
+    gen = LindbladGenerator(h, [ch])
+    q = heat_operator([ch], h)
+    assert np.abs(gen.heat_operators["loss"] - q).max() <= 1e-13 * np.abs(q).max()
+    assert gen.heat_operators["abs"] is None and gen.heat_operators["sink"] is None
+    assert heat_current(gen, "abs", rho) == 0.0 and heat_current(gen, "sink", rho) == 0.0
 
 
 def test_superoperator_matches_direct_application():
@@ -217,15 +222,15 @@ def test_triplets_sum_duplicates_and_match_dense():
         hamiltonian_transfer_generator(ladder, 6),
     ):
         x = random_state(rng, gen.dim).entries.reshape(-1)
-        for m in (gen.superoperator, *filter(None, gen.bath_blocks.values())):
-            assert m.shape == (gen.dim**2, gen.dim**2)
-            assert np.abs(m @ x - m.toarray() @ x).max() <= 1e-13 * np.abs(m.data).max()
+        m = gen.superoperator
+        assert m.shape == (gen.dim**2, gen.dim**2)
+        assert np.abs(m @ x - m.toarray() @ x).max() <= 1e-13 * np.abs(m.data).max()
 
 
-def test_bath_blocks_match_direct_formula():
+def test_heat_operators_match_direct_formula():
     # every bath of the trace model and of a dressed transfer ladder: the
-    # block's action, the heat current read off it and the summed generator
-    # against the per-channel direct formula
+    # heat operator, the heat current read off it and the summed generator
+    # against the per-channel direct formulas
     ladder = ThreeLevelParams(
         omega_abs=1.0, omega_rc=0.5, gamma=0.02, t_abs=2.0, t_loss=0.2,
         gamma_h=0.01, gamma_c=0.01,
@@ -243,12 +248,12 @@ def test_bath_blocks_match_direct_formula():
             channels = gen.bath_channels(bath)
             direct = sum((dissipator_action(ch, rho) for ch in channels), np.zeros_like(r))
             total = total + direct
-            block = gen.bath_blocks[bath]
-            if block is None:
+            q = gen.heat_operators[bath]
+            if q is None:
                 assert not channels and heat_current(gen, bath, rho) == 0.0
                 continue
-            via_block = (block @ r.reshape(-1)).reshape(gen.dim, gen.dim)
-            assert np.abs(via_block - direct).max() <= 1e-13 * np.abs(direct).max()
+            expected_q = heat_operator(channels, h)
+            assert np.abs(q - expected_q).max() <= 1e-13 * np.abs(expected_q).max()
             scale = np.linalg.norm(direct) * np.linalg.norm(h)
             expected = np.trace(direct @ h).real
             assert abs(heat_current(gen, bath, rho) - expected) <= 1e-13 * scale

@@ -31,6 +31,16 @@ GOLDEN = {
     ("sweep --model toy_ham", "json"): "e077346ce670c59490fe4be115753017b5269ac7d9505d365c39224761c83d17",
     ("sweep --axis temp_ratio", "csv"): "84ba1e634d7dec1d201bafcc81579eb63e344710ea7832bacdd6f14f7924c6f7",
     ("sweep --axis temp_ratio", "json"): "951ab00eea4e5ce9d869c7d1831ea5cc5d04da8c0ecf7820bdb112cd38278ee7",
+    # axis_stop = auto stops these two at 0.98, the last point of the
+    # 0.02..1.98 grid inside their omega_ratio domain (x < 0.99)
+    ("sweep --model donor_acceptor", "csv"):
+        "43bcf48b1e0b070829d263ce68b3a7487cc4de8b854e939a1abcfa7ed00a011b",
+    ("sweep --model donor_acceptor", "json"):
+        "3b0c89ef2f1210967131272114dbf42614bbaa95d0fef3e762497899fc6c6605",
+    ("sweep --model photocell", "csv"):
+        "d3c809b179aa417f1dc8cb71fb7da368e83c76f3ffd157b33a957a02fc1bebf0",
+    ("sweep --model photocell", "json"):
+        "8d6873ead43519f18c18a56234b7e69f63cb8267ebb6dba666bbd73473c2954a",
     ("sweep --model donor_acceptor --axis_stop 0.98", "csv"):
         "43bcf48b1e0b070829d263ce68b3a7487cc4de8b854e939a1abcfa7ed00a011b",
     ("sweep --model donor_acceptor --axis_stop 0.98", "json"):

@@ -8,6 +8,7 @@ import pytest
 from solaraudit import (
     BathSpec,
     DensityMatrix,
+    DimensionMismatchError,
     DissipationChannel,
     LindbladGenerator,
     NumericsError,
@@ -131,6 +132,28 @@ def test_heat_current_unknown_bath_rejected():
     rho = DensityMatrix.maximally_mixed(3)
     with pytest.raises(ValueError):
         heat_current(gen, "work", rho)
+
+
+def test_heat_current_rejects_non_hermitian_array():
+    # Tr[rho Q_b] is real for a Hermitian rho; a raw array's anti-Hermitian
+    # part shows up as an imaginary residue
+    rng = np.random.default_rng(4)
+    h = rng.normal(size=(3, 3))
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    gen = LindbladGenerator(h + h.T, [DissipationChannel(a, 0.3, "loss", 0.0, check_bohr=False)])
+    rho = DensityMatrix.maximally_mixed(3).entries
+    assert np.isfinite(heat_current(gen, "loss", rho))
+    s = rng.normal(size=(3, 3))
+    with pytest.raises(NumericsError, match="imaginary residue"):
+        heat_current(gen, "loss", rho + 0.1j * (s + s.T))
+
+
+def test_heat_current_rejects_state_of_wrong_dimension():
+    gen = decay_generator(
+        ThreeLevelParams(omega_abs=1.0, omega_rc=0.5, gamma=0.001, t_abs=1.0, t_loss=0.05)
+    )
+    with pytest.raises(DimensionMismatchError):
+        heat_current(gen, "abs", DensityMatrix.maximally_mixed(2))
 
 
 def test_heat_current_matches_brute_force_sum():
