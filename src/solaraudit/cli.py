@@ -164,7 +164,7 @@ def _fmo_trace(file_sections, overrides):
     params = _section_params("fmo", file_sections, overrides)
     grid = _linspace(0.0, params["t_max_ps"], params["n_times"], "time grid")
     try:
-        trace = sigma_trace(FmoConfig.from_mapping(params), grid)
+        trace = sigma_trace(FmoConfig(**params), grid)
     except ValueError as exc:
         raise ConfigError(str(exc))
     rows = list(zip(trace.t_ps, trace.j_abs, trace.j_loss, trace.sink_flow, trace.sigma))

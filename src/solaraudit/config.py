@@ -11,7 +11,8 @@ import math
 from functools import lru_cache
 from importlib import resources
 
-from .errors import ConfigError
+from .errors import ConfigError, read_user_text
+from .fmo import FmoConfig
 from .models import MODELS
 
 DEFAULTS_RESOURCE = "data/defaults.cfg"
@@ -49,12 +50,7 @@ def parse_config_text(text, where="config"):
 
 
 def parse_config_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}")
-    return parse_config_text(text, where=str(path))
+    return parse_config_text(read_user_text(path, "config file"), where=str(path))
 
 
 def _to_float(raw):
@@ -80,33 +76,21 @@ def _choice(*options):
 
 
 def _params_schema(params_cls):
-    """A closed-form model's section: one key per field of its params
-    dataclass, which also accepts 'auto' where the field defaults to None."""
+    """A model's section: one key per init field of its params dataclass,
+    converted by the field's annotation (int, str, else a finite float) and
+    also accepting 'auto' where the field defaults to None."""
     return {
-        field.name: _to_auto_float if field.default is None else _to_float
+        field.name: _to_auto_float
+        if field.default is None
+        else {int: int, str: str}.get(field.type, _to_float)
         for field in dataclasses.fields(params_cls)
+        if field.init
     }
 
 
 SCHEMAS = {
     **{section: _params_schema(params_cls) for section, params_cls, _ in MODELS.values()},
-    "fmo": {
-        "data_file": str,
-        "omega_ant": _to_float,
-        "n_pigments": int,
-        "mu_ant_ind": _to_float,
-        "mu_fmo": _to_float,
-        "lambda_geo": _to_float,
-        "t_sun": _to_float,
-        "t_loss_k": _to_float,
-        "gamma_rad": _to_float,
-        "gamma_sink": _to_float,
-        "gamma_ant_fmo": _to_auto_float,
-        "vib_reorganization": _to_float,
-        "vib_cutoff": _to_float,
-        "t_max_ps": _to_float,
-        "n_times": int,
-    },
+    "fmo": _params_schema(FmoConfig),
     "sweep": {
         "model": _choice(*MODELS),
         "axis": str,

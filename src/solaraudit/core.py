@@ -60,16 +60,16 @@ def require_bath_id(bath_id):
 
 def require_finite_fields(params):
     """Raise ValueError naming the first float or array field of a params
-    dataclass that holds a nan or an infinity."""
+    dataclass that holds a nan or an infinity (for an array, its first
+    such entry and that entry's index)."""
     for field in fields(params):
         value = getattr(params, field.name)
-        if isinstance(value, float):
-            finite = math.isfinite(value)
-        elif isinstance(value, np.ndarray):
-            finite = np.isfinite(value).all()
-        else:
-            continue
-        if not finite:
+        if isinstance(value, np.ndarray):
+            bad = np.argwhere(~np.isfinite(value))
+            if bad.size:
+                at = bad[0].tolist()
+                raise ValueError(f"{field.name} must be finite, got {value[tuple(at)]} at {at}")
+        elif isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{field.name} must be finite, got {value}")
 
 
@@ -355,8 +355,18 @@ class LindbladGenerator:
 
     @cached_property
     def heat_operators(self):
-        """Q_b per bath tag (dim x dim); None for a tag no channel of nonzero rate carries."""
-        return {b: t and t[2] for b, t in self._bath_terms.items()}
+        """Q_b per bath tag (dim x dim), built on first use; None for a tag
+        no channel of nonzero rate carries."""
+        n, h = self.dim, self.hamiltonian
+
+        def heat(kron, k_half):
+            # an entry v of M at ((k, l), (i, j)) sits at (k n + i, l n + j) of
+            # the Kronecker part and adds H[i, k] v to sum_c r_c A_c^dag H A_c at (j, l)
+            r, c, v = kron
+            q = Triplets.summed([(c % n, c // n, h[r % n, r // n] * v)], (n, n)).toarray()
+            return q + k_half @ h + h @ k_half
+
+        return {b: t and heat(*t) for b, t in self._bath_terms.items()}
 
     @cached_property
     def _bath_terms(self):
@@ -373,17 +383,13 @@ class LindbladGenerator:
         # r_k vec(A_k) with the rows vec(A_k)^dag, holds sum_k r_k A_k (x)
         # conj(A_k): M[(i, j), (k, l)] is its entry (i n + k, j n + l).
         # K_b[j, l] = sum_i conj M[(i, j), (i, l)]; -K_b / 2 is returned.
-        # An entry v of M at ((k, l), (i, j)) is sum_c r_c A_c[k, l] conj
-        # A_c[i, j] and adds H[i, k] v to sum_c r_c A_c^dag H A_c at (j, l).
         vec = row.astype(np.int64) * n + col
         columns = Triplets(vec, owner, rates[owner] * a, (n * n, count))
         m = _product(columns, Triplets(owner, vec, a.conj(), (count, n * n)))
         p, q, v = m.row, m.col, m.data
         same = p // n == q // n
         k_half = Triplets.summed([(p[same] % n, q[same] % n, -0.5 * v[same].conj())], (n, n))
-        k_half, h = k_half.toarray(), self.hamiltonian
-        heat = Triplets.summed([(q % n, p % n, h[q // n, p // n] * v)], (n, n)).toarray()
-        return (p // n * n + q // n, p % n * n + q % n, v), k_half, heat + k_half @ h + h @ k_half
+        return (p // n * n + q // n, p % n * n + q % n, v), k_half.toarray()
 
     @cached_property
     def superoperator(self):
@@ -392,9 +398,9 @@ class LindbladGenerator:
         G = -i H - sum_b K_b / 2."""
         n = self.dim
         terms = [t for t in self._bath_terms.values() if t is not None]
-        g = -1j * self.hamiltonian + sum(k_half for _, k_half, _ in terms)
+        g = -1j * self.hamiltonian + sum(k_half for _, k_half in terms)
         parts = _left_right(Triplets.from_dense(g), Triplets.from_dense(g.conj().T))
-        return Triplets.summed([*(kron for kron, _, _ in terms), *parts], (n * n, n * n))
+        return Triplets.summed([*(kron for kron, _ in terms), *parts], (n * n, n * n))
 
 
 def _vec(gen, rho):

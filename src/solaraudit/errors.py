@@ -1,7 +1,8 @@
 """Error taxonomy shared across the package.
 
 ConfigError marks bad user input (CLI exit code 2). Everything else derived
-from NumericsError marks a failed computation (CLI exit code 3).
+from NumericsError marks a failed computation (CLI exit code 3). A user-named
+file that cannot be read is a ConfigError, raised by read_user_text.
 """
 
 
@@ -11,6 +12,15 @@ class SolarAuditError(Exception):
 
 class ConfigError(SolarAuditError):
     """Invalid configuration: unknown keys, bad values, broken constraints."""
+
+
+def read_user_text(path, what):
+    """Text of a user-named UTF-8 file; an unreadable one is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
 
 
 class NumericsError(SolarAuditError):

@@ -16,7 +16,7 @@ inverse wavenumber, so rates in cm^-1 multiply PS_TO_INTERNAL per ps.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -29,7 +29,7 @@ from .core import (
     propagate,
     require_finite_fields,
 )
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, NumericsError, read_user_text
 from .thermo import BathSpec, bose_occupation, entropy_production, heat_current
 
 KB_CM_PER_K = 0.6950348
@@ -118,8 +118,7 @@ def parse_site_data(text):
 
 
 def load_site_data(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_site_data(fh.read())
+    return parse_site_data(read_user_text(path, "site data file"))
 
 
 def builtin_site_data():
@@ -156,8 +155,12 @@ class OhmicDrudeSpectrum:
 
 @dataclass(frozen=True)
 class FmoConfig:
-    site_energies: np.ndarray
-    couplings: np.ndarray
+    """The trace model's parameters; its init fields are the [fmo] keys.
+    site_energies and couplings come from data_file ('builtin': the shipped
+    set), vib from the vib_ floats; gamma_ant_fmo None means gamma_sink / 10.
+    t_max_ps and n_times set the CLI's time grid, not the model."""
+
+    data_file: str
     omega_ant: float
     n_pigments: int
     mu_ant_ind: float
@@ -167,25 +170,29 @@ class FmoConfig:
     t_loss_k: float
     gamma_rad: float
     gamma_sink: float
-    gamma_ant_fmo: float
-    vib: OhmicDrudeSpectrum
+    vib_reorganization: float
+    vib_cutoff: float
+    t_max_ps: float
+    n_times: int
+    gamma_ant_fmo: float = None
+    site_energies: np.ndarray = field(init=False)
+    couplings: np.ndarray = field(init=False)
+    vib: OhmicDrudeSpectrum = field(init=False)
 
     def __post_init__(self):
-        energies = np.array(self.site_energies, dtype=float)
-        couplings = np.array(self.couplings, dtype=float)
-        if energies.shape != (N_SITES,):
-            raise ValueError(f"site_energies must have shape ({N_SITES},)")
-        if couplings.shape != (N_SITES, N_SITES):
-            raise ValueError(f"couplings must have shape ({N_SITES}, {N_SITES})")
+        if self.data_file == "builtin":
+            energies, couplings = builtin_site_data()
+        else:
+            energies, couplings = load_site_data(self.data_file)
         energies.setflags(write=False)
         couplings.setflags(write=False)
         object.__setattr__(self, "site_energies", energies)
         object.__setattr__(self, "couplings", couplings)
+        if self.gamma_ant_fmo is None:
+            object.__setattr__(self, "gamma_ant_fmo", self.gamma_sink / 10.0)
+        vib = OhmicDrudeSpectrum(self.vib_reorganization, self.vib_cutoff)
+        object.__setattr__(self, "vib", vib)
         require_finite_fields(self)
-        if np.abs(couplings - couplings.T).max() > 1e-9:
-            raise ValueError("couplings must be symmetric")
-        if np.abs(np.diag(couplings)).max() > 0:
-            raise ValueError("couplings must have a zero diagonal")
         if self.omega_ant <= 0:
             raise ValueError("omega_ant must be positive")
         if not isinstance(self.n_pigments, int) or self.n_pigments < 1:
@@ -200,53 +207,6 @@ class FmoConfig:
             raise ValueError("gamma_rad must be positive")
         if self.gamma_sink < 0 or self.gamma_ant_fmo < 0:
             raise ValueError("gamma_sink and gamma_ant_fmo must be >= 0")
-
-    @classmethod
-    def from_mapping(cls, params):
-        """Build a config from a flat parameter mapping (CLI/file layer).
-
-        data_file selects the site data ('builtin' for the shipped set);
-        gamma_ant_fmo may be None, meaning the gamma_sink/10 default rule.
-        """
-        try:
-            data_file = params.get("data_file", "builtin")
-            if data_file == "builtin":
-                energies, couplings = builtin_site_data()
-            else:
-                energies, couplings = load_site_data(data_file)
-            gamma_sink = float(params["gamma_sink"])
-            gamma_ant_fmo = params.get("gamma_ant_fmo")
-            if gamma_ant_fmo is None:
-                gamma_ant_fmo = gamma_sink / 10.0
-            vib = OhmicDrudeSpectrum(
-                reorganization=float(params["vib_reorganization"]),
-                cutoff=float(params["vib_cutoff"]),
-            )
-            return cls(
-                site_energies=energies,
-                couplings=couplings,
-                omega_ant=float(params["omega_ant"]),
-                n_pigments=int(params["n_pigments"]),
-                mu_ant_ind=float(params["mu_ant_ind"]),
-                mu_fmo=float(params["mu_fmo"]),
-                lambda_geo=float(params["lambda_geo"]),
-                t_sun=float(params["t_sun"]),
-                t_loss_k=float(params["t_loss_k"]),
-                gamma_rad=float(params["gamma_rad"]),
-                gamma_sink=gamma_sink,
-                gamma_ant_fmo=float(gamma_ant_fmo),
-                vib=vib,
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing required key {exc.args[0]!r} for the trace model")
-
-    @property
-    def t_loss_cm(self):
-        return kelvin_to_wavenumber(self.t_loss_k)
-
-    @property
-    def t_abs_k(self):
-        return effective_sun_temperature(self.omega_ant, self.t_sun, self.lambda_geo)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,9 +250,9 @@ def build_model(cfg):
     energies, w = np.linalg.eigh(site_block)
     bright = np.abs(w.sum(axis=0)) ** 2
 
-    t_abs_k = cfg.t_abs_k
+    t_abs_k = effective_sun_temperature(cfg.omega_ant, cfg.t_sun, cfg.lambda_geo)
     t_abs = kelvin_to_wavenumber(t_abs_k)
-    t_loss = cfg.t_loss_cm
+    t_loss = kelvin_to_wavenumber(cfg.t_loss_k)
 
     ground = np.zeros(dim, dtype=complex)
     ground[0] = 1.0
@@ -434,8 +394,4 @@ def default_config(**overrides):
     """Shipped default configuration, optionally with field overrides."""
     from .config import default_section
 
-    params = dict(default_section("fmo"))
-    params.update(overrides)
-    params.pop("t_max_ps", None)
-    params.pop("n_times", None)
-    return FmoConfig.from_mapping(params)
+    return FmoConfig(**{**default_section("fmo"), **overrides})

@@ -486,6 +486,13 @@ def test_config_round_trip():
     assert cfg.emit_config(cfg.validate_sections(reparsed)) == text
 
 
+def test_defaults_hold_exactly_each_schema():
+    # a key a schema gains but the defaults lack would reach the params
+    # constructor missing: a TypeError traceback instead of exit 2
+    for name, schema in cfg.SCHEMAS.items():
+        assert sorted(cfg.default_section(name)) == sorted(schema), name
+
+
 def test_config_round_trip_handcrafted():
     text = "\n".join(
         (

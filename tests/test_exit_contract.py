@@ -1,8 +1,9 @@
 """The CLI's exit-code contract, driven through every numeric key.
 
 Every command gets every numeric key of its config sections set to each
-of a list of hostile values, with warnings turned into errors. Whatever
-the value, the run exits 0, 2 (config error) or 3 (numerical failure);
+of a list of hostile values, with warnings turned into errors; the string
+keys and the user files get bad names and bad contents. Whatever the
+value, the run exits 0, 2 (config error) or 3 (numerical failure);
 stderr carries no traceback and no warning; a failed run prints nothing
 on stdout and one line on stderr; and no printed row whose currents or
 sigma are not finite, or whose currents are subnormal, gets a verdict
@@ -12,11 +13,13 @@ other than `undefined`.
 import math
 import sys
 import warnings
+from importlib import resources
 
 import pytest
 
 from solaraudit import config as cfg
 from solaraudit.cli import main
+from solaraudit.fmo import SITE_DATA_RESOURCE
 from solaraudit.models import MODELS
 
 VALUES = ("nan", "inf", "-inf", "0", "-0", "1e-300", "1e300", "-1", "1e-320", "3", "abc")
@@ -58,8 +61,50 @@ CASES = [
 ]
 
 
+# (test id, argv, part of the one error line) of runs that must exit 2;
+# {tmp} stands for a directory holding the files write_user_files makes
+STRING_CASES = [
+    ("data_file-missing", ["fmo-trace", "--data_file", "{tmp}/missing.txt"],
+     "cannot read site data file {tmp}/missing.txt"),
+    ("data_file-directory", ["fmo-trace", "--data_file", "{tmp}"],
+     "cannot read site data file {tmp}"),
+    ("data_file-empty", ["fmo-trace", "--data_file", ""], "cannot read site data file"),
+    ("data_file-not-utf8", ["fmo-trace", "--data_file", "{tmp}/utf16.txt"],
+     "cannot read site data file {tmp}/utf16.txt"),
+    ("data_file-nan-energy", ["fmo-trace", "--data_file", "{tmp}/nan_energy.txt"],
+     "site_energies must be finite"),
+    ("data_file-nan-coupling", ["fmo-trace", "--data_file", "{tmp}/nan_coupling.txt"],
+     "couplings must be finite"),
+    ("config-not-utf8", ["toy-decay", "--config", "{tmp}/utf16.txt"],
+     "cannot read config file {tmp}/utf16.txt"),
+    ("axis-bogus", ["sweep", "--axis", "bogus", "--axis_points", "3"], "'bogus'"),
+    ("model-bogus", ["sweep", "--model", "bogus"], "'bogus'"),
+]
+
+
+def write_user_files(root):
+    text = resources.files("solaraudit").joinpath(SITE_DATA_RESOURCE).read_text()
+    (root / "utf16.txt").write_text(text, encoding="utf-16")
+    (root / "nan_energy.txt").write_text(text.replace("12410.0", "nan"))
+    (root / "nan_coupling.txt").write_text(text.replace("-104.1", "nan"))
+
+
+@pytest.mark.parametrize(
+    "argv, needle", [pytest.param(argv, needle, id=name) for name, argv, needle in STRING_CASES]
+)
+def test_exit_code_contract_string_keys(capsys, tmp_path, argv, needle):
+    write_user_files(tmp_path)
+    code, err = check_contract(capsys, [arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    assert code == 2 and needle.replace("{tmp}", str(tmp_path)) in err, err
+
+
 @pytest.mark.parametrize("argv", CASES)
 def test_exit_code_contract(capsys, argv):
+    check_contract(capsys, argv)
+
+
+def check_contract(capsys, argv):
+    """Run argv, assert the contract and return (exit code, stderr)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(argv)
@@ -69,11 +114,11 @@ def test_exit_code_contract(capsys, argv):
     assert "Traceback" not in err and "Warning" not in err, err
     if code:
         assert out == "" and len(err.splitlines()) == 1, err
-        return
+        return code, err
     lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
     names = lines[0].split(",")
     if "verdict" not in names:
-        return
+        return code, err
     for line in lines[1:]:
         row = dict(zip(names, line.split(",")))
         currents = [float(row[k]) for k in ("j_abs", "j_loss", "power")]
@@ -81,3 +126,4 @@ def test_exit_code_contract(capsys, argv):
         # a subnormal current has lost the digits its ratio is judged on
         normal = all(x == 0.0 or abs(x) >= sys.float_info.min for x in currents)
         assert (finite and normal) or row["verdict"] == "undefined", line
+    return code, err

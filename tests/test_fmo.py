@@ -1,6 +1,5 @@
 """Antenna + pigment-complex + trap model: structure, thermals, audit trace."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -42,6 +41,7 @@ def tiny_site_text(diag=0.0, asym=False):
 
 def full_params(**over):
     params = dict(
+        data_file="builtin",
         omega_ant=13333.0,
         n_pigments=100,
         mu_ant_ind=5.0,
@@ -53,6 +53,8 @@ def full_params(**over):
         gamma_sink=33.4,
         vib_reorganization=35.0,
         vib_cutoff=106.0,
+        t_max_ps=1.0,
+        n_times=3,
     )
     params.update(over)
     return params
@@ -160,64 +162,71 @@ def test_default_config_values_and_overrides():
     quiet = default_config(gamma_sink=0.0)
     assert quiet.gamma_sink == 0.0
     assert quiet.gamma_ant_fmo == 0.0
+    with pytest.raises(TypeError, match="vib_cutof"):
+        default_config(gamma_sink=0.0, vib_cutof=1.0)
 
 
-def test_from_mapping_missing_key():
-    with pytest.raises(ConfigError, match="gamma_sink"):
-        FmoConfig.from_mapping({"omega_ant": 13333.0})
+def test_constructor_requires_every_key():
+    params = full_params()
+    del params["gamma_sink"]
+    with pytest.raises(TypeError, match="gamma_sink"):
+        FmoConfig(**params)
 
 
-def test_from_mapping_reads_data_file(tmp_path):
+def test_constructor_reads_data_file(tmp_path):
     path = tmp_path / "sites.txt"
     path.write_text(tiny_site_text())
-    cfg = FmoConfig.from_mapping(full_params(data_file=str(path)))
+    cfg = FmoConfig(**full_params(data_file=str(path)))
     assert cfg.site_energies[0] == 100.0
     assert cfg.couplings[1, 0] == 5.0
+    assert not cfg.site_energies.flags.writeable and not cfg.couplings.flags.writeable
+    assert cfg.gamma_ant_fmo == cfg.gamma_sink / 10.0
+    assert cfg.vib == OhmicDrudeSpectrum(reorganization=35.0, cutoff=106.0)
     # explicit transfer rate wins over the /10 rule
-    explicit = FmoConfig.from_mapping(full_params(gamma_ant_fmo=1.25))
+    explicit = FmoConfig(**full_params(gamma_ant_fmo=1.25))
     assert explicit.gamma_ant_fmo == 1.25
 
 
-def test_config_field_validation():
-    cfg = default_config()
-    with pytest.raises(ValueError):
-        dataclasses.replace(cfg, n_pigments=0)
-    with pytest.raises(ValueError):
-        dataclasses.replace(cfg, lambda_geo=0.0)
-    with pytest.raises(ValueError):
-        dataclasses.replace(cfg, mu_fmo=0.0)
-    with pytest.raises(ValueError):
-        dataclasses.replace(cfg, gamma_rad=0.0)
-    with pytest.raises(ValueError):
-        dataclasses.replace(cfg, gamma_sink=-1.0)
-    with pytest.raises(ValueError):
-        dataclasses.replace(cfg, t_sun=-5780.0)
-    bad = np.array(cfg.couplings)
-    bad[0, 1] = 999.0
-    with pytest.raises(ValueError):
-        dataclasses.replace(cfg, couplings=bad)
-    lumpy = np.array(cfg.couplings)
-    lumpy[3, 3] = 4.0
-    with pytest.raises(ValueError):
-        dataclasses.replace(cfg, couplings=lumpy)
+def test_config_field_validation(tmp_path):
+    for name, value in (
+        ("n_pigments", 0),
+        ("n_pigments", 2.5),
+        ("lambda_geo", 0.0),
+        ("mu_fmo", 0.0),
+        ("gamma_rad", 0.0),
+        ("gamma_sink", -1.0),
+        ("gamma_ant_fmo", -1.0),
+        ("t_sun", -5780.0),
+        ("vib_cutoff", 0.0),
+    ):
+        with pytest.raises(ValueError):
+            default_config(**{name: value})
+    # the arrays arrive only through data_file, checked by parse_site_data
+    for text, needle in ((tiny_site_text(asym=True), "symmetric"),
+                         (tiny_site_text(diag=7.0), "zero diagonal")):
+        path = tmp_path / "sites.txt"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=needle):
+            default_config(data_file=str(path))
 
 
-def test_config_rejects_non_finite_values():
-    with pytest.raises(ValueError, match="t_sun must be finite"):
-        default_config(t_sun=math.nan)
-    with pytest.raises(ValueError, match="cutoff must be finite"):
-        default_config(vib_cutoff=math.inf)
-    cfg = default_config()
-    for name in ("omega_ant", "mu_ant_ind", "mu_fmo", "lambda_geo", "t_sun",
-                 "t_loss_k", "gamma_rad", "gamma_sink", "gamma_ant_fmo"):
+def test_config_rejects_non_finite_values(tmp_path):
+    for name in ("omega_ant", "mu_ant_ind", "mu_fmo", "lambda_geo", "t_sun", "t_loss_k",
+                 "gamma_rad", "gamma_sink", "gamma_ant_fmo", "vib_reorganization",
+                 "vib_cutoff", "t_max_ps"):
         for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
-                dataclasses.replace(cfg, **{name: value})
-    for name in ("site_energies", "couplings"):
-        bad = np.array(getattr(cfg, name))
-        bad.flat[1] = math.nan
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            dataclasses.replace(cfg, **{name: bad})
+            # the vib_ floats are checked by the spectrum they build
+            with pytest.raises(ValueError, match=f"{name.removeprefix('vib_')} must be finite"):
+                default_config(**{name: value})
+    text = tiny_site_text()
+    for name, bad, at in (
+        ("site_energies", text.replace("102.0", "nan"), r"\[2\]"),
+        ("couplings", text.replace(" 5.0 ", " nan ").replace("\n5.0 ", "\nnan "), r"\[0, 1\]"),
+    ):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(bad)
+        with pytest.raises(ValueError, match=f"{name} must be finite, got nan at {at}$"):
+            default_config(data_file=str(path))
 
 
 def test_build_model_structure():
