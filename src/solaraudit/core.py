@@ -95,7 +95,9 @@ class DensityMatrix:
 
     __slots__ = ("entries", "dim")
 
-    def __init__(self, entries):
+    def __init__(self, entries, *, _spectrum=None):
+        # _spectrum: ascending eigenvalues of entries, known to the caller that
+        # built them (propagate and steady_state pass floor_positivity's)
         mat = np.array(entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise StateValidationError(
@@ -112,7 +114,7 @@ class DensityMatrix:
             raise StateValidationError(
                 f"state trace differs from 1 by {abs(tr - 1.0):.3e}"
             )
-        lo = np.linalg.eigvalsh(mat)[0]
+        lo = (np.linalg.eigvalsh(mat) if _spectrum is None else _spectrum)[0]
         if lo < -EIGENVALUE_FLOOR:
             raise StateValidationError(
                 f"state has eigenvalue {lo:.3e} below -{EIGENVALUE_FLOOR:.0e}"
@@ -173,6 +175,19 @@ def _fits_dense(rows, cols):  # no larger than the dense-propagation superoperat
     return rows * cols <= DENSE_PROPAGATION_MAX_DIM**4
 
 
+def _distinct(key):
+    """Sorted distinct values of an integer array, and each entry's index
+    among them, by a stable sort and a neighbour comparison."""
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    at = np.empty(key.size, dtype=np.intp)
+    at[order] = np.cumsum(first) - 1
+    return ordered[first], at
+
+
 class Triplets:
     """Sparse complex matrix: (row, col, data) arrays holding each position
     at most once, plus the shape. Triplets.summed adds repeated positions."""
@@ -201,14 +216,22 @@ class Triplets:
         rows, cols = shape
         key = row.astype(np.int64) * cols + col
         dense = _fits_dense(rows, cols)
-        cells, at = (np.arange(rows * cols), key) if dense else np.unique(key, return_inverse=True)
+        cells, at = (np.arange(rows * cols), key) if dense else _distinct(key)
         sums = np.bincount(at, val.real, cells.size) + 1j * np.bincount(at, val.imag, cells.size)
         keep = np.flatnonzero(sums)
         return cls(*np.divmod(cells[keep], cols), sums[keep], shape)
 
     def __matmul__(self, x):
-        y, n = self.data * x[self.col], self.shape[0]
-        return np.bincount(self.row, y.real, n) + 1j * np.bincount(self.row, y.imag, n)
+        """self @ x for x of shape (cols,) or (cols, k). Dense if _fits_dense;
+        else one bincount over row k + column, entries added in stored order."""
+        if _fits_dense(*self.shape):
+            return self.toarray() @ x
+        cols = x.reshape(x.shape[0], -1)
+        k, n = cols.shape[1], self.shape[0] * cols.shape[1]
+        y = (self.data[:, None] * cols[self.col]).ravel()
+        at = self.row if k == 1 else (self.row.astype(np.int64)[:, None] * k + np.arange(k)).ravel()
+        out = np.bincount(at, y.real, n) + 1j * np.bincount(at, y.imag, n)
+        return out.reshape(self.shape[0], *x.shape[1:])
 
     def toarray(self):
         out = np.zeros(self.shape, dtype=complex)
@@ -252,7 +275,8 @@ class DissipationChannel:
         index = np.concatenate([jump.row, jump.col])
         if jump.shape[0] != jump.shape[1] or ((index < 0) | (index >= jump.shape[0])).any():
             raise ValueError(f"jump operator must be square with entries inside, got {jump.shape}")
-        if np.unique(jump.row.astype(np.int64) * jump.shape[0] + jump.col).size < jump.nnz:
+        key = np.sort(jump.row.astype(np.int64) * jump.shape[0] + jump.col)
+        if (key[1:] == key[:-1]).any():
             jump = Triplets.summed([(jump.row, jump.col, jump.data)], jump.shape)
         object.__setattr__(self, "jump", jump)
         rate = float(self.rate)
@@ -404,16 +428,20 @@ class LindbladGenerator:
 
 
 def _vec(gen, rho):
-    """Row-major vec of a state of the generator's dimension."""
+    """Row-major vec of a state, or of each state of a stack (..., dim, dim),
+    of the generator's dimension."""
     r = _as_matrix(rho)
-    if r.shape[0] != gen.dim:
-        raise DimensionMismatchError(gen.dim, r.shape[0], what="state")
-    return r.reshape(-1)
+    if r.shape[-2:] != (gen.dim, gen.dim):
+        raise DimensionMismatchError(gen.dim, r.shape[-1], what="state")
+    return r.reshape(*r.shape[:-2], -1)
 
 
 def liouvillian_apply(gen, rho):
-    """Right-hand side of the master equation at a given state."""
-    return (gen.superoperator @ _vec(gen, rho)).reshape(gen.dim, gen.dim)
+    """Right-hand side of the master equation at a state, or at each state
+    of a stack (..., dim, dim) in one product."""
+    v = _vec(gen, rho)
+    columns = gen.superoperator @ v.reshape(-1, v.shape[-1]).T
+    return columns.T.reshape(*v.shape[:-1], gen.dim, gen.dim)
 
 
 def floor_positivity(matrix):
@@ -422,6 +450,12 @@ def floor_positivity(matrix):
     Eigenvalues in [-1e-9, 0) are floored to zero; anything lower is a real
     positivity violation and raises, as does a non-finite entry.
     """
+    return _floored(matrix)[0]
+
+
+def _floored(matrix):
+    """floor_positivity(matrix) and its ascending eigenvalues, the clipped
+    ones over the new trace (to rounding)."""
     _require_finite_state(matrix)
     sym = 0.5 * (matrix + matrix.conj().T)
     w, u = np.linalg.eigh(sym)
@@ -435,7 +469,7 @@ def floor_positivity(matrix):
     tr = sym.trace().real
     if tr <= 0:
         raise StateValidationError(f"state trace collapsed to {tr:.3e}")
-    return sym / tr
+    return sym / tr, np.maximum(w, 0.0) / tr
 
 
 def expm_dense(a):
@@ -464,12 +498,27 @@ def expm_dense(a):
     return out
 
 
+def _step_lengths(steps, tol):
+    """Each step as the shortest step of its length, as a float: in
+    ascending order, a step more than tol above the first of the current
+    length starts the next length."""
+    lengths = [0.0] * steps.size
+    first = -math.inf
+    for i in np.argsort(steps, kind="stable").tolist():
+        if steps[i] - first > tol:
+            first = float(steps[i])
+        lengths[i] = first
+    return lengths
+
+
 def propagate(gen, rho0, t_grid):
     """Exact propagation of the master equation, one state per grid time.
 
-    Each grid step applies exp(L dt) to the previous state. Up to
+    Each grid step applies exp(L dt) to the previous state, dt its step
+    length: steps within 4 eps max|t| of one another, the rounding of the
+    grid values, are one length, the shortest of them. Up to
     DENSE_PROPAGATION_MAX_DIM the propagator is a dense exponential
-    (expm_dense), computed once per distinct dt; above it, scipy's
+    (expm_dense), computed once per step length; above it, scipy's
     expm_multiply (Al-Mohy and Higham, SIAM J. Sci. Comput. 2011) acts on
     the vector without forming the propagator. An |L dt| that overflows, or
     a propagated state that is not finite, raises NumericsError. Output
@@ -514,13 +563,14 @@ def propagate(gen, rho0, t_grid):
 
     y = rho0.entries.reshape(-1)
     out = [rho0]
-    for dt in np.diff(t):
-        dt = float(dt)
+    # each grid value is rounded to within an ulp of max|t|, so two steps
+    # of one length differ by up to four of those
+    for dt in _step_lengths(np.diff(t), 4 * np.finfo(float).eps * t[-1]):
         if not math.isfinite(lnorm * dt):
             raise NumericsError(f"|L dt|_1 overflows at dt = {dt!r}")
-        repaired = floor_positivity(advance(y, dt).reshape(gen.dim, gen.dim))
+        repaired, spectrum = _floored(advance(y, dt).reshape(gen.dim, gen.dim))
         y = repaired.reshape(-1)
-        out.append(DensityMatrix(repaired))
+        out.append(DensityMatrix(repaired, _spectrum=spectrum))
     return out
 
 
@@ -543,9 +593,8 @@ def steady_state(gen):
     tr = rho.trace()
     if abs(tr) < 1e-12 * np.linalg.norm(v):
         raise DegenerateSteadyStateError(null_count or 1)
-    rho = rho / tr
-    rho = floor_positivity(rho)
+    rho, spectrum = _floored(rho / tr)
     residual = np.abs(liouvillian_apply(gen, rho)).max()
     if residual > STEADY_STATE_RESIDUAL_TOL:
         raise SteadyStateConvergenceError(residual, STEADY_STATE_RESIDUAL_TOL)
-    return DensityMatrix(rho)
+    return DensityMatrix(rho, _spectrum=spectrum)

@@ -153,7 +153,7 @@ class OhmicDrudeSpectrum:
         return 2.0 * self.reorganization * temperature / self.cutoff
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FmoConfig:
     """The trace model's parameters; its init fields are the [fmo] keys.
     site_energies and couplings come from data_file ('builtin': the shipped
@@ -357,37 +357,27 @@ class FmoTrace:
 
 
 def sigma_trace(cfg, t_grid_ps):
-    """Propagate from the global ground state and audit every grid time."""
+    """Propagate from the global ground state and audit every grid time,
+    all states in one stacked product per quantity. A current or sigma
+    that is not finite raises NumericsError naming the first such row."""
     model = build_model(cfg)
     gen = model.generator
     t_ps = np.asarray(t_grid_ps, dtype=float)
     states = propagate(gen, DensityMatrix.ground(model.dim), t_ps * PS_TO_INTERNAL)
-    j_abs = np.empty(t_ps.size)
-    j_loss = np.empty(t_ps.size)
-    sink_flow = np.empty(t_ps.size)
-    sigma = np.empty(t_ps.size)
+    rho = np.stack([state.entries for state in states])
+    rho_dot = liouvillian_apply(gen, rho)
+    j_abs, j_loss, sink_flow = (heat_current(gen, b, rho) for b in ("abs", "loss", "sink"))
+    sigma = entropy_production(rho, rho_dot, (j_abs, j_loss), (model.t_abs_cm, model.t_loss_cm))
+    names = ("j_abs", "j_loss", "sink_flow", "sigma")
+    table = np.stack([j_abs, j_loss, sink_flow, sigma]) * PS_TO_INTERNAL
+    bad = np.argwhere(~np.isfinite(table.T))  # (row, column), earliest row first
+    if bad.size:
+        row, col = bad[0]
+        raise NumericsError(f"{names[col]} = {table[col, row]} is not finite at t = {t_ps[row]} ps")
     sink_pop = np.zeros(t_ps.size)
-    for i, rho in enumerate(states):
-        rho_dot = liouvillian_apply(gen, rho)
-        ja = heat_current(gen, "abs", rho)
-        jl = heat_current(gen, "loss", rho)
-        sf = heat_current(gen, "sink", rho)
-        sig = entropy_production(rho, rho_dot, (ja, jl), (model.t_abs_cm, model.t_loss_cm))
-        j_abs[i] = ja * PS_TO_INTERNAL
-        j_loss[i] = jl * PS_TO_INTERNAL
-        sink_flow[i] = sf * PS_TO_INTERNAL
-        sigma[i] = sig * PS_TO_INTERNAL
-        if model.sink_index >= 0:
-            sink_pop[i] = rho.population(model.sink_index)
-    return FmoTrace(
-        t_ps=t_ps,
-        j_abs=j_abs,
-        j_loss=j_loss,
-        sink_flow=sink_flow,
-        sigma=sigma,
-        sink_population=sink_pop,
-        t_abs_k=model.t_abs_k,
-    )
+    if model.sink_index >= 0:
+        sink_pop = rho[:, model.sink_index, model.sink_index].real.copy()
+    return FmoTrace(t_ps, *table, sink_pop, model.t_abs_k)
 
 
 def default_config(**overrides):

@@ -100,20 +100,27 @@ def heat_current(gen, bath_id, rho):
     Q_b = D_b^dag(H) (Alicki, J. Phys. A 12, L103, 1979). Positive values mean
     the bath feeds energy in; 0.0 if no channel carries the tag. A residue
     Im J_b beyond 1e-12 |rho| |Q_b| (a non-Hermitian rho) raises NumericsError.
+    A stack of states (..., dim, dim) gives an array of currents.
     """
     require_bath_id(bath_id)
+    r = _vec(gen, rho)
     q = gen.heat_operators[bath_id]
     if q is None:
-        return 0.0
-    r = _vec(gen, rho)
+        return _scalar_or_array(np.zeros(r.shape[:-1]))
     val = r @ q.T.reshape(-1)
     with np.errstate(over="ignore"):  # an inf scale accepts any residue
-        scale = max(1.0, np.linalg.norm(r) * np.linalg.norm(q))
-    if abs(val.imag) > 1e-12 * scale:
+        scale = np.maximum(1.0, np.linalg.norm(r, axis=-1) * np.linalg.norm(q))
+    bad = np.abs(val.imag) > 1e-12 * scale
+    if bad.any():
         raise NumericsError(
-            f"heat current has imaginary residue {val.imag:.3e} beyond tolerance"
+            f"heat current has imaginary residue {val.imag[bad].flat[0]:.3e} beyond tolerance"
         )
-    return float(val.real)
+    return _scalar_or_array(val.real)
+
+
+def _scalar_or_array(x):
+    # one state gives a float, a stack an array
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def entropy_rate(rho, rho_dot):
@@ -121,37 +128,43 @@ def entropy_rate(rho, rho_dot):
 
     Evaluated in the eigenbasis of rho with eigenvalue floor 1e-14;
     directions where both the eigenvalue and the matching diagonal element
-    of rho_dot vanish contribute zero (the 0 log 0 limit).
+    of rho_dot vanish contribute zero (the 0 log 0 limit). Stacks of states
+    and rates (..., dim, dim) give an array, each state checked on its own.
     """
     r = _as_matrix(rho)
     rd = np.asarray(rho_dot, dtype=complex)
-    defect = np.abs(rd - rd.conj().T).max()
-    if defect > max(1e-10, 1e-12 * np.abs(rd).max()):
+    defect = np.abs(rd - np.swapaxes(rd.conj(), -1, -2)).max(axis=(-2, -1))
+    bad = np.flatnonzero(defect > np.maximum(1e-10, 1e-12 * np.abs(rd).max(axis=(-2, -1))))
+    if bad.size:
         raise NumericsError(
-            f"rho_dot is not Hermitian: max|rd - rd^dag| = {defect:.3e}"
+            f"rho_dot is not Hermitian: max|rd - rd^dag| = {np.ravel(defect)[bad[0]]:.3e}"
         )
     w, u = np.linalg.eigh(r)
-    diag = np.einsum("ij,jk,ki->i", u.conj().T, rd, u).real
+    diag = (u.conj() * (rd @ u)).sum(axis=-2).real  # diagonal of u^dag rd u
     floored = np.maximum(w, ENTROPY_EIGENVALUE_FLOOR)
     terms = -diag * np.log(floored)
     dead = (w < ENTROPY_EIGENVALUE_FLOOR) & (
-        np.abs(diag) < 1e-13 * max(1.0, np.abs(diag).max())
+        np.abs(diag) < 1e-13 * np.maximum(1.0, np.abs(diag).max(axis=-1, keepdims=True))
     )
     terms[dead] = 0.0
-    return float(terms.sum())
+    return _scalar_or_array(terms.sum(axis=-1))
 
 
 def entropy_production(rho, rho_dot, currents, temperatures):
     """sigma = dS/dt - J_abs/T_abs - J_loss/T_loss.
 
     Only the two thermal baths enter. Sink flow is deliberately absent; that
-    omission is the bookkeeping under audit.
+    omission is the bookkeeping under audit. Takes stacks as entropy_rate
+    does, with a current array per bath; an overflowed term gives an
+    infinite sigma, without a warning.
     """
     j_abs, j_loss = currents
     t_abs, t_loss = temperatures
     if t_abs <= 0 or t_loss <= 0:
         raise ValueError("bath temperatures must be positive")
-    return entropy_rate(rho, rho_dot) - j_abs / t_abs - j_loss / t_loss
+    rate = entropy_rate(rho, rho_dot)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rate - j_abs / t_abs - j_loss / t_loss
 
 
 def second_law_verdict(j_abs, j_loss, t_abs, t_loss):

@@ -556,21 +556,24 @@ def test_cli_leaves_scipy_linalg_unimported(tmp_path):
     # importing scipy.sparse costs a command ~0.2 s and ~20 MB of resident
     # memory. Generators are numpy triplets and fmo-trace (dim 10)
     # propagates dense, so no command may load any scipy module; only
-    # propagation above dim 16 needs scipy's expm_multiply.
+    # propagation above dim 16 needs scipy's expm_multiply. numpy.ma, which
+    # np.unique loads in numpy 2.4, costs 8-21 ms and ~1.2 MB cold.
     code = (
         "import contextlib, io, sys\n"
         "import solaraudit\n"
         "from solaraudit.cli import main\n"
         "closed = [['toy-decay'], ['toy-ham'], ['donor-acceptor'], ['photocell'],\n"
         "          ['compare-power'], ['sweep', '--model', 'toy_decay'],\n"
-        "          ['sweep', '--model', 'toy_ham'], ['fmo-trace', '--n_times', '3']]\n"
+        "          ['sweep', '--model', 'toy_ham'], ['sweep', '--model', 'donor_acceptor'],\n"
+        "          ['sweep', '--model', 'photocell'], ['fmo-trace', '--n_times', '3']]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(argv) for argv in closed]\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(codes, sorted(m for m in sys.modules\n"
+        "                    if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
     proc = run_python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0] []"]
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0, 0] []"]
 
 
 def test_small_generators_leave_scipy_unimported(tmp_path):

@@ -10,6 +10,7 @@ from solaraudit import core
 from solaraudit import (
     DegenerateSteadyStateError,
     DensityMatrix,
+    DimensionMismatchError,
     DissipationChannel,
     LindbladGenerator,
     NumericsError,
@@ -59,6 +60,27 @@ def test_density_matrix_rejects_bad_trace():
 def test_density_matrix_rejects_negative_state():
     with pytest.raises(StateValidationError):
         DensityMatrix(np.diag([1.2, -0.2]).astype(complex))
+
+
+def test_state_below_the_eigenvalue_floor_raises_on_every_path(monkeypatch):
+    # one eigenvalue just past -EIGENVALUE_FLOOR is rejected by a direct
+    # DensityMatrix, by floor_positivity, and by a propagation step that
+    # lands on it, where the floor's spectrum stands in for eigvalsh
+    bad = np.diag([1.0 + 2 * core.EIGENVALUE_FLOOR, -2 * core.EIGENVALUE_FLOOR]).astype(complex)
+    with pytest.raises(StateValidationError, match="eigenvalue"):
+        DensityMatrix(bad)
+    with pytest.raises(StateValidationError, match="eigenvalue"):
+        floor_positivity(bad)
+    ground = DensityMatrix.ground(2)
+    monkeypatch.setattr(core, "expm_dense", lambda a: np.outer(bad.reshape(-1), ground.entries.reshape(-1)))
+    with pytest.raises(StateValidationError, match="eigenvalue"):
+        propagate(qubit_decay_generator(), ground, [0.0, 1.0])
+    # half the floor passes, and the floor's spectrum is the repaired
+    # state's to rounding
+    near = np.diag([1.0 + 0.5 * core.EIGENVALUE_FLOOR, -0.5 * core.EIGENVALUE_FLOOR]).astype(complex)
+    DensityMatrix(near)
+    fixed, spectrum = core._floored(near)
+    assert np.abs(spectrum - np.linalg.eigvalsh(fixed)).max() <= 1e-15
 
 
 def test_density_matrix_rejects_non_finite_entries():
@@ -207,6 +229,11 @@ def test_triplets_sum_duplicates_and_match_dense():
         parts = [(row[:1000], col[:1000], val[:1000]), (row[1000:], col[1000:], val[1000:])]
         t = Triplets.summed(parts, (size, size))
         assert t.nnz == np.count_nonzero(expected) == np.unique(t.row * size + t.col).size
+        # values at one position are added in input order, as np.unique's
+        # inverse index would bin them: the sums are bit-identical
+        cells, at = np.unique(row * size + col, return_inverse=True)
+        sums = np.bincount(at, val.real) + 1j * np.bincount(at, val.imag)
+        assert np.array_equal(t.data, sums[sums != 0])
         assert np.abs(t.toarray() - expected).max() <= 1e-14
         x = rng.normal(size=size) + 1j * rng.normal(size=size)
         assert np.abs(t @ x - expected @ x).max() <= 1e-12
@@ -387,6 +414,52 @@ def test_propagate_non_finite_span_raises(monkeypatch):
     monkeypatch.setattr(core, "DENSE_PROPAGATION_MAX_DIM", 0)
     with pytest.raises(NumericsError):
         propagate(gen, rho0, [0.0, 1e308])
+
+
+def test_propagate_one_exponential_per_step_length(monkeypatch):
+    # the default 201-point grid has 12 distinct float steps, all one step
+    # length; a grid with two step lengths takes two exponentials. Both
+    # match a propagation that takes each step's own exponential.
+    gen = build_model(default_config()).generator
+    rho0 = DensityMatrix.ground(gen.dim)
+    lmat = gen.superoperator.toarray()
+    uniform = np.linspace(0.0, 10.0, 201) * PS_TO_INTERNAL
+    two = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(1.2, 3.0, 10)]) * PS_TO_INTERNAL
+    assert np.unique(np.diff(uniform)).size > 1
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return expm_dense(a)
+
+    monkeypatch.setattr(core, "expm_dense", counted)
+    for grid, expected in ((uniform, 1), (two, 2)):
+        calls.clear()
+        states = propagate(gen, rho0, grid)
+        assert len(calls) == expected
+        y = rho0.entries
+        for dt, rho in zip(np.diff(grid), states[1:]):
+            y = floor_positivity((expm_dense(lmat * dt) @ y.reshape(-1)).reshape(y.shape))
+            assert np.abs(rho.entries - y).max() <= 1e-12
+
+
+def test_liouvillian_apply_takes_a_stack_of_states():
+    # one product for a stack equals a call per state: dense for the
+    # dim-10 trace model, by bincount for the dim-21 ladder
+    rng = np.random.default_rng(41)
+    ladder = ThreeLevelParams(
+        omega_abs=1.0, omega_rc=0.5, gamma=0.02, t_abs=2.0, t_loss=0.2,
+        gamma_h=0.01, gamma_c=0.01,
+    )
+    for gen in (build_model(default_config()).generator, hamiltonian_transfer_generator(ladder, 6)):
+        stack = np.stack([random_state(rng, gen.dim).entries for _ in range(6)]).reshape(2, 3, gen.dim, gen.dim)
+        applied = liouvillian_apply(gen, stack)
+        assert applied.shape == stack.shape
+        for index in np.ndindex(2, 3):
+            one = liouvillian_apply(gen, stack[index])
+            assert np.abs(applied[index] - one).max() <= 1e-13 * np.abs(one).max()
+        with pytest.raises(DimensionMismatchError):
+            liouvillian_apply(gen, stack[..., :-1])
 
 
 # --------------------------------------------------------------- steady state

@@ -5,9 +5,10 @@ of a list of hostile values, with warnings turned into errors; the string
 keys and the user files get bad names and bad contents. Whatever the
 value, the run exits 0, 2 (config error) or 3 (numerical failure);
 stderr carries no traceback and no warning; a failed run prints nothing
-on stdout and one line on stderr; and no printed row whose currents or
+on stdout and one line on stderr; no printed row whose currents or
 sigma are not finite, or whose currents are subnormal, gets a verdict
-other than `undefined`.
+other than `undefined`; and a table without a verdict column (fmo-trace,
+compare-power) prints only finite numbers.
 """
 
 import math
@@ -118,6 +119,9 @@ def check_contract(capsys, argv):
     lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
     names = lines[0].split(",")
     if "verdict" not in names:
+        # a table without verdicts has only numbers to offer
+        for line in lines[1:]:
+            assert all(math.isfinite(float(cell)) for cell in line.split(",")), line
         return code, err
     for line in lines[1:]:
         row = dict(zip(names, line.split(",")))

@@ -1,11 +1,19 @@
 """Antenna + pigment-complex + trap model: structure, thermals, audit trace."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from solaraudit import DensityMatrix, heat_current, liouvillian_apply, propagate, steady_state
+from solaraudit import (
+    DensityMatrix,
+    entropy_production,
+    heat_current,
+    liouvillian_apply,
+    propagate,
+    steady_state,
+)
 from solaraudit.errors import ConfigError, NumericsError
 from solaraudit.fmo import (
     KB_CM_PER_K,
@@ -164,6 +172,14 @@ def test_default_config_values_and_overrides():
     assert quiet.gamma_ant_fmo == 0.0
     with pytest.raises(TypeError, match="vib_cutof"):
         default_config(gamma_sink=0.0, vib_cutof=1.0)
+
+
+def test_config_compares_by_identity_and_hashes():
+    # compared field by field, the array fields made == raise ValueError
+    # and hash() raise TypeError
+    cfg = default_config()
+    assert cfg == cfg and cfg != default_config()
+    assert hash(cfg) == hash(cfg)
 
 
 def test_constructor_requires_every_key():
@@ -342,6 +358,34 @@ def test_sigma_trace_matches_pinned_rows():
     for index, *expected in PINNED_TRACE_ROWS:
         for col, ref, colmax in zip(columns, expected, PINNED_TRACE_COLUMN_MAX):
             assert abs(col[index] - ref) <= 1e-7 * abs(ref) + 1e-9 * colmax, (index, ref)
+
+
+def test_sigma_trace_rows_match_per_state_audit():
+    # the stacked audit against one heat_current/entropy_production call
+    # per state, to 1e-13 of each column's largest magnitude (sigma crosses
+    # zero, where a relative bound would measure only rounding)
+    model = build_model(default_config())
+    gen = model.generator
+    grid = np.linspace(0.0, 10.0, 201)
+    trace = sigma_trace(default_config(), grid)
+    rows = []
+    for rho in propagate(gen, DensityMatrix.ground(model.dim), grid * PS_TO_INTERNAL):
+        currents = [heat_current(gen, bath, rho) for bath in ("abs", "loss", "sink")]
+        sigma = entropy_production(
+            rho, liouvillian_apply(gen, rho), currents[:2], (model.t_abs_cm, model.t_loss_cm)
+        )
+        rows.append([*currents, sigma])
+    expected = np.array(rows).T * PS_TO_INTERNAL
+    for col, ref in zip((trace.j_abs, trace.j_loss, trace.sink_flow, trace.sigma), expected):
+        assert np.abs(col - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_sigma_trace_non_finite_row_raises():
+    # a subnormal loss temperature overflows J_loss / T_loss
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=r"sigma = inf is not finite at t = 5.0 ps"):
+            sigma_trace(default_config(t_loss_k=1e-320), np.linspace(0.0, 10.0, 3))
 
 
 def test_sigma_trace_thermal_control_stays_nonnegative():
