@@ -18,8 +18,9 @@ each bath's dim x dim heat operator D_b^dag(H), so heat is booked per bath
 downstream. Products and sums run dense up to the size of the
 dense-propagation superoperator and by sorting triplets above it.
 Propagation applies the exact exponential of that generator between grid
-times; scipy is imported only for its expm_multiply above
-DENSE_PROPAGATION_MAX_DIM.
+times, restricted to the vec coordinates the generator can reach from the
+initial state; scipy is imported only for its expm_multiply, when that set
+holds more than DENSE_PROPAGATION_MAX_DIM^2 coordinates.
 """
 
 import math
@@ -42,11 +43,13 @@ EIGENVALUE_FLOOR = 1e-9
 BOHR_CHECK_TOL = 1e-9
 STEADY_STATE_RESIDUAL_TOL = 1e-10
 
-# A dense exponential costs ~20 (dim^2)^3 complex flops per distinct step
-# whatever |L dt| is; expm_multiply costs ~|L dt| sparse matvecs per step.
-# On a 2-core x86-64 host one dense exponential takes ~0.1 s at dim 16 and
-# 1.5 s at dim 30, while nine steps of the transfer ladder (|L| ~ 10) take
-# 0.01 s on the expm_multiply path at dims 12 to 30.
+# Propagation exponentiates L restricted to m reachable vec coordinates.
+# A dense exponential costs ~20 m^3 complex flops per distinct step whatever
+# |L dt| is; expm_multiply costs ~|L dt| sparse matvecs per step. On a
+# 2-core x86-64 host one dense exponential takes ~0.1 s at m = 16^2 and
+# 1.5 s at m = 30^2, while nine steps of the transfer ladder (|L| ~ 10)
+# take 0.01 s on the expm_multiply path at m = 12^2 to 30^2. So the dense
+# path serves m <= 16^2, and the same bound sizes every dense Triplets.
 DENSE_PROPAGATION_MAX_DIM = 16
 
 BATH_IDS = ("abs", "loss", "sink")
@@ -447,29 +450,38 @@ def liouvillian_apply(gen, rho):
 def floor_positivity(matrix):
     """Symmetrize and clip tiny negative eigenvalues, renormalizing trace.
 
-    Eigenvalues in [-1e-9, 0) are floored to zero; anything lower is a real
-    positivity violation and raises, as does a non-finite entry.
+    Eigenvalues in [-1e-9, -dim eps max|w|) are floored to zero along their
+    eigenvectors. Those within dim eps max|w| of zero, the Hermitian
+    eigensolver's own rounding of an exact zero, are left alone, so such a
+    state comes back as exactly sym / tr. An eigenvalue below -1e-9 is a
+    real positivity violation and raises, as does a non-finite entry.
     """
     return _floored(matrix)[0]
 
 
 def _floored(matrix):
-    """floor_positivity(matrix) and its ascending eigenvalues, the clipped
-    ones over the new trace (to rounding)."""
+    """floor_positivity(matrix) and its ascending eigenvalues over the new
+    trace, the clipped ones as 0 (to rounding). eigh runs only when an
+    eigenvalue needs clipping."""
     _require_finite_state(matrix)
     sym = 0.5 * (matrix + matrix.conj().T)
-    w, u = np.linalg.eigh(sym)
+    w = np.linalg.eigvalsh(sym)
     if w[0] < -EIGENVALUE_FLOOR:
         raise StateValidationError(
             f"positivity violation: eigenvalue {w[0]:.3e} below -{EIGENVALUE_FLOOR:.0e}"
         )
-    if w[0] < 0:
-        neg = w < 0  # a rebuild from all of u would spread rounding noise into zeros
+    # the Hermitian eigensolver rounds a zero eigenvalue to within
+    # dim eps max|w|; repairing that would spread noise into exact zeros
+    rounding = sym.shape[0] * np.finfo(float).eps * max(-w[0], w[-1])
+    if w[0] < -rounding:
+        w, u = np.linalg.eigh(sym)
+        neg = w < -rounding
         sym = sym - (u[:, neg] * w[neg]) @ u[:, neg].conj().T
+        w = np.sort(np.where(neg, 0.0, w))
     tr = sym.trace().real
     if tr <= 0:
         raise StateValidationError(f"state trace collapsed to {tr:.3e}")
-    return sym / tr, np.maximum(w, 0.0) / tr
+    return sym / tr, w / tr
 
 
 def expm_dense(a):
@@ -511,19 +523,73 @@ def _step_lengths(steps, tol):
     return lengths
 
 
+def _reachable(lmat, keep):
+    """The smallest set of vec coordinates holding keep that the
+    superoperator lmat maps into itself, as a boolean mask: the fixed point
+    of adding every row an entry of lmat reaches from a kept column."""
+    keep = keep.copy()
+    while True:
+        count = np.count_nonzero(keep)
+        keep[lmat.row[keep[lmat.col]]] = True
+        if np.count_nonzero(keep) == count:
+            return keep
+
+
+def _propagator(lmat, keep):
+    """advance(y, dt) = exp(L dt) y for a vec y held by keep, where L is
+    lmat restricted to keep's coordinates: a dense exponential per step
+    length if that restriction fits _fits_dense, else scipy's
+    expm_multiply. The result is 0 outside keep."""
+    index = np.flatnonzero(keep)
+    at = np.cumsum(keep) - 1
+    inside = keep[lmat.col]
+    sub = Triplets(at[lmat.row[inside]], at[lmat.col[inside]], lmat.data[inside], (index.size,) * 2)
+    if _fits_dense(*sub.shape):
+        sub = sub.toarray()
+        cache = {}
+
+        def exp_l(x, dt):
+            if dt not in cache:
+                cache[dt] = expm_dense(sub * dt)
+            return cache[dt] @ x
+
+    else:
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import expm_multiply
+
+        sub = sp.csr_array((sub.data, (sub.row, sub.col)), shape=sub.shape)
+
+        def exp_l(x, dt):
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = expm_multiply(sub * dt, x)
+            if not np.isfinite(x).all():
+                raise NumericsError(f"exp(L dt) rho is not finite at dt = {dt!r}")
+            return x
+
+    def advance(y, dt):
+        out = np.zeros_like(y)
+        out[index] = exp_l(y[index], dt)
+        return out
+
+    return advance
+
+
 def propagate(gen, rho0, t_grid):
     """Exact propagation of the master equation, one state per grid time.
 
     Each grid step applies exp(L dt) to the previous state, dt its step
     length: steps within 4 eps max|t| of one another, the rounding of the
-    grid values, are one length, the shortest of them. Up to
-    DENSE_PROPAGATION_MAX_DIM the propagator is a dense exponential
-    (expm_dense), computed once per step length; above it, scipy's
-    expm_multiply (Al-Mohy and Higham, SIAM J. Sci. Comput. 2011) acts on
-    the vector without forming the propagator. An |L dt| that overflows, or
-    a propagated state that is not finite, raises NumericsError. Output
-    states are symmetrized and positivity-floored before validation, and the
-    floored state starts the next step.
+    grid values, are one length, the shortest of them. L acts only on the
+    smallest set of vec coordinates that holds rho0's support and that L
+    maps into itself (found from L's sparsity pattern), an exact reduction:
+    the other coordinates stay 0. If that set fits _fits_dense, the
+    propagator is a dense exponential (expm_dense) of L on it, computed once
+    per step length; otherwise scipy's expm_multiply (Al-Mohy and Higham,
+    SIAM J. Sci. Comput. 2011) acts on the vector without forming the
+    propagator. An |L dt| that overflows, or a propagated state that is not
+    finite, raises NumericsError. Output states are symmetrized and
+    positivity-floored before validation, and the floored state starts the
+    next step; if its repair left the set, the set is found again from it.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -538,30 +604,12 @@ def propagate(gen, rho0, t_grid):
         raise DimensionMismatchError(gen.dim, rho0.dim, what="initial state")
 
     lmat = gen.superoperator
+    # the whole generator's norm: a span that overflows it raises whatever
+    # rho0 reaches
     lnorm = float(np.bincount(lmat.col, np.abs(lmat.data), lmat.shape[1]).max())
-    if gen.dim <= DENSE_PROPAGATION_MAX_DIM:
-        lmat = lmat.toarray()
-        cache = {}
-
-        def advance(y, dt):
-            if dt not in cache:
-                cache[dt] = expm_dense(lmat * dt)
-            return cache[dt] @ y
-
-    else:
-        import scipy.sparse as sp
-        from scipy.sparse.linalg import expm_multiply
-
-        lmat = sp.csr_array((lmat.data, (lmat.row, lmat.col)), shape=lmat.shape)
-
-        def advance(y, dt):
-            with np.errstate(over="ignore", invalid="ignore"):
-                y = expm_multiply(lmat * dt, y)
-            if not np.isfinite(y).all():
-                raise NumericsError(f"exp(L dt) rho is not finite at dt = {dt!r}")
-            return y
-
     y = rho0.entries.reshape(-1)
+    keep = _reachable(lmat, y != 0)
+    advance = _propagator(lmat, keep)
     out = [rho0]
     # each grid value is rounded to within an ulp of max|t|, so two steps
     # of one length differ by up to four of those
@@ -570,6 +618,9 @@ def propagate(gen, rho0, t_grid):
             raise NumericsError(f"|L dt|_1 overflows at dt = {dt!r}")
         repaired, spectrum = _floored(advance(y, dt).reshape(gen.dim, gen.dim))
         y = repaired.reshape(-1)
+        if y[~keep].any():  # a repair left the set: propagate from here on a new one
+            keep = _reachable(lmat, y != 0)
+            advance = _propagator(lmat, keep)
         out.append(DensityMatrix(repaired, _spectrum=spectrum))
     return out
 

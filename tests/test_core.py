@@ -23,7 +23,7 @@ from solaraudit import (
 )
 from solaraudit.core import BATH_IDS, Triplets, expm_dense
 from solaraudit.fmo import PS_TO_INTERNAL, build_model, default_config
-from solaraudit.models import ThreeLevelParams, hamiltonian_transfer_generator
+from solaraudit.models import ThreeLevelParams, dressed_product_state, hamiltonian_transfer_generator
 from solaraudit.thermo import BathSpec
 
 from dissipator_oracle import dissipator_action, heat_operator
@@ -71,10 +71,12 @@ def test_state_below_the_eigenvalue_floor_raises_on_every_path(monkeypatch):
         DensityMatrix(bad)
     with pytest.raises(StateValidationError, match="eigenvalue"):
         floor_positivity(bad)
-    ground = DensityMatrix.ground(2)
-    monkeypatch.setattr(core, "expm_dense", lambda a: np.outer(bad.reshape(-1), ground.entries.reshape(-1)))
+    # the mixed qubit reaches the two populations, where bad lives: the
+    # mocked propagator sends any state on them to bad's diagonal
+    mixed = DensityMatrix.maximally_mixed(2)
+    monkeypatch.setattr(core, "expm_dense", lambda a: np.outer(np.diag(bad), np.ones(len(a))))
     with pytest.raises(StateValidationError, match="eigenvalue"):
-        propagate(qubit_decay_generator(), ground, [0.0, 1.0])
+        propagate(qubit_decay_generator(), mixed, [0.0, 1.0])
     # half the floor passes, and the floor's spectrum is the repaired
     # state's to rounding
     near = np.diag([1.0 + 0.5 * core.EIGENVALUE_FLOOR, -0.5 * core.EIGENVALUE_FLOOR]).astype(complex)
@@ -380,17 +382,48 @@ def test_propagate_rejects_bad_grids():
         propagate(gen, rho0, [])
 
 
-def test_propagate_large_dimension_sparse_path():
-    # dim 40 > DENSE_PROPAGATION_MAX_DIM takes the expm_multiply path
-    dim, gamma = 40, 0.05
+def chain_generator(dim=40, gamma=0.05):
+    # levels 0..dim-1 at energies 0..dim-1; only the top one decays, to 0
     h = np.diag(np.arange(dim, dtype=float)).astype(complex)
     lower = np.zeros((dim, dim), dtype=complex)
     lower[0, dim - 1] = 1.0
-    gen = LindbladGenerator(h, [DissipationChannel(lower, gamma, "loss", dim - 1.0)])
+    return LindbladGenerator(h, [DissipationChannel(lower, gamma, "loss", dim - 1.0)])
+
+
+def test_propagate_large_dimension_sparse_path():
+    # an even superposition of the dim-40 chain's top 17 levels reaches
+    # their 17^2 coordinates and level 0's population, 290 > 16^2, so it
+    # takes the expm_multiply path
+    dim, gamma = 40, 0.05
+    gen = chain_generator(dim, gamma)
+    v = np.zeros(dim)
+    v[dim - 17:] = 1.0
+    rho0 = DensityMatrix.pure(v)
+    assert np.count_nonzero(core._reachable(gen.superoperator, rho0.entries.reshape(-1) != 0)) == 290
+    states = propagate(gen, rho0, np.array([0.0, 4.0]))
+    assert abs(17 * states[-1].population(dim - 1) - np.exp(-gamma * 4.0)) < 1e-9
+
+
+def test_top_state_of_a_long_chain_propagates_on_two_coordinates(monkeypatch):
+    # the chain's top pure state reaches only its own population and level
+    # 0's, so a step whose |L dt|_1 is ~4e6 costs one 2 x 2 exponential,
+    # not ~|L dt|_1 matvecs on all 1600 coordinates
+    dim, gamma = 40, 0.05
+    gen = chain_generator(dim, gamma)
     v = np.zeros(dim)
     v[dim - 1] = 1.0
-    states = propagate(gen, DensityMatrix.pure(v), np.array([0.0, 4.0]))
-    assert abs(states[-1].population(dim - 1) - np.exp(-gamma * 4.0)) < 1e-9
+    shapes = []
+
+    def recorded(a):
+        shapes.append(a.shape)
+        return expm_dense(a)
+
+    monkeypatch.setattr(core, "expm_dense", recorded)
+    for span in (1e3, 1e5):
+        top = propagate(gen, DensityMatrix.pure(v), [0.0, span])[-1]
+        assert top.population(dim - 1) == pytest.approx(np.exp(-gamma * span), rel=1e-12, abs=0.0)
+        assert top.population(0) == pytest.approx(1.0 - np.exp(-gamma * span), rel=1e-15)
+    assert shapes == [(2, 2), (2, 2)]
 
 
 def test_dense_and_expm_multiply_paths_agree(monkeypatch):
@@ -443,15 +476,84 @@ def test_propagate_one_exponential_per_step_length(monkeypatch):
             assert np.abs(rho.entries - y).max() <= 1e-12
 
 
+LADDER = ThreeLevelParams(
+    omega_abs=1.0, omega_rc=0.5, gamma=0.02, t_abs=2.0, t_loss=0.2,
+    gamma_h=0.01, gamma_c=0.01,
+)
+
+
+def full_space_reference(gen, rho0, grid, floor=lambda m: m):
+    """States from exp(L dt) of the whole dim^2 superoperator, one
+    scipy.linalg.expm per distinct step, with floor applied after each."""
+    lmat = gen.superoperator.toarray()
+    y, out, cache = rho0.entries, [rho0.entries], {}
+    for dt in np.diff(grid):
+        if dt not in cache:
+            cache[dt] = scipy.linalg.expm(lmat * dt)
+        y = floor((cache[dt] @ y.reshape(-1)).reshape(y.shape))
+        out.append(y)
+    return out
+
+
+def test_propagate_matches_full_space_exponential():
+    # propagation on the reachable set is the full-space propagation, and
+    # every coordinate outside the set stays exactly 0: dense for the
+    # n_max=6 ladder's product start (31 of 441 coordinates) and the trace
+    # model from its ground state (52 of 100), expm_multiply for a
+    # full-rank start that reaches all 441
+    rng = np.random.default_rng(47)
+    ladder = hamiltonian_transfer_generator(LADDER, 6)
+    fmo = build_model(default_config()).generator
+    cases = (
+        (ladder, dressed_product_state(LADDER, 6), 0.5 * np.arange(9), 31),
+        (fmo, DensityMatrix.ground(fmo.dim), np.linspace(0.0, 1.0, 11) * PS_TO_INTERNAL, 52),
+        (ladder, random_state(rng, ladder.dim), 0.5 * np.arange(5), 441),
+    )
+    for gen, rho0, grid, size in cases:
+        lmat = gen.superoperator
+        start = rho0.entries.reshape(-1) != 0
+        keep = core._reachable(lmat, start)
+        # the set holds the start and L maps it into itself
+        assert np.count_nonzero(keep) == size
+        assert keep[start].all() and keep[lmat.row[keep[lmat.col]]].all()
+        states = propagate(gen, rho0, grid)
+        for rho, ref in zip(states, full_space_reference(gen, rho0, grid)):
+            assert np.abs(rho.entries - ref).max() <= 1e-12
+            assert not rho.entries.reshape(-1)[~keep].any()
+
+
+def test_propagate_follows_a_repair_out_of_the_reachable_set():
+    # rho0 holds |0><0| and a coherence c between levels 1 and 2, which
+    # reaches no population of theirs; its eigenvalue -c is within the
+    # floor. The first step repairs it along an even mix of |1> and |2>,
+    # which puts weight on both populations, outside the set; later steps
+    # must carry that weight, and level 1's decays to level 0.
+    h = np.diag([0.0, 1.0, 2.5]).astype(complex)
+    lower = np.zeros((3, 3), dtype=complex)
+    lower[0, 1] = 1.0
+    gen = LindbladGenerator(h, [DissipationChannel(lower, 0.3, "loss", 1.0)])
+    c = 1e-12
+    start = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    start[1, 2] = start[2, 1] = c
+    rho0 = DensityMatrix(start)
+    keep = core._reachable(gen.superoperator, start.reshape(-1) != 0)
+    assert np.flatnonzero(keep).tolist() == [0, 5, 7]
+    grid = 0.5 * np.arange(6)
+    states = propagate(gen, rho0, grid)
+    reference = full_space_reference(gen, rho0, grid, floor_positivity)
+    # dropping the repaired weight would be an error of ~4e-13
+    for rho, ref in zip(states, reference):
+        assert np.abs(rho.entries - ref).max() <= 1e-14
+    populations = np.array([np.diag(rho.entries).real for rho in states[1:]])
+    assert (populations[:, 1:] > 0.1 * c).all()
+    assert (np.diff(populations[:, 1]) < 0).all()
+
+
 def test_liouvillian_apply_takes_a_stack_of_states():
     # one product for a stack equals a call per state: dense for the
     # dim-10 trace model, by bincount for the dim-21 ladder
     rng = np.random.default_rng(41)
-    ladder = ThreeLevelParams(
-        omega_abs=1.0, omega_rc=0.5, gamma=0.02, t_abs=2.0, t_loss=0.2,
-        gamma_h=0.01, gamma_c=0.01,
-    )
-    for gen in (build_model(default_config()).generator, hamiltonian_transfer_generator(ladder, 6)):
+    for gen in (build_model(default_config()).generator, hamiltonian_transfer_generator(LADDER, 6)):
         stack = np.stack([random_state(rng, gen.dim).entries for _ in range(6)]).reshape(2, 3, gen.dim, gen.dim)
         applied = liouvillian_apply(gen, stack)
         assert applied.shape == stack.shape
@@ -523,6 +625,30 @@ def test_floor_positivity_repairs_only_the_clipped_directions():
     assert np.abs(ratio - ratio[0, 0]).max() <= 4 * np.finfo(float).eps * abs(ratio[0, 0])
     assert np.linalg.eigvalsh(fixed)[0] >= -1e-16
     assert abs(fixed.trace().real - 1.0) < 1e-14
+
+
+def test_floor_leaves_the_eigensolvers_rounding_of_zero_alone():
+    # an eigenvalue within dim eps max|w| of zero is the Hermitian
+    # eigensolver's rounding of an exact zero: the state comes back as
+    # exactly sym / tr. -1e-12 is still repaired, and past the floor raises.
+    rng = np.random.default_rng(53)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    rounding = 4 * np.finfo(float).eps * 0.5
+
+    def state(low):
+        m = (q * [low, 0.2, 0.3, 0.5]) @ q.conj().T
+        return 0.5 * (m + m.conj().T)
+
+    sym = state(-0.5 * rounding)
+    assert -rounding <= np.linalg.eigvalsh(sym)[0] < 0.0
+    fixed, spectrum = core._floored(sym)
+    assert np.array_equal(fixed, sym / sym.trace().real)
+    assert np.array_equal(spectrum, np.linalg.eigvalsh(sym) / sym.trace().real)
+    repaired = floor_positivity(state(-1e-12))
+    assert np.linalg.eigvalsh(repaired)[0] >= -rounding
+    assert abs(repaired.trace().real - 1.0) < 1e-14
+    with pytest.raises(StateValidationError, match="eigenvalue"):
+        floor_positivity(state(-2e-9))
 
 
 def test_floor_positivity_rejects_genuine_violations():
