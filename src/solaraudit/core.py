@@ -20,7 +20,10 @@ dense-propagation superoperator and by sorting triplets above it.
 Propagation applies the exact exponential of that generator between grid
 times, restricted to the vec coordinates the generator can reach from the
 initial state; scipy is imported only for its expm_multiply, when that set
-holds more than DENSE_PROPAGATION_MAX_DIM^2 coordinates.
+holds more than DENSE_PROPAGATION_MAX_DIM^2 coordinates. Each state is
+diagonalised once, block by block: a propagated state over the connected
+blocks of that set, a state built directly over those of its own nonzero
+entries.
 """
 
 import math
@@ -92,8 +95,9 @@ class DensityMatrix:
     """Validated quantum state.
 
     Construction checks that every entry is finite, max|rho - rho^dag| <=
-    1e-12, |tr rho - 1| <= 1e-10 and min eigenvalue >= -1e-9. The entries
-    array is frozen after validation.
+    1e-12, |tr rho - 1| <= 1e-10 and min eigenvalue >= -1e-9, the spectrum
+    computed block by block over the connected blocks of the nonzero
+    entries. The entries array is frozen after validation.
     """
 
     __slots__ = ("entries", "dim")
@@ -117,7 +121,9 @@ class DensityMatrix:
             raise StateValidationError(
                 f"state trace differs from 1 by {abs(tr - 1.0):.3e}"
             )
-        lo = (np.linalg.eigvalsh(mat) if _spectrum is None else _spectrum)[0]
+        if _spectrum is None:
+            _spectrum = _eigvalsh(mat, _blocks(mat != 0))
+        lo = _spectrum[0]
         if lo < -EIGENVALUE_FLOOR:
             raise StateValidationError(
                 f"state has eigenvalue {lo:.3e} below -{EIGENVALUE_FLOOR:.0e}"
@@ -170,8 +176,11 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
+_INT32_MAX = np.iinfo(np.int32).max
+
+
 def _index_dtype(size):  # int32 where indices up to size fit
-    return np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    return np.int32 if size <= _INT32_MAX else np.int64
 
 
 def _fits_dense(rows, cols):  # no larger than the dense-propagation superoperator
@@ -459,13 +468,51 @@ def floor_positivity(matrix):
     return _floored(matrix)[0]
 
 
-def _floored(matrix):
+def _blocks(mask):
+    """Connected components of a square boolean pattern, read as symmetric:
+    one (count, size) index array per component size, a row per component,
+    its indices ascending.
+
+    Each index starts labelled by itself, then repeatedly takes the least
+    label among its neighbours and its own, and then its label's label,
+    until nothing changes; each component ends labelled by its least index.
+    """
+    row, col = np.nonzero(mask | mask.T)
+    label = np.arange(mask.shape[0])
+    while True:
+        least = label.copy()
+        np.minimum.at(least, row, label[col])
+        least = least[least]
+        if np.array_equal(least, label):
+            break
+        label = least
+    size = np.bincount(label, minlength=label.size)[label]
+    order = np.argsort(label, kind="stable")
+    return [order[size[order] == s].reshape(-1, s) for s in np.flatnonzero(np.bincount(size))]
+
+
+def _eigvalsh(sym, blocks=None):
+    """Ascending eigenvalues of a Hermitian matrix. Given the _blocks of a
+    pattern that holds its nonzero entries, a size-1 block's eigenvalue is
+    its real diagonal entry and the blocks of each larger size share one
+    batched eigvalsh."""
+    if blocks is None:
+        return np.linalg.eigvalsh(sym)
+    w = [
+        sym[b, b].real if b.shape[1] == 1 else np.linalg.eigvalsh(sym[b[:, :, None], b[:, None, :]])
+        for b in blocks
+    ]
+    return np.sort(np.concatenate([x.ravel() for x in w]))
+
+
+def _floored(matrix, blocks=None):
     """floor_positivity(matrix) and its ascending eigenvalues over the new
-    trace, the clipped ones as 0 (to rounding). eigh runs only when an
-    eigenvalue needs clipping."""
+    trace, the clipped ones as 0 (to rounding), found by _eigvalsh on
+    blocks, which must hold every nonzero entry. The full eigh runs only
+    when an eigenvalue needs clipping."""
     _require_finite_state(matrix)
     sym = 0.5 * (matrix + matrix.conj().T)
-    w = np.linalg.eigvalsh(sym)
+    w = _eigvalsh(sym, blocks)
     if w[0] < -EIGENVALUE_FLOOR:
         raise StateValidationError(
             f"positivity violation: eigenvalue {w[0]:.3e} below -{EIGENVALUE_FLOOR:.0e}"
@@ -590,6 +637,9 @@ def propagate(gen, rho0, t_grid):
     finite, raises NumericsError. Output states are symmetrized and
     positivity-floored before validation, and the floored state starts the
     next step; if its repair left the set, the set is found again from it.
+    Each state is diagonalised once, block by block: the set, read as a
+    dim x dim pattern, splits into connected blocks (_blocks, found once per
+    set) outside which the state is exactly 0.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -607,20 +657,23 @@ def propagate(gen, rho0, t_grid):
     # the whole generator's norm: a span that overflows it raises whatever
     # rho0 reaches
     lnorm = float(np.bincount(lmat.col, np.abs(lmat.data), lmat.shape[1]).max())
+
+    def restrict(y):  # the set y reaches, its propagator and its blocks
+        keep = _reachable(lmat, y != 0)
+        return keep, _propagator(lmat, keep), _blocks(keep.reshape(gen.dim, gen.dim))
+
     y = rho0.entries.reshape(-1)
-    keep = _reachable(lmat, y != 0)
-    advance = _propagator(lmat, keep)
+    keep, advance, blocks = restrict(y)
     out = [rho0]
     # each grid value is rounded to within an ulp of max|t|, so two steps
     # of one length differ by up to four of those
     for dt in _step_lengths(np.diff(t), 4 * np.finfo(float).eps * t[-1]):
         if not math.isfinite(lnorm * dt):
             raise NumericsError(f"|L dt|_1 overflows at dt = {dt!r}")
-        repaired, spectrum = _floored(advance(y, dt).reshape(gen.dim, gen.dim))
+        repaired, spectrum = _floored(advance(y, dt).reshape(gen.dim, gen.dim), blocks)
         y = repaired.reshape(-1)
         if y[~keep].any():  # a repair left the set: propagate from here on a new one
-            keep = _reachable(lmat, y != 0)
-            advance = _propagator(lmat, keep)
+            keep, advance, blocks = restrict(y)
         out.append(DensityMatrix(repaired, _spectrum=spectrum))
     return out
 

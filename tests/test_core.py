@@ -663,3 +663,108 @@ def test_floor_positivity_rejects_non_finite_entries():
         for bad in (np.full((2, 2), np.nan, dtype=complex), np.diag([np.inf, 0.0])):
             with pytest.raises(StateValidationError, match="non-finite"):
                 floor_positivity(bad)
+
+
+# --------------------------------------------------------- block spectrum
+
+
+def test_blocks_are_the_connected_components_of_a_pattern():
+    # one (count, size) array per component size, components in order of
+    # their least index, each component's indices ascending
+    def blocks(mask):
+        return [b.tolist() for b in core._blocks(mask)]
+
+    assert blocks(np.eye(4, dtype=bool)) == [[[0], [1], [2], [3]]]
+    doublets = np.eye(6, dtype=bool)
+    for i, j in ((0, 3), (4, 1), (2, 5)):
+        doublets[i, j] = doublets[j, i] = True
+    assert blocks(doublets) == [[[0, 3], [1, 4], [2, 5]]]
+    # an entry on one side of the diagonal joins its row and column
+    one_sided = np.zeros((4, 4), dtype=bool)
+    one_sided[3, 0] = True
+    assert blocks(one_sided) == [[[1], [2]], [[0, 3]]]
+    # a 183-level chain is one block however its levels are numbered
+    chain = np.eye(183, dtype=bool) | np.eye(183, k=1, dtype=bool)
+    shuffled = np.random.default_rng(59).permutation(183)
+    for mask in (chain, chain[np.ix_(shuffled, shuffled)]):
+        assert blocks(mask) == [[list(range(183))]]
+
+
+def test_block_spectrum_matches_eigvalsh():
+    # random Hermitian blocks on a shuffled numbering: the blocks are found
+    # from the nonzero pattern, and their eigenvalues are eigvalsh's within
+    # the eigensolver's rounding, dim eps max|w|
+    rng = np.random.default_rng(61)
+    for sizes in ((1, 1, 2, 3, 2, 5, 1, 3), (4,), (1, 1, 1), (2, 2, 2, 7)):
+        dim = sum(sizes)
+        m = np.zeros((dim, dim), dtype=complex)
+        start = 0
+        for s in sizes:
+            a = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+            m[start:start + s, start:start + s] = a + a.conj().T
+            start += s
+        shuffled = rng.permutation(dim)
+        m = m[np.ix_(shuffled, shuffled)]
+        blocks = core._blocks(m != 0)
+        assert sorted(s for b in blocks for s in [b.shape[1]] * b.shape[0]) == sorted(sizes)
+        w = np.linalg.eigvalsh(m)
+        assert np.abs(core._eigvalsh(m, blocks) - w).max() <= dim * np.finfo(float).eps * np.abs(w).max()
+
+
+def test_positivity_is_enforced_inside_a_block(monkeypatch):
+    # rho0 reaches the three populations and the coherence between levels 1
+    # and 2, one 2 x 2 block [[a, c], [c*, b]]; with |c|^2 > ab its lowest
+    # eigenvalue a - c lies 2e-9 below zero, which a direct DensityMatrix
+    # and a propagation step that lands on it both reject, while 1e-12
+    # below zero is repaired
+    h = np.diag([0.0, 1.0, 2.5]).astype(complex)
+    lower = np.zeros((3, 3), dtype=complex)
+    lower[0, 1] = 1.0
+    gen = LindbladGenerator(h, [DissipationChannel(lower, 0.3, "loss", 1.0)])
+    start = np.diag([0.5, 0.25, 0.25]).astype(complex)
+    start[1, 2] = start[2, 1] = 0.1
+    keep = core._reachable(gen.superoperator, start.reshape(-1) != 0)
+    assert [b.tolist() for b in core._blocks(keep.reshape(3, 3))] == [[[0]], [[1, 2]]]
+
+    def landing(c):
+        target = start.copy()
+        target[1, 2] = target[2, 1] = c
+        return target
+
+    bad = landing(0.25 + 2 * core.EIGENVALUE_FLOOR)
+    assert np.linalg.eigvalsh(bad)[0] < -core.EIGENVALUE_FLOOR
+    with pytest.raises(StateValidationError, match="eigenvalue"):
+        DensityMatrix(bad)
+    for target, raises in ((bad, True), (landing(0.25 + 1e-12), False)):
+        # the mocked propagator sends the start, whose first restricted
+        # coordinate is its population 0.5, to target
+        onto = target.reshape(-1)[keep] / start[0, 0]
+        monkeypatch.setattr(core, "expm_dense", lambda a: np.outer(onto, np.eye(len(a))[0]))
+        if raises:
+            with pytest.raises(StateValidationError, match="eigenvalue"):
+                propagate(gen, DensityMatrix(start), [0.0, 1.0])
+            continue
+        repaired = propagate(gen, DensityMatrix(start), [0.0, 1.0])[-1].entries
+        assert np.linalg.eigvalsh(repaired)[0] >= -3 * np.finfo(float).eps
+        assert abs(repaired.trace().real - 1.0) < 1e-14
+        assert repaired[1, 2].real < target[1, 2].real
+
+
+def test_ladder_propagation_never_diagonalises_the_whole_state(monkeypatch):
+    # the n_max=6 product start (dim 21) splits into single levels and
+    # doublets: neither building it nor propagating it may run eigvalsh or
+    # eigh on a 21 x 21 matrix, only on its blocks
+    shapes = []
+
+    def recorded(solver):
+        def call(a, *args, **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return solver(a, *args, **kwargs)
+        return call
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
+    gen = hamiltonian_transfer_generator(LADDER, 6)
+    propagate(gen, dressed_product_state(LADDER, 6), 0.5 * np.arange(9))
+    assert (2, 2) in shapes
+    assert (gen.dim, gen.dim) not in shapes
