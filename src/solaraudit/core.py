@@ -19,8 +19,9 @@ downstream. Products and sums run dense up to the size of the
 dense-propagation superoperator and by sorting triplets above it.
 Propagation applies the exact exponential of that generator between grid
 times, restricted to the vec coordinates the generator can reach from the
-initial state; scipy is imported only for its expm_multiply, when that set
-holds more than DENSE_PROPAGATION_MAX_DIM^2 coordinates. Each state is
+initial state: a dense exponential on a set of up to
+DENSE_PROPAGATION_MAX_DIM^2 coordinates, a truncated Taylor action on a
+larger one. Everything here is numpy; nothing imports scipy. Each state is
 diagonalised once, block by block: a propagated state over the connected
 blocks of that set, a state built directly over those of its own nonzero
 entries.
@@ -48,11 +49,12 @@ STEADY_STATE_RESIDUAL_TOL = 1e-10
 
 # Propagation exponentiates L restricted to m reachable vec coordinates.
 # A dense exponential costs ~20 m^3 complex flops per distinct step whatever
-# |L dt| is; expm_multiply costs ~|L dt| sparse matvecs per step. On a
-# 2-core x86-64 host one dense exponential takes ~0.1 s at m = 16^2 and
-# 1.5 s at m = 30^2, while nine steps of the transfer ladder (|L| ~ 10)
-# take 0.01 s on the expm_multiply path at m = 12^2 to 30^2. So the dense
-# path serves m <= 16^2, and the same bound sizes every dense Triplets.
+# |L dt| is; the Taylor action (_action) costs ~|L dt| sparse matvecs per
+# step. On a 2-core x86-64 host one dense exponential takes ~0.1 s at
+# m = 16^2 and 1.5 s at m = 30^2, while the eight steps of the n_max=60
+# transfer ladder's product start (m = 301, |L dt|_1 = 1.2) take ~2 ms on
+# the action. So the dense path serves m <= 16^2, and the same bound sizes
+# every dense Triplets.
 DENSE_PROPAGATION_MAX_DIM = 16
 
 BATH_IDS = ("abs", "loss", "sink")
@@ -97,7 +99,8 @@ class DensityMatrix:
     Construction checks that every entry is finite, max|rho - rho^dag| <=
     1e-12, |tr rho - 1| <= 1e-10 and min eigenvalue >= -1e-9, the spectrum
     computed block by block over the connected blocks of the nonzero
-    entries. The entries array is frozen after validation.
+    entries (in one eigvalsh when no entry is zero). The entries array is
+    frozen after validation.
     """
 
     __slots__ = ("entries", "dim")
@@ -122,7 +125,8 @@ class DensityMatrix:
                 f"state trace differs from 1 by {abs(tr - 1.0):.3e}"
             )
         if _spectrum is None:
-            _spectrum = _eigvalsh(mat, _blocks(mat != 0))
+            nonzero = mat != 0  # all nonzero: one block
+            _spectrum = _eigvalsh(mat, None if nonzero.all() else _blocks(nonzero))
         lo = _spectrum[0]
         if lo < -EIGENVALUE_FLOOR:
             raise StateValidationError(
@@ -392,17 +396,22 @@ class LindbladGenerator:
     @cached_property
     def heat_operators(self):
         """Q_b per bath tag (dim x dim), built on first use; None for a tag
-        no channel of nonzero rate carries."""
+        no channel of nonzero rate carries. A Q_b that overflows raises
+        NumericsError naming its bath."""
         n, h = self.dim, self.hamiltonian
 
-        def heat(kron, k_half):
+        def heat(bath, kron, k_half):
             # an entry v of M at ((k, l), (i, j)) sits at (k n + i, l n + j) of
             # the Kronecker part and adds H[i, k] v to sum_c r_c A_c^dag H A_c at (j, l)
             r, c, v = kron
-            q = Triplets.summed([(c % n, c // n, h[r % n, r // n] * v)], (n, n)).toarray()
-            return q + k_half @ h + h @ k_half
+            with np.errstate(over="ignore", invalid="ignore"):
+                q = Triplets.summed([(c % n, c // n, h[r % n, r // n] * v)], (n, n)).toarray()
+                q = q + k_half @ h + h @ k_half
+            if not np.isfinite(q).all():
+                raise NumericsError(f"heat operator of bath {bath!r} is not finite")
+            return q
 
-        return {b: t and heat(*t) for b, t in self._bath_terms.items()}
+        return {b: t and heat(b, *t) for b, t in self._bath_terms.items()}
 
     @cached_property
     def _bath_terms(self):
@@ -582,11 +591,83 @@ def _reachable(lmat, keep):
             return keep
 
 
+# Al-Mohy and Higham's theta_m for the unit roundoff 2^-53: the degree-m
+# Taylor polynomial of exp(A) acts to that backward error when |A|_1 <=
+# theta_m (SIAM J. Sci. Comput. 33, 488, 2011, Table 3.1; degrees up to 30
+# from Higham and Al-Mohy, Acta Numerica 19, 159, 2010, Table A.3).
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
+    7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
+    13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
+    19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0,
+    45: 7.2, 50: 8.5, 55: 9.9,
+}
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _degree_and_substeps(norm):
+    """Taylor degree m and substep count s for an exponent of 1-norm norm:
+    the least m s with norm <= s theta_m, the least such m on a tie."""
+    if norm == 0:
+        return 0, 1
+    m = min(_THETA, key=lambda m: m * math.ceil(norm / _THETA[m]))
+    return m, math.ceil(norm / _THETA[m])
+
+
+def _action(a):
+    """exp_l(x, dt) = exp(a dt) x for square Triplets a, without forming
+    exp(a dt): Al-Mohy and Higham's truncated Taylor action (SIAM J. Sci.
+    Comput. 33, 488, 2011, Algorithm 3.2).
+
+    a is shifted by mu = tr(a) / n, b = a - mu I, and |b|_1 is taken
+    exactly. A step takes s substeps, each the degree-m Taylor polynomial of
+    exp(b dt / s) times exp(mu dt / s), with (m, s) from _degree_and_substeps
+    of |b dt|_1. A substep's series stops early once two successive terms
+    fall below 2^-53 of its sum in the max norm. A non-finite result raises
+    NumericsError.
+    """
+    n = a.shape[0]
+    mu = a.data[a.row == a.col].sum() / n
+    diag = np.arange(n)
+    b = Triplets.summed([(a.row, a.col, a.data), (diag, diag, np.full(n, -mu))], a.shape)
+    norm = float(np.bincount(b.col, np.abs(b.data), n).max())
+    col = b.col.astype(np.intp)
+    at = (2 * b.row.astype(np.intp)[:, None] + np.arange(2)).ravel()
+
+    def apply(x):  # b x: both parts of every product binned in one bincount
+        return np.bincount(at, (b.data * x[col]).view(float), 2 * n).view(complex)
+
+    def exp_l(x, dt):
+        if not math.isfinite(norm * dt):
+            raise NumericsError(f"|L dt|_1 overflows at dt = {dt!r}")
+        m, s = _degree_and_substeps(norm * dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            eta = np.exp(mu * dt / s)
+            out = x
+            for _ in range(s):
+                term, last = out, np.abs(out).max()
+                for j in range(1, m + 1):
+                    term = apply(term)
+                    term *= dt / (s * j)
+                    now = np.abs(term).max()
+                    out = out + term
+                    if last + now <= _UNIT_ROUNDOFF * np.abs(out).max():
+                        break
+                    last = now
+                out = eta * out
+        if not np.isfinite(out).all():
+            raise NumericsError(f"exp(L dt) rho is not finite at dt = {dt!r}")
+        return out
+
+    return exp_l
+
+
 def _propagator(lmat, keep):
     """advance(y, dt) = exp(L dt) y for a vec y held by keep, where L is
     lmat restricted to keep's coordinates: a dense exponential per step
-    length if that restriction fits _fits_dense, else scipy's
-    expm_multiply. The result is 0 outside keep."""
+    length if that restriction fits _fits_dense, else the Taylor action
+    (_action). The result is 0 outside keep."""
     index = np.flatnonzero(keep)
     at = np.cumsum(keep) - 1
     inside = keep[lmat.col]
@@ -601,17 +682,7 @@ def _propagator(lmat, keep):
             return cache[dt] @ x
 
     else:
-        import scipy.sparse as sp
-        from scipy.sparse.linalg import expm_multiply
-
-        sub = sp.csr_array((sub.data, (sub.row, sub.col)), shape=sub.shape)
-
-        def exp_l(x, dt):
-            with np.errstate(over="ignore", invalid="ignore"):
-                x = expm_multiply(sub * dt, x)
-            if not np.isfinite(x).all():
-                raise NumericsError(f"exp(L dt) rho is not finite at dt = {dt!r}")
-            return x
+        exp_l = _action(sub)
 
     def advance(y, dt):
         out = np.zeros_like(y)
@@ -631,10 +702,10 @@ def propagate(gen, rho0, t_grid):
     maps into itself (found from L's sparsity pattern), an exact reduction:
     the other coordinates stay 0. If that set fits _fits_dense, the
     propagator is a dense exponential (expm_dense) of L on it, computed once
-    per step length; otherwise scipy's expm_multiply (Al-Mohy and Higham,
-    SIAM J. Sci. Comput. 2011) acts on the vector without forming the
-    propagator. An |L dt| that overflows, or a propagated state that is not
-    finite, raises NumericsError. Output states are symmetrized and
+    per step length; otherwise a truncated Taylor series (_action, Al-Mohy
+    and Higham, SIAM J. Sci. Comput. 2011) acts on the vector without
+    forming the propagator. An |L dt| that overflows, or a propagated state
+    that is not finite, raises NumericsError. Output states are symmetrized and
     positivity-floored before validation, and the floored state starts the
     next step; if its repair left the set, the set is found again from it.
     Each state is diagonalised once, block by block: the set, read as a

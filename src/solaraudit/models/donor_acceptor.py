@@ -43,10 +43,6 @@ class DonorAcceptorParams:
         if self.t_abs <= 0 or self.t_loss <= 0:
             raise ValueError("t_abs and t_loss must be positive")
 
-    @property
-    def hot_gap(self):
-        return self.omega_a - self.omega_b
-
     def ring(self):
         """b -> a (hot pump), a -> alpha (cold), alpha -> beta (load),
         beta -> b (cold recycle at gamma_cb)."""

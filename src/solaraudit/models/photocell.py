@@ -46,10 +46,6 @@ class PhotocellParams:
         if self.t_abs <= 0 or self.t_loss <= 0:
             raise ValueError("t_abs and t_loss must be positive")
 
-    @property
-    def hot_gap(self):
-        return self.omega_x1 - self.omega_b
-
     def ring(self):
         """b -> x1 (hot pump), x1 -> x2 (cold cascade at gamma_x),
         x2 -> alpha (cold separation at gamma_c), alpha -> beta (load),

@@ -76,16 +76,21 @@ class BathSpec:
         """Detailed-balance channel pair for the transition at gap omega.
 
         `lower` is the jump that takes the system down the gap; rates are
-        gamma0 (1 + n) down and gamma0 n up.
+        gamma0 (1 + n) down and gamma0 n up, on plain floats, where a numpy
+        scalar would warn. A rate that overflows from a finite gamma0 and n
+        raises NumericsError; a non-finite gamma0 or n is left to the
+        channel's rate check.
         """
         n = self.occupation(omega)
+        gamma0 = float(self.gamma0)
+        rates = gamma0 * (1.0 + n), gamma0 * n
+        if math.isfinite(gamma0) and math.isfinite(n) and not math.isfinite(rates[0]):
+            raise NumericsError(
+                f"{self.bath_id} rate overflows: gamma0 = {gamma0}, occupation = {n} at omega = {omega}"
+            )
         lower = np.asarray(lower, dtype=complex)
-        down = DissipationChannel(
-            lower, self.gamma0 * (1.0 + n), self.bath_id, omega, check_bohr
-        )
-        up = DissipationChannel(
-            lower.conj().T, self.gamma0 * n, self.bath_id, omega, check_bohr
-        )
+        down = DissipationChannel(lower, rates[0], self.bath_id, omega, check_bohr)
+        up = DissipationChannel(lower.conj().T, rates[1], self.bath_id, omega, check_bohr)
         return [down, up]
 
     def one_way(self, jump, omega, check_bohr=True):

@@ -554,9 +554,8 @@ def test_console_script_subprocess(tmp_path):
 
 def test_cli_leaves_scipy_linalg_unimported(tmp_path):
     # importing scipy.sparse costs a command ~0.2 s and ~20 MB of resident
-    # memory. Generators are numpy triplets and fmo-trace (dim 10)
-    # propagates dense, so no command may load any scipy module; only
-    # propagation above dim 16 needs scipy's expm_multiply. numpy.ma, which
+    # memory. Generators are numpy triplets and propagation is numpy on
+    # either path, so no command may load any scipy module. numpy.ma, which
     # np.unique loads in numpy 2.4, costs 8-21 ms and ~1.2 MB cold.
     code = (
         "import contextlib, io, sys\n"
@@ -595,6 +594,32 @@ def test_small_generators_leave_scipy_unimported(tmp_path):
     proc = run_python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["True", "True", "[]"]
+
+
+def test_large_propagation_leaves_scipy_unimported(tmp_path):
+    # a reachable set above 16^2 coordinates takes the Taylor action, which
+    # is numpy too: the dim-40 chain from an even superposition of its top
+    # 17 levels reaches 290 coordinates
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from solaraudit import DensityMatrix, DissipationChannel, LindbladGenerator, core, propagate\n"
+        "dim = 40\n"
+        "lower = np.zeros((dim, dim))\n"
+        "lower[0, dim - 1] = 1.0\n"
+        "gen = LindbladGenerator(np.diag(np.arange(dim, dtype=float)),\n"
+        "                        [DissipationChannel(lower, 0.05, 'loss', dim - 1.0)])\n"
+        "v = np.zeros(dim)\n"
+        "v[dim - 17:] = 1.0\n"
+        "rho0 = DensityMatrix.pure(v)\n"
+        "print(np.count_nonzero(core._reachable(gen.superoperator, rho0.entries.reshape(-1) != 0)))\n"
+        "states = propagate(gen, rho0, [0.0, 4.0])\n"
+        "print(round(17 * states[-1].population(dim - 1) / np.exp(-0.2), 9))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["290", "1.0", "[]"]
 
 
 def test_module_runs_the_cli(tmp_path):

@@ -23,7 +23,12 @@ from solaraudit import (
 )
 from solaraudit.core import BATH_IDS, Triplets, expm_dense
 from solaraudit.fmo import PS_TO_INTERNAL, build_model, default_config
-from solaraudit.models import ThreeLevelParams, dressed_product_state, hamiltonian_transfer_generator
+from solaraudit.models import (
+    ThreeLevelParams,
+    birth_death_rates,
+    dressed_product_state,
+    hamiltonian_transfer_generator,
+)
 from solaraudit.thermo import BathSpec
 
 from dissipator_oracle import dissipator_action, heat_operator
@@ -201,7 +206,7 @@ def test_channel_stores_sparse_jump():
         with pytest.raises(ValueError, match="must be square"):
             DissipationChannel(bad, 0.1, "loss", 0.0)
     # a jump holding one position twice means their sum, on the dense-
-    # propagation path (dim 3) and on the expm_multiply one (dim 20) alike
+    # propagation path (dim 3) and on the Taylor action one (dim 20) alike
     for dim in (3, 20):
         twice = Triplets([0, 0, 2], [1, 1, 0], [0.25, 0.5j, 1.0], (dim, dim))
         summed = np.zeros((dim, dim), dtype=complex)
@@ -393,7 +398,7 @@ def chain_generator(dim=40, gamma=0.05):
 def test_propagate_large_dimension_sparse_path():
     # an even superposition of the dim-40 chain's top 17 levels reaches
     # their 17^2 coordinates and level 0's population, 290 > 16^2, so it
-    # takes the expm_multiply path
+    # takes the Taylor action path
     dim, gamma = 40, 0.05
     gen = chain_generator(dim, gamma)
     v = np.zeros(dim)
@@ -426,7 +431,7 @@ def test_top_state_of_a_long_chain_propagates_on_two_coordinates(monkeypatch):
     assert shapes == [(2, 2), (2, 2)]
 
 
-def test_dense_and_expm_multiply_paths_agree(monkeypatch):
+def test_dense_and_taylor_action_paths_agree(monkeypatch):
     gen = build_model(default_config()).generator
     rho0 = DensityMatrix.ground(gen.dim)
     grid = np.linspace(0.0, 1.0, 21) * PS_TO_INTERNAL
@@ -447,6 +452,63 @@ def test_propagate_non_finite_span_raises(monkeypatch):
     monkeypatch.setattr(core, "DENSE_PROPAGATION_MAX_DIM", 0)
     with pytest.raises(NumericsError):
         propagate(gen, rho0, [0.0, 1e308])
+
+
+def product_start_ladder(n_max):
+    """The dressed transfer ladder and product start of the ladder benchmark
+    (and, at n_max=120, of test_mutual_information_stays_small_from_product_start)."""
+    omega_rc, omega_abs = 1.8, 3.0
+    p = ThreeLevelParams(
+        omega_abs=omega_abs, omega_rc=omega_rc, gamma=omega_rc / 100.0,
+        t_abs=(omega_abs + 0.5 * omega_rc) / np.log(2.0),
+        t_loss=(omega_abs - 0.5 * omega_rc) / 5.0,
+        gamma_h=1.0, gamma_c=1.0,
+    )
+    bd = birth_death_rates(p)
+    x = np.pi * (np.arange(n_max + 1) - n_max / 2.0) / (n_max - 6)
+    osc = np.where(np.abs(x) < np.pi / 2.0, np.cos(np.clip(x, -np.pi / 2.0, np.pi / 2.0)) ** 4, 0.0)
+    pops = np.kron([bd.rho_minus, bd.rho_plus, bd.rho_two], osc / osc.sum())
+    return hamiltonian_transfer_generator(p, n_max), DensityMatrix.from_populations(pops)
+
+
+def test_taylor_action_matches_expm_multiply():
+    # the restricted action against scipy's expm_multiply on the whole
+    # superoperator (an oracle here only; it implements the same algorithm):
+    # the ladder benchmark's start (301 coordinates) and two full-support
+    # starts whose steps are long, the n_max=20 ladder at |L dt|_1 = 200 and
+    # the dim-40 chain at t = 40
+    from scipy.sparse import csr_array
+    from scipy.sparse.linalg import expm_multiply
+
+    rng = np.random.default_rng(53)
+    bench, bench_start = product_start_ladder(60)
+    ladder = hamiltonian_transfer_generator(LADDER, 20)
+    lnorm = np.bincount(ladder.superoperator.col, np.abs(ladder.superoperator.data)).max()
+    chain = chain_generator(40)
+    cases = (
+        (bench, bench_start, (0.2, 1.6), 301),
+        (ladder, random_state(rng, ladder.dim), (200.0 / lnorm,), ladder.dim**2),
+        (chain, random_state(rng, chain.dim), (40.0,), chain.dim**2),
+    )
+    for gen, rho0, steps, size in cases:
+        lmat = gen.superoperator
+        y = rho0.entries.reshape(-1)
+        keep = core._reachable(lmat, y != 0)
+        assert np.count_nonzero(keep) == size > core.DENSE_PROPAGATION_MAX_DIM**2
+        advance = core._propagator(lmat, keep)
+        oracle = csr_array((lmat.data, (lmat.row, lmat.col)), shape=lmat.shape)
+        for dt in steps:
+            assert np.abs(advance(y, dt) - expm_multiply(oracle * dt, y)).max() <= 1e-12
+
+
+def test_taylor_action_degree_and_substeps():
+    # (m, s) minimise the matvec count m s subject to |A|_1 <= s theta_m
+    assert core._degree_and_substeps(0.0) == (0, 1)
+    for norm in (1e-3, 0.5, 3.0, 200.0, 1600.0):
+        m, s = core._degree_and_substeps(norm)
+        assert norm <= s * core._THETA[m]
+        assert all(m * s <= k * np.ceil(norm / theta) for k, theta in core._THETA.items())
+    assert core._degree_and_substeps(200.0) == (55, 21)
 
 
 def test_propagate_one_exponential_per_step_length(monkeypatch):
@@ -499,7 +561,7 @@ def test_propagate_matches_full_space_exponential():
     # propagation on the reachable set is the full-space propagation, and
     # every coordinate outside the set stays exactly 0: dense for the
     # n_max=6 ladder's product start (31 of 441 coordinates) and the trace
-    # model from its ground state (52 of 100), expm_multiply for a
+    # model from its ground state (52 of 100), the Taylor action for a
     # full-rank start that reaches all 441
     rng = np.random.default_rng(47)
     ladder = hamiltonian_transfer_generator(LADDER, 6)

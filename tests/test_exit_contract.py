@@ -104,6 +104,26 @@ def test_exit_code_contract(capsys, argv):
     check_contract(capsys, argv)
 
 
+# (test id, fmo-trace flags, part of the one error line) of key pairs whose
+# rates overflow: a numerical failure that names the overflowed quantity
+OVERFLOW_CASES = [
+    ("heat-operator-vib", ["--vib_reorganization", "1e8", "--t_loss_k", "1e300"],
+     "heat operator of bath 'loss' is not finite"),
+    ("heat-operator-sink", ["--t_loss_k", "1e300", "--gamma_sink", "1e8"],
+     "heat operator of bath 'loss' is not finite"),
+    ("thermal-rate", ["--vib_reorganization", "1e150", "--t_loss_k", "1e200"],
+     "loss rate overflows"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, needle", [pytest.param(flags, needle, id=name) for name, flags, needle in OVERFLOW_CASES]
+)
+def test_exit_code_contract_overflowing_rates(capsys, flags, needle):
+    code, err = check_contract(capsys, ["fmo-trace", "--n_times", "3", *flags])
+    assert code == 3 and needle in err, err
+
+
 def check_contract(capsys, argv):
     """Run argv, assert the contract and return (exit code, stderr)."""
     with warnings.catch_warnings():

@@ -250,7 +250,7 @@ def test_donor_acceptor_ratio_closed_form():
     rng = np.random.default_rng(15)
     for _ in range(20):
         p = random_da_params(rng, either_load_sign=True)
-        expected = 1.0 + (p.omega_beta - p.omega_alpha) / p.hot_gap
+        expected = 1.0 + (p.omega_beta - p.omega_alpha) / (p.omega_a - p.omega_b)
         assert donor_acceptor_report(p).ratio == pytest.approx(expected, rel=1e-12)
 
 
@@ -278,7 +278,7 @@ def test_donor_acceptor_ratio_independent_of_temperatures():
             rho = steady_state(gen)
             ratios.append(-heat_current(gen, "loss", rho) / heat_current(gen, "abs", rho))
         assert abs(ratios[0] - ratios[1]) < 1e-9
-        expected = 1.0 + (geometry.omega_beta - geometry.omega_alpha) / geometry.hot_gap
+        expected = 1.0 + (geometry.omega_beta - geometry.omega_alpha) / (geometry.omega_a - geometry.omega_b)
         assert ratios[0] == pytest.approx(expected, rel=1e-8)
 
 
@@ -386,7 +386,7 @@ def test_photocell_ratio_closed_form():
     rng = np.random.default_rng(25)
     for _ in range(20):
         p = random_photocell_params(rng)
-        expected = 1.0 + (p.omega_beta - p.omega_alpha) / p.hot_gap
+        expected = 1.0 + (p.omega_beta - p.omega_alpha) / (p.omega_x1 - p.omega_b)
         assert photocell_report(p).ratio == pytest.approx(expected, rel=1e-12)
 
 
@@ -414,7 +414,7 @@ def test_photocell_ratio_independent_of_temperatures():
             rho = steady_state(gen)
             ratios.append(-heat_current(gen, "loss", rho) / heat_current(gen, "abs", rho))
         assert abs(ratios[0] - ratios[1]) < 1e-9
-        expected = 1.0 + (geometry.omega_beta - geometry.omega_alpha) / geometry.hot_gap
+        expected = 1.0 + (geometry.omega_beta - geometry.omega_alpha) / (geometry.omega_x1 - geometry.omega_b)
         assert ratios[0] == pytest.approx(expected, rel=1e-8)
 
 
