@@ -277,7 +277,9 @@ class DissipationChannel:
     bohr_frequency is the magnitude of the level gap the jump connects. It is
     checked against the attached Hamiltonian at generator construction unless
     check_bohr is False (needed for jumps that do not connect eigenstates,
-    which is itself a modeling statement worth keeping visible).
+    which is itself a modeling statement worth keeping visible). This is the
+    one place a rate is judged: one that is not finite (an upstream product
+    overflowed) raises NumericsError, a negative one ValueError.
     """
 
     jump: Triplets
@@ -287,6 +289,16 @@ class DissipationChannel:
     check_bohr: bool = True
 
     def __post_init__(self):
+        require_bath_id(self.bath_id)
+        object.__setattr__(self, "bohr_frequency", float(self.bohr_frequency))
+        rate = float(self.rate)
+        if not math.isfinite(rate):
+            raise NumericsError(
+                f"{self.bath_id} rate overflows: {rate} at Bohr frequency {self.bohr_frequency}"
+            )
+        if rate < 0:
+            raise ValueError(f"channel rate must be >= 0, got {rate}")
+        object.__setattr__(self, "rate", rate)
         jump = self.jump if isinstance(self.jump, Triplets) else Triplets.from_dense(self.jump)
         index = np.concatenate([jump.row, jump.col])
         if jump.shape[0] != jump.shape[1] or ((index < 0) | (index >= jump.shape[0])).any():
@@ -295,12 +307,6 @@ class DissipationChannel:
         if (key[1:] == key[:-1]).any():
             jump = Triplets.summed([(jump.row, jump.col, jump.data)], jump.shape)
         object.__setattr__(self, "jump", jump)
-        rate = float(self.rate)
-        if not math.isfinite(rate) or rate < 0:
-            raise ValueError(f"channel rate must be finite and >= 0, got {rate}")
-        object.__setattr__(self, "rate", rate)
-        require_bath_id(self.bath_id)
-        object.__setattr__(self, "bohr_frequency", float(self.bohr_frequency))
 
     @property
     def dim(self):

@@ -186,9 +186,8 @@ def power_comparison(omega_abs, omega_rc, gamma, t_abs, ratio_grid):
         raise ConfigError("ratio grid must be strictly increasing")
 
     def power(model, tau):
-        values = dict(
-            omega_abs=omega_abs, omega_rc=omega_rc, gamma=gamma, t_abs=t_abs, t_loss=tau * t_abs
-        )
+        values = dict(omega_abs=omega_abs, omega_rc=omega_rc, gamma=gamma, t_abs=t_abs)
+        values["t_loss"] = float(tau) * t_abs  # a numpy scalar would warn on overflow
         return model_report(model, values, where=f"temperature ratio {tau:g}: ").power
 
     p_dec = np.array([power("toy_decay", tau) for tau in grid])

@@ -28,7 +28,7 @@ import solaraudit
 from solaraudit import config as cfg
 from solaraudit.cli import main
 from solaraudit.models import ThreeLevelParams, decay_report
-from solaraudit.output import format_number
+from solaraudit.output import emit_csv, emit_json, format_number
 
 REPORT_HEADER = "j_abs,j_loss,power,ratio,sigma,verdict"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -154,6 +154,8 @@ def test_config_file_errors(capsys, tmp_path):
         "dup_key.cfg": ("[toy]\ngamma = 1\ngamma = 2\n", "duplicate key"),
         "stray_key.cfg": ("gamma = 1\n", "outside any [section]"),
         "bad_line.cfg": ("[toy]\ngamma\n", "expected '[section]' or 'key = value'"),
+        "empty_section.cfg": ("[ ]\ngamma = 1\n", "line 1: empty section name"),
+        "dup_section.cfg": ("[toy]\ngamma = 1\n[toy]\n", "line 3: duplicate section [toy]"),
     }
     for name, (text, needle) in cases.items():
         path = tmp_path / name
@@ -396,8 +398,8 @@ def test_occupation_underflow_exits_3(capsys):
 
 def test_fmo_trace_extreme_values_exit_cleanly(capsys):
     # values that pass config validation but break the model build: a
-    # degenerate occupation or an overflowing rate is a numerical failure,
-    # a channel rate the build rejects is a config error
+    # degenerate occupation or a channel rate that is not finite is a
+    # numerical failure
     for flag, value, expected in (
         ("omega_ant", "1e-300", 3),
         ("t_sun", "1e300", 3),
@@ -405,8 +407,8 @@ def test_fmo_trace_extreme_values_exit_cleanly(capsys):
         ("mu_fmo", "1e-300", 3),
         ("mu_fmo", "1e-320", 3),
         ("omega_ant", "5e-324", 3),
-        ("omega_ant", "1e-320", 2),
-        ("vib_cutoff", "1e-320", 2),
+        ("omega_ant", "1e-320", 3),
+        ("vib_cutoff", "1e-320", 3),
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -466,6 +468,14 @@ def test_nan_cells(capsys):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     assert json.loads(out)["rows"][0][3] is None
+
+
+def test_emission_rejects_cells_and_values_of_no_schema():
+    for cell, needle in ((True, "boolean cells"), (1j, "cannot format complex")):
+        with pytest.raises(TypeError, match=needle):
+            emit_csv(["x"], [[cell]])
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        emit_json({"rows": [{1.0}]})
 
 
 def test_byte_determinism(capsys):

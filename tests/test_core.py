@@ -125,6 +125,20 @@ def test_channel_rejects_negative_rate():
         DissipationChannel(jump, -0.1, "loss", 1.0)
 
 
+def test_channel_rate_that_is_not_finite_is_a_numerical_failure():
+    # an upstream product that overflowed, not a bad input: the one line
+    # names the bath, the Bohr frequency and the value
+    jump = np.zeros((2, 2), dtype=complex)
+    jump[0, 1] = 1.0
+    for rate in (np.inf, -np.inf, np.nan):
+        needle = f"^abs rate overflows: {rate} at Bohr frequency 1.5$"
+        with pytest.raises(NumericsError, match=needle):
+            DissipationChannel(jump, rate, "abs", 1.5)
+    # the bath id is checked first
+    with pytest.raises(ValueError, match="unknown bath_id"):
+        DissipationChannel(jump, np.inf, "work", 1.5)
+
+
 def test_channel_rejects_unknown_bath():
     jump = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
@@ -169,6 +183,18 @@ def test_superoperator_matches_direct_application():
     via_superop = (gen.superoperator @ rho.entries.reshape(-1)).reshape(3, 3)
     assert np.abs(via_superop - direct).max() < 1e-13
     assert np.abs(liouvillian_apply(gen, rho) - direct).max() < 1e-13
+
+
+def test_generator_rejects_malformed_parts():
+    lower = np.zeros((2, 2), dtype=complex)
+    lower[0, 1] = 1.0
+    ch = DissipationChannel(lower, 0.1, "loss", 1.0)
+    with pytest.raises(ValueError, match="must be square"):
+        LindbladGenerator(np.zeros((2, 3)), [ch])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        LindbladGenerator(np.array([[0.0, 1.0], [0.0, 1.0]]), [ch])
+    with pytest.raises(DimensionMismatchError, match="jump operator has dimension 2, expected 3"):
+        LindbladGenerator(np.diag([0.0, 1.0, 2.0]), [ch])
 
 
 def test_bohr_frequency_check_rejects_wrong_gap():
@@ -385,6 +411,16 @@ def test_propagate_rejects_bad_grids():
         propagate(gen, rho0, [-1.0, 0.5])
     with pytest.raises(ValueError):
         propagate(gen, rho0, [])
+
+
+def test_propagate_takes_a_plain_array_start_of_its_dimension():
+    gen = qubit_decay_generator()
+    start = np.diag([0.0, 1.0]).astype(complex)
+    (plain,) = propagate(gen, start, [2.0])
+    (wrapped,) = propagate(gen, DensityMatrix(start), [2.0])
+    assert np.array_equal(plain.entries, wrapped.entries)
+    with pytest.raises(DimensionMismatchError, match="initial state"):
+        propagate(gen, np.eye(3) / 3.0, [1.0])
 
 
 def chain_generator(dim=40, gamma=0.05):
@@ -716,6 +752,8 @@ def test_floor_leaves_the_eigensolvers_rounding_of_zero_alone():
 def test_floor_positivity_rejects_genuine_violations():
     with pytest.raises(StateValidationError):
         floor_positivity(np.diag([1.001, -0.001]).astype(complex))
+    with pytest.raises(StateValidationError, match="trace collapsed"):
+        floor_positivity(np.zeros((2, 2), dtype=complex))
 
 
 def test_floor_positivity_rejects_non_finite_entries():

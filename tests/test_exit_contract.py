@@ -1,8 +1,9 @@
 """The CLI's exit-code contract, driven through every numeric key.
 
 Every command gets every numeric key of its config sections set to each
-of a list of hostile values, with warnings turned into errors; the string
-keys and the user files get bad names and bad contents. Whatever the
+of a list of hostile values, with warnings turned into errors, and a
+seeded hypothesis property sets 2-4 of them at once; the string keys and
+the user files get bad names and bad contents. Whatever the
 value, the run exits 0, 2 (config error) or 3 (numerical failure);
 stderr carries no traceback and no warning; a failed run prints nothing
 on stdout and one line on stderr; no printed row whose currents or
@@ -17,6 +18,7 @@ import warnings
 from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from solaraudit import config as cfg
 from solaraudit.cli import main
@@ -122,6 +124,54 @@ OVERFLOW_CASES = [
 def test_exit_code_contract_overflowing_rates(capsys, flags, needle):
     code, err = check_contract(capsys, ["fmo-trace", "--n_times", "3", *flags])
     assert code == 3 and needle in err, err
+
+
+# (test id, argv, exit code, part of the one error line) of key combinations
+# whose intermediate products overflowed on numpy scalars, with a warning
+MULTI_KEY_CASES = [
+    ("drude-density", ["fmo-trace", "--n_times", "3", "--mu_fmo", "0.5", "--vib_cutoff", "1e200",
+                       "--vib_reorganization", "1e150"], 3, "loss rate overflows"),
+    ("compare-power-t_loss", ["compare-power", "--ratio_points", "3", "--ratio_stop", "1e200",
+                              "--t_abs", "1e300"], 2, "t_loss must be finite"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected, needle",
+    [pytest.param(argv, code, needle, id=name) for name, argv, code, needle in MULTI_KEY_CASES],
+)
+def test_exit_code_contract_multi_key(capsys, argv, expected, needle):
+    code, err = check_contract(capsys, argv)
+    assert code == expected and needle in err, err
+
+
+# every command and sweep base with its numeric keys, and the grid's values
+# plus moderate ones, for key combinations drawn by a seeded property
+BASES = {}
+for label, base, key in cases():
+    BASES.setdefault(label, (base, []))[1].append(key)
+MULTI_KEY_VALUES = VALUES + ("0.5", "2", "1e8", "1e-8", "1e150", "1e200", "5e-324")
+
+
+@st.composite
+def multi_key_argv(draw):
+    base, keys = draw(st.sampled_from(list(BASES.values())))
+    argv = list(base)
+    for key in draw(st.lists(st.sampled_from(keys), min_size=2, max_size=4, unique=True)):
+        argv += [f"--{key}", draw(st.sampled_from(MULTI_KEY_VALUES))]
+    return argv
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=multi_key_argv())
+def test_exit_code_contract_key_combinations(capsys, argv):
+    check_contract(capsys, argv)
 
 
 def check_contract(capsys, argv):

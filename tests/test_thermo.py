@@ -57,10 +57,13 @@ def test_bose_occupation_monotone_in_temperature():
 
 
 def test_bose_occupation_extreme_ratios():
-    # a gap/temperature ratio that underflows to zero has no finite
-    # occupation; one that overflows (numpy scalars included) is empty
-    with pytest.raises(NumericsError, match="occupation diverges"):
-        bose_occupation(5e-324, 4000.0)
+    # a gap/temperature ratio that underflows to zero or below the normal
+    # range has no finite occupation; one that overflows (numpy scalars
+    # included) is empty
+    for omega in (5e-324, 1e-320):
+        with pytest.raises(NumericsError, match="occupation diverges"):
+            bose_occupation(omega, 4000.0)
+    assert np.isfinite(bose_occupation(1e-300, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert bose_occupation(np.float64(100.0), 5e-324) == 0.0
@@ -95,8 +98,25 @@ def test_sink_bath_carries_no_temperature():
         BathSpec("abs", None, 0.1)
     jump = np.zeros((2, 2), dtype=complex)
     jump[0, 1] = 1.0
-    ch = BathSpec("sink", None, 0.1).one_way(jump, 1.0, check_bohr=False)
+    ch = BathSpec("sink", None, 0.1).one_way(jump, 1.0)
     assert ch.rate == 0.1 and ch.bath_id == "sink"
+    with pytest.raises(ValueError, match="no thermal occupation"):
+        BathSpec("sink", None, 0.1).occupation(1.0)
+    with pytest.raises(ValueError, match="gamma0"):
+        BathSpec("loss", 1.0, -0.1)
+
+
+def test_thermal_pair_rate_that_is_not_finite_is_a_numerical_failure():
+    # the pair's rates reach the channel as they come out; the channel
+    # names the bath, the gap and the value, without a warning
+    lower = np.zeros((2, 2), dtype=complex)
+    lower[0, 1] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in (BathSpec("loss", 1e200, 1e150), BathSpec("abs", 1.0, np.inf)):
+            needle = f"{spec.bath_id} rate overflows: inf at Bohr frequency 1.2"
+            with pytest.raises(NumericsError, match=needle):
+                spec.thermal_pair(lower, 1.2)
 
 
 # ------------------------------------------------------------------ heat current
@@ -234,6 +254,9 @@ def test_entropy_production_assembles_terms():
     rho_dot = np.zeros((2, 2))
     sigma = entropy_production(rho, rho_dot, (0.3, -0.1), (2.0, 0.5))
     assert sigma == pytest.approx(-(0.3 / 2.0) - (-0.1 / 0.5), abs=1e-15)
+    for temperatures in ((0.0, 0.5), (2.0, -0.5)):
+        with pytest.raises(ValueError, match="temperatures must be positive"):
+            entropy_production(rho, rho_dot, (0.3, -0.1), temperatures)
 
 
 def test_spohn_inequality_thermal_relaxation():
@@ -295,6 +318,8 @@ def test_thermo_report_enforces_first_law():
         ThermoReport(
             j_abs=1.0, j_loss=-0.4, power=-0.3, sigma=0.1, ratio=0.4, verdict="consistent"
         )
+    with pytest.raises(ValueError, match="verdict must be one of"):
+        ThermoReport(1.0, -0.4, -0.6, 0.1, 0.4, "plausible")
 
 
 def test_thermo_report_rejects_non_finite_fields():
