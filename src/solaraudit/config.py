@@ -153,26 +153,3 @@ def default_section(name):
     if name not in defaults:
         raise ConfigError(f"defaults have no section [{name}]")
     return convert_section(name, defaults[name], where="defaults")
-
-
-def _format_value(value):
-    if value is None:
-        return "auto"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def emit_config(sections):
-    """Render typed sections back to config text.
-
-    Floats are written with repr so that parsing the emitted text
-    reproduces the typed values exactly; None renders as 'auto'.
-    """
-    lines = []
-    for name, mapping in sections.items():
-        lines.append(f"[{name}]")
-        for key, value in mapping.items():
-            lines.append(f"{key} = {_format_value(value)}")
-        lines.append("")
-    return "\n".join(lines)

@@ -22,9 +22,9 @@ times, restricted to the vec coordinates the generator can reach from the
 initial state: a dense exponential on a set of up to
 DENSE_PROPAGATION_MAX_DIM^2 coordinates, a truncated Taylor action on a
 larger one. Everything here is numpy; nothing imports scipy. Each state is
-diagonalised once, block by block: a propagated state over the connected
-blocks of that set, a state built directly over those of its own nonzero
-entries.
+diagonalised once: in one eigvalsh up to DENSE_PROPAGATION_MAX_DIM levels,
+and above that block by block, a propagated state over the connected blocks
+of that set, a state built directly over those of its own nonzero entries.
 """
 
 import math
@@ -53,8 +53,9 @@ STEADY_STATE_RESIDUAL_TOL = 1e-10
 # step. On a 2-core x86-64 host one dense exponential takes ~0.1 s at
 # m = 16^2 and 1.5 s at m = 30^2, while the eight steps of the n_max=60
 # transfer ladder's product start (m = 301, |L dt|_1 = 1.2) take ~2 ms on
-# the action. So the dense path serves m <= 16^2, and the same bound sizes
-# every dense Triplets.
+# the action. So the dense path serves m <= 16^2, the same bound sizes
+# every dense Triplets, and a state of up to 16 levels is diagonalised in
+# one eigvalsh rather than by blocks (_spectral_blocks).
 DENSE_PROPAGATION_MAX_DIM = 16
 
 BATH_IDS = ("abs", "loss", "sink")
@@ -98,9 +99,9 @@ class DensityMatrix:
 
     Construction checks that every entry is finite, max|rho - rho^dag| <=
     1e-12, |tr rho - 1| <= 1e-10 and min eigenvalue >= -1e-9, the spectrum
-    computed block by block over the connected blocks of the nonzero
-    entries (in one eigvalsh when no entry is zero). The entries array is
-    frozen after validation.
+    computed in one eigvalsh up to DENSE_PROPAGATION_MAX_DIM levels and
+    above that over the connected blocks of the nonzero entries. The
+    entries array is frozen after validation.
     """
 
     __slots__ = ("entries", "dim")
@@ -125,8 +126,7 @@ class DensityMatrix:
                 f"state trace differs from 1 by {abs(tr - 1.0):.3e}"
             )
         if _spectrum is None:
-            nonzero = mat != 0  # all nonzero: one block
-            _spectrum = _eigvalsh(mat, None if nonzero.all() else _blocks(nonzero))
+            _spectrum = _eigvalsh(mat, _spectral_blocks(mat != 0))
         lo = _spectrum[0]
         if lo < -EIGENVALUE_FLOOR:
             raise StateValidationError(
@@ -506,17 +506,20 @@ def _blocks(mask):
     return [order[size[order] == s].reshape(-1, s) for s in np.flatnonzero(np.bincount(size))]
 
 
+def _spectral_blocks(mask):
+    """The blocks _eigvalsh takes for a state held by a dim x dim pattern:
+    the pattern's _blocks above DENSE_PROPAGATION_MAX_DIM levels, and None
+    (one eigvalsh, which costs less than finding blocks) at or below it."""
+    return None if mask.shape[0] <= DENSE_PROPAGATION_MAX_DIM else _blocks(mask)
+
+
 def _eigvalsh(sym, blocks=None):
     """Ascending eigenvalues of a Hermitian matrix. Given the _blocks of a
-    pattern that holds its nonzero entries, a size-1 block's eigenvalue is
-    its real diagonal entry and the blocks of each larger size share one
-    batched eigvalsh."""
+    pattern that holds its nonzero entries, the blocks of each size share
+    one batched eigvalsh."""
     if blocks is None:
         return np.linalg.eigvalsh(sym)
-    w = [
-        sym[b, b].real if b.shape[1] == 1 else np.linalg.eigvalsh(sym[b[:, :, None], b[:, None, :]])
-        for b in blocks
-    ]
+    w = [np.linalg.eigvalsh(sym[b[:, :, None], b[:, None, :]]) for b in blocks]
     return np.sort(np.concatenate([x.ravel() for x in w]))
 
 
@@ -714,13 +717,16 @@ def propagate(gen, rho0, t_grid):
     that is not finite, raises NumericsError. Output states are symmetrized and
     positivity-floored before validation, and the floored state starts the
     next step; if its repair left the set, the set is found again from it.
-    Each state is diagonalised once, block by block: the set, read as a
-    dim x dim pattern, splits into connected blocks (_blocks, found once per
-    set) outside which the state is exactly 0.
+    Each state is diagonalised once: in one eigvalsh up to
+    DENSE_PROPAGATION_MAX_DIM levels; above that block by block, since the
+    set, read as a dim x dim pattern, splits into connected blocks (_blocks,
+    found once per set) outside which the state is exactly 0.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("t_grid must be a nonempty 1d array")
+    if not np.isfinite(t).all():
+        raise ValueError("t_grid must be finite")
     if t[0] < 0:
         raise ValueError("t_grid must start at t >= 0")
     if t.size > 1 and not np.all(np.diff(t) > 0):
@@ -737,7 +743,7 @@ def propagate(gen, rho0, t_grid):
 
     def restrict(y):  # the set y reaches, its propagator and its blocks
         keep = _reachable(lmat, y != 0)
-        return keep, _propagator(lmat, keep), _blocks(keep.reshape(gen.dim, gen.dim))
+        return keep, _propagator(lmat, keep), _spectral_blocks(keep.reshape(gen.dim, gen.dim))
 
     y = rho0.entries.reshape(-1)
     keep, advance, blocks = restrict(y)

@@ -194,15 +194,15 @@ def _index(sigma, n, n_max):
     return sigma * (n_max + 1) + n
 
 
-def transfer_block_hamiltonian(p, n_max, n_offset=0.0):
+def transfer_block_hamiltonian(p, n_max):
     """System-plus-repository Hamiltonian on the 3 x (n_max+1) product basis.
 
     H = omega_abs |2><2| + (omega_rc/2)(|1><1| - |0><0|)
-        + sqrt(gamma) (c |1><0| + c^dag |0><1|) + omega_rc (c^dag c - n_offset)
+        + sqrt(gamma) (c |1><0| + c^dag |0><1|) + omega_rc c^dag c
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    base = p.omega_rc * (np.arange(n_max + 1) - n_offset)
+    base = p.omega_rc * np.arange(n_max + 1)
     h = np.diag(
         np.concatenate([-0.5 * p.omega_rc + base, 0.5 * p.omega_rc + base, p.omega_abs + base])
     ).astype(complex)

@@ -485,22 +485,13 @@ def test_byte_determinism(capsys):
         assert first == second
 
 
-def test_config_round_trip():
-    sections = {name: cfg.default_section(name) for name in sorted(cfg.SCHEMAS)}
-    assert sections["toy"]["gamma_h"] is None
-    assert sections["fmo"]["gamma_ant_fmo"] is None
-    text = cfg.emit_config(sections)
-    reparsed = cfg.parse_config_text(text, where="round-trip")
-    assert cfg.validate_sections(reparsed, where="round-trip") == sections
-    # a second emit/parse cycle is a fixed point
-    assert cfg.emit_config(cfg.validate_sections(reparsed)) == text
-
-
 def test_defaults_hold_exactly_each_schema():
     # a key a schema gains but the defaults lack would reach the params
     # constructor missing: a TypeError traceback instead of exit 2
     for name, schema in cfg.SCHEMAS.items():
         assert sorted(cfg.default_section(name)) == sorted(schema), name
+    assert cfg.default_section("toy")["gamma_h"] is None
+    assert cfg.default_section("fmo")["gamma_ant_fmo"] is None
 
 
 def test_config_round_trip_handcrafted():
@@ -519,8 +510,6 @@ def test_config_round_trip_handcrafted():
     typed = cfg.validate_sections(cfg.parse_config_text(text))
     assert typed["toy"]["gamma_h"] is None
     assert typed["toy"]["omega_abs"] == 1.5
-    again = cfg.validate_sections(cfg.parse_config_text(cfg.emit_config(typed)))
-    assert again == typed
 
 
 def run_python(code, cwd, *argv):

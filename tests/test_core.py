@@ -411,6 +411,9 @@ def test_propagate_rejects_bad_grids():
         propagate(gen, rho0, [-1.0, 0.5])
     with pytest.raises(ValueError):
         propagate(gen, rho0, [])
+    for grid in ([0.0, np.inf], [0.0, 1.0, np.inf], [np.inf], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            propagate(gen, rho0, grid)
 
 
 def test_propagate_takes_a_plain_array_start_of_its_dimension():
@@ -868,3 +871,30 @@ def test_ladder_propagation_never_diagonalises_the_whole_state(monkeypatch):
     propagate(gen, dressed_product_state(LADDER, 6), 0.5 * np.arange(9))
     assert (2, 2) in shapes
     assert (gen.dim, gen.dim) not in shapes
+
+
+def test_states_within_the_dense_bound_take_one_eigvalsh(monkeypatch):
+    # at or below DENSE_PROPAGATION_MAX_DIM levels one eigvalsh of the whole
+    # state is cheaper than finding its blocks: the FMO ground state (dim
+    # 10), built directly and propagated, is diagonalised only as 10 x 10
+    # and never split
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return eigvalsh(a, *args, **kwargs)
+
+    def no_blocks(mask):
+        raise AssertionError("_blocks ran on a state within the dense bound")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    monkeypatch.setattr(core, "_blocks", no_blocks)
+    gen = build_model(default_config()).generator
+    assert gen.dim <= core.DENSE_PROPAGATION_MAX_DIM
+    ground = DensityMatrix.ground(gen.dim)
+    assert shapes == [(gen.dim, gen.dim)]
+    states = propagate(gen, ground, np.linspace(0.0, 1.0, 5) * PS_TO_INTERNAL)
+    assert len(states) == 5
+    # one eigvalsh for the state built directly and one per propagated state
+    assert shapes == [(gen.dim, gen.dim)] * 5

@@ -346,7 +346,7 @@ def test_dressed_frequency_ground_doublet():
 def test_block_hamiltonian_spectrum_matches_ladder_formula():
     p = ThreeLevelParams(omega_abs=1.0, omega_rc=0.5, gamma=0.01, t_abs=1.0, t_loss=0.1)
     n_max, j = 8, 2.0
-    h = transfer_block_hamiltonian(p, n_max, n_offset=j)
+    h = transfer_block_hamiltonian(p, n_max) - p.omega_rc * j * np.eye(3 * (n_max + 1))
     expected = []
     for n in range(1, n_max + 1):
         center = p.omega_rc * (n - 0.5 - j)
@@ -362,7 +362,7 @@ def test_block_hamiltonian_spectrum_matches_ladder_formula():
 def test_block_hamiltonian_commutes_with_group_number():
     p = ThreeLevelParams(omega_abs=1.0, omega_rc=0.5, gamma=0.02, t_abs=1.0, t_loss=0.1)
     n_max = 6
-    h = transfer_block_hamiltonian(p, n_max, n_offset=1.5)
+    h = transfer_block_hamiltonian(p, n_max) - p.omega_rc * 1.5 * np.eye(3 * (n_max + 1))
     number = group_number_operator(n_max)
     assert np.max(np.abs(h @ number - number @ h)) < 1e-12
 
