@@ -4,7 +4,9 @@ Conventions: hbar = 1, energies and rates share one unit system and time is
 measured in the inverse of that unit. States are dim x dim complex matrices
 wrapped in DensityMatrix, which enforces Hermiticity, unit trace and
 positivity (within a small floor). Hamiltonians are plain ndarrays; jump
-operators are stored as Triplets, numpy (row, col, value) arrays.
+operators are stored as Triplets, numpy (row, col, value) arrays, and a
+generator's channels as one ChannelTable: every jump's entries stacked,
+beside each channel's rate, bath tag and Bohr frequency.
 
 The generator is
 
@@ -28,6 +30,7 @@ of that set, a state built directly over those of its own nonzero entries.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -269,17 +272,48 @@ def _product(a, b):
     return Triplets.summed([(a.row[ia], b.col[ib], a.data[ia] * b.data[ib])], shape)
 
 
+def _checked_rates(rate, bath_id, bohr_frequency):
+    """Channel rates as floats after the checks each channel gets, in order:
+    a known bath id, a finite rate (else NumericsError for the first such
+    channel: an upstream product overflowed) and a rate >= 0."""
+    for b in dict.fromkeys(np.asarray(bath_id, dtype=str).tolist()):
+        require_bath_id(b)
+    rate = np.asarray(rate, dtype=float)
+    if not ((rate >= 0) & (rate < math.inf)).all():
+        for k in np.flatnonzero(~np.isfinite(rate))[:1]:
+            w = float(bohr_frequency[k])
+            raise NumericsError(f"{bath_id[k]} rate overflows: {rate[k]} at Bohr frequency {w}")
+        raise ValueError(f"channel rate must be >= 0, got {rate[rate < 0][0]}")
+    return rate
+
+
+def _summed_entries(n, count, owner, row, col, value):
+    """Owner (0 for one jump), row, col and value of the entries of count
+    n x n jumps; if a jump holds a position twice, summed as Triplets.summed
+    sums. ValueError unless every entry is inside."""
+    index = np.concatenate([row, col])
+    if ((index < 0) | (index >= n)).any():
+        raise ValueError(f"jump operator must be square with entries inside, got {(n, n)}")
+    line = owner * n + row.astype(np.int64)
+    key = np.sort(line * n + col)
+    if (key[1:] == key[:-1]).any():
+        summed = Triplets.summed([(line, col, value)], (count * n, n))
+        return *np.divmod(summed.row, n), summed.col, summed.data
+    return owner, row, col, value
+
+
 @dataclass(frozen=True)
 class DissipationChannel:
     """One GKLS jump operator with its rate and bath tag.
 
-    The jump (dense or Triplets) is stored as Triplets, repeated positions summed.
-    bohr_frequency is the magnitude of the level gap the jump connects. It is
-    checked against the attached Hamiltonian at generator construction unless
-    check_bohr is False (needed for jumps that do not connect eigenstates,
-    which is itself a modeling statement worth keeping visible). This is the
-    one place a rate is judged: one that is not finite (an upstream product
-    overflowed) raises NumericsError, a negative one ValueError.
+    The jump (dense or Triplets) is stored as Triplets; a Triplets one has
+    its range checked and repeated positions summed (_summed_entries), which
+    Triplets.from_dense makes needless. bohr_frequency is the magnitude of
+    the level gap the jump connects, checked against the Hamiltonian at
+    generator construction unless check_bohr is False (needed for jumps that
+    do not connect eigenstates, itself a modeling statement worth keeping
+    visible). The rate gets every channel's checks (_checked_rates): one
+    that is not finite raises NumericsError, a negative one ValueError.
     """
 
     jump: Triplets
@@ -289,34 +323,47 @@ class DissipationChannel:
     check_bohr: bool = True
 
     def __post_init__(self):
-        require_bath_id(self.bath_id)
-        object.__setattr__(self, "bohr_frequency", float(self.bohr_frequency))
-        rate = float(self.rate)
-        if not math.isfinite(rate):
-            raise NumericsError(
-                f"{self.bath_id} rate overflows: {rate} at Bohr frequency {self.bohr_frequency}"
-            )
-        if rate < 0:
-            raise ValueError(f"channel rate must be >= 0, got {rate}")
-        object.__setattr__(self, "rate", rate)
+        bohr = float(self.bohr_frequency)
+        rate = _checked_rates([float(self.rate)], [self.bath_id], [bohr])
         jump = self.jump if isinstance(self.jump, Triplets) else Triplets.from_dense(self.jump)
-        index = np.concatenate([jump.row, jump.col])
-        if jump.shape[0] != jump.shape[1] or ((index < 0) | (index >= jump.shape[0])).any():
-            raise ValueError(f"jump operator must be square with entries inside, got {jump.shape}")
-        key = np.sort(jump.row.astype(np.int64) * jump.shape[0] + jump.col)
-        if (key[1:] == key[:-1]).any():
-            jump = Triplets.summed([(jump.row, jump.col, jump.data)], jump.shape)
-        object.__setattr__(self, "jump", jump)
-
-    @property
-    def dim(self):
-        return self.jump.shape[0]
+        if jump.shape[0] != jump.shape[1]:
+            raise ValueError(f"jump operator must be square, got {jump.shape}")
+        if jump is self.jump:
+            _, *entries = _summed_entries(jump.shape[0], 1, 0, jump.row, jump.col, jump.data)
+            jump = jump if entries[0].size == jump.nnz else Triplets(*entries, jump.shape)
+        vars(self).update(jump=jump, rate=float(rate[0]), bohr_frequency=bohr)
 
 
-def _stacked(jumps):
-    """Owner index, row, col and value of every stored entry of the jumps."""
-    owner = np.repeat(np.arange(len(jumps)), [a.nnz for a in jumps])
-    return owner, *(np.concatenate([getattr(a, x) for a in jumps]) for x in ("row", "col", "data"))
+class ChannelTable(
+    namedtuple("ChannelTable", "owner row col value rate bath_id bohr_frequency check_bohr")
+):
+    """Channels as arrays: per stored jump entry, in ascending owner order,
+    its channel (owner), row, col and value; per channel, its other
+    DissipationChannel fields (rate, bath_id, bohr_frequency, check_bohr)."""
+
+    @classmethod
+    def stack(cls, channels):
+        """The table of a sequence of DissipationChannels, whose own checks
+        stand for the table's."""
+        jumps = [ch.jump for ch in channels]
+        owner = np.repeat(np.arange(len(jumps)), [a.nnz for a in jumps])
+        entries = (np.concatenate([np.zeros(0, t), *(getattr(a, x) for a in jumps)])
+                   for x, t in (("row", int), ("col", int), ("data", complex)))
+        fields = (np.array([getattr(ch, x) for ch in channels], t)
+                  for x, t in zip(cls._fields[4:], (float, str, float, bool)))
+        return cls(owner, *entries, *fields)
+
+    def checked(self, dim):
+        """This table on dim x dim jumps after the checks each channel gets;
+        ValueError unless its owners ascend over the channels."""
+        rate = _checked_rates(self.rate, self.bath_id, self.bohr_frequency)
+        owner, row, col = (np.asarray(x) for x in self[:3])
+        if ((owner < 0) | (owner >= rate.size)).any() or (np.diff(owner) < 0).any():
+            raise ValueError(f"entry owners must ascend over the {rate.size} channels")
+        value = np.asarray(self.value, dtype=complex)
+        entries = _summed_entries(dim, rate.size, owner, row, col, value)
+        fields = (np.asarray(x, dtype=t) for x, t in zip(self[5:], (str, float, bool)))
+        return ChannelTable(*entries, rate, *fields)
 
 
 def _left_right(x, y):
@@ -334,7 +381,9 @@ def _left_right(x, y):
 class LindbladGenerator:
     """Hamiltonian plus tagged dissipation channels on one Hilbert space.
 
-    Superoperators act on row-major vectorized states,
+    The channels are held as one ChannelTable, passed in and checked as a
+    whole, or stacked from DissipationChannels; every later step reads
+    slices of it. Superoperators act on row-major vectorized states,
     vec(A X B) = kron(A, B^T) vec(X). Each bath tag b has the dissipator
 
         D_b = sum_k r_k A_k (x) conj(A_k) - 1/2 (K_b (x) I + I (x) K_b^T),
@@ -357,29 +406,52 @@ class LindbladGenerator:
         h.setflags(write=False)
         self.hamiltonian = h
         self.dim = h.shape[0]
-        channels = tuple(channels)
-        for ch in channels:
-            if ch.dim != self.dim:
-                raise DimensionMismatchError(self.dim, ch.dim, what="jump operator")
-        self.channels = channels
+        if isinstance(channels, ChannelTable):
+            self.table = channels.checked(self.dim)
+        else:
+            channels = tuple(channels)
+            for ch in channels:
+                if ch.jump.shape[0] != self.dim:
+                    raise DimensionMismatchError(self.dim, ch.jump.shape[0], what="jump operator")
+            self.table = ChannelTable.stack(channels)
         self._check_bohr_frequencies()
+
+    @cached_property
+    def channels(self):
+        """The table's channels as DissipationChannels, built on first read
+        from fields the table already checked (so without __post_init__)."""
+        t, shape, out = self.table, (self.dim, self.dim), []
+        bounds = np.searchsorted(t.owner, np.arange(t.rate.size + 1)).tolist()
+        for lo, hi, *fields in zip(bounds, bounds[1:], *(x.tolist() for x in t[4:])):
+            out.append(object.__new__(DissipationChannel))
+            jump = Triplets(t.row[lo:hi], t.col[lo:hi], t.value[lo:hi], shape)
+            vars(out[-1]).update(zip(("jump", *t._fields[4:]), (jump, *fields)))
+        return tuple(out)
+
+    def _entries(self, chosen):
+        """Owner, row, col and value of the entries of the channels a mask
+        chooses, the owners renumbered 0, 1, ... in table order."""
+        t = self.table
+        keep = chosen[t.owner]
+        return (np.cumsum(chosen) - 1)[t.owner[keep]], t.row[keep], t.col[keep], t.value[keep]
 
     def _check_bohr_frequencies(self):
         # All checked jumps side by side, J = (A_1 | A_2 | ...): column block
         # k of H J - (A_1 H | A_2 H | ...) -/+ w_k J is the defect matrix of
         # channel k, so the whole check is two products.
-        checked = [ch for ch in self.channels if ch.check_bohr and ch.rate != 0.0]
-        if not checked:
+        checked = self.table.check_bohr & (self.table.rate != 0.0)
+        if not checked.any():
             return
-        n, count = self.dim, len(checked)
-        owner, row, col, a = _stacked([ch.jump for ch in checked])
+        n, count = self.dim, np.count_nonzero(checked)
+        owner, row, col, a = self._entries(checked)
+        bohr = self.table.bohr_frequency[checked]
         h = Triplets.from_dense(self.hamiltonian)
         jcol = col + owner * n
         h_a = _product(h, Triplets(row, jcol, a, (n, n * count)))
         a_h = _product(Triplets(row + owner * n, col, a, (n * count, n)), h)
         a_h_col = a_h.col + a_h.row // n * n  # row block k -> column block k
         products = [(h_a.row, h_a.col, h_a.data), (a_h.row % n, a_h_col, -a_h.data)]
-        w_a = np.array([ch.bohr_frequency for ch in checked])[owner] * a
+        w_a = bohr[owner] * a
         defect, jnorm = np.full((2, count), 0.0), np.full(count, 1e-300)
         for d, sign in zip(defect, (-1.0, 1.0)):  # largest |entry| per block
             d_k = Triplets.summed([*products, (row, jcol, sign * w_a)], (n, n * count))
@@ -391,13 +463,13 @@ class LindbladGenerator:
         if bad.size:
             k = bad[0]
             raise ValueError(
-                f"channel Bohr frequency {checked[k].bohr_frequency!r} does not "
+                f"channel Bohr frequency {float(bohr[k])!r} does not "
                 f"match the Hamiltonian gap its jump connects (defect {defect[k]:.3e})"
             )
 
     def bath_channels(self, bath_id):
         require_bath_id(bath_id)
-        return [ch for ch in self.channels if ch.bath_id == bath_id]
+        return [self.channels[k] for k in np.flatnonzero(self.table.bath_id == bath_id)]
 
     @cached_property
     def heat_operators(self):
@@ -421,15 +493,15 @@ class LindbladGenerator:
 
     @cached_property
     def _bath_terms(self):
-        return {b: self._bath_term(self.bath_channels(b)) for b in BATH_IDS}
+        return {b: self._bath_term(b) for b in BATH_IDS}
 
-    def _bath_term(self, channels):
-        channels = [ch for ch in channels if ch.rate != 0.0]
-        if not channels:
+    def _bath_term(self, bath_id):
+        chosen = (self.table.bath_id == bath_id) & (self.table.rate != 0.0)
+        if not chosen.any():
             return None
-        n, count = self.dim, len(channels)
-        owner, row, col, a = _stacked([ch.jump for ch in channels])
-        rates = np.array([ch.rate for ch in channels])
+        n, count = self.dim, np.count_nonzero(chosen)
+        owner, row, col, a = self._entries(chosen)
+        rates = self.table.rate[chosen]
         # M = sum_k r_k vec(A_k) vec(A_k)^dag, one product of the columns
         # r_k vec(A_k) with the rows vec(A_k)^dag, holds sum_k r_k A_k (x)
         # conj(A_k): M[(i, j), (k, l)] is its entry (i n + k, j n + l).

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import (
+    ChannelTable,
     DensityMatrix,
-    DissipationChannel,
     LindbladGenerator,
-    Triplets,
     liouvillian_apply,
     require_finite_fields,
 )
@@ -221,8 +220,9 @@ def hamiltonian_transfer_generator(p, n_max):
     |2,n> with them; each of the four carries half the bare rate.
     Occupations are evaluated at the nominal gaps omega_plus / omega_minus
     (the regime behind the birth-death closed forms), not at the exact
-    dressed gaps, which differ by half the doublet splitting. Each jump
-    |+-,n><2,n'| is built as Triplets holding its two entries.
+    dressed gaps, which differ by half the doublet splitting. The channels
+    are built as one ChannelTable by index arithmetic, each jump
+    |+-,n><2,n'| or its adjoint holding two entries.
     """
     p.require_weak_coupling()
     if n_max < 1:
@@ -233,26 +233,27 @@ def hamiltonian_transfer_generator(p, n_max):
             "cold gap omega_minus must exceed half the largest dressed "
             f"splitting ({top_split:.3e}); lower n_max or the coupling"
         )
-    h = transfer_block_hamiltonian(p, n_max)
-    dim = h.shape[0]
     n_h, n_c = p.occupations()
-    inv = 1.0 / math.sqrt(2.0)
-    channels = []
-    for n in range(n_max):
-        # |+-,n> = (|0,n+1> +- |1,n>)/sqrt(2)
-        doublet = np.array([_index(0, n + 1, n_max), _index(1, n, n_max)])
-        split = 0.5 * dressed_frequency(n, p.gamma)
-        for sign in (+1, -1):
-            dressed = (inv, sign * inv)
-            for two, rate, n_bath, bath, gap in (
-                (_index(2, n + 1, n_max), p.gamma_h, n_h, "abs", p.omega_plus - sign * split),
-                (_index(2, n, n_max), p.gamma_c, n_c, "loss", p.omega_minus - sign * split),
-            ):
-                down = Triplets(doublet, [two, two], dressed, (dim, dim))
-                up = Triplets([two, two], doublet, dressed, (dim, dim))
-                channels.append(DissipationChannel(down, 0.5 * rate * (1 + n_bath), bath, gap))
-                channels.append(DissipationChannel(up, 0.5 * rate * n_bath, bath, gap))
-    return LindbladGenerator(h, channels)
+    # channel c = ((n 2 + minus) 2 + cold) 2 + up: per doublet n, the sign of
+    # |+-,n> = (|0,n+1> +- |1,n>)/sqrt(2), the hot or cold bath, and the jump
+    # |+-,n><2,n'| or its adjoint, in the order of loops nested that way
+    n, minus, cold, up = np.unravel_index(np.arange(8 * n_max), (n_max, 2, 2, 2))
+    sign, up = 1 - 2 * minus, up[:, None]
+    doublet = np.stack([_index(0, n + 1, n_max), _index(1, n, n_max)], axis=1)
+    two = _index(2, n + 1 - cold, n_max)[:, None]
+    rates = [[0.5 * g * (1 + nb), 0.5 * g * nb] for g, nb in ((p.gamma_h, n_h), (p.gamma_c, n_c))]
+    split = np.sqrt(p.gamma * (n + 1.0))  # dressed_frequency(n, gamma) / 2
+    table = ChannelTable(
+        np.repeat(np.arange(n.size), 2),
+        np.where(up, two, doublet).ravel(),
+        np.where(up, doublet, two).ravel(),
+        (np.stack([np.ones(n.size), sign], axis=1) / math.sqrt(2.0)).ravel(),
+        np.array(rates)[cold, up[:, 0]],
+        np.array(["abs", "loss"])[cold],
+        np.array([p.omega_plus, p.omega_minus])[cold] - sign * split,
+        np.ones(n.size, dtype=bool),
+    )
+    return LindbladGenerator(transfer_block_hamiltonian(p, n_max), table)
 
 
 def _group_numbers(n_max):

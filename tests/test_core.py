@@ -21,7 +21,7 @@ from solaraudit import (
     propagate,
     steady_state,
 )
-from solaraudit.core import BATH_IDS, Triplets, expm_dense
+from solaraudit.core import BATH_IDS, ChannelTable, Triplets, expm_dense
 from solaraudit.fmo import PS_TO_INTERNAL, build_model, default_config
 from solaraudit.models import (
     ThreeLevelParams,
@@ -245,6 +245,64 @@ def test_channel_stores_sparse_jump():
         assert np.array_equal(gen.toarray(), ref.superoperator.toarray())
         x = np.arange(dim * dim) + 1j
         assert np.abs(gen @ x - ref.superoperator.toarray() @ x).max() <= 1e-13
+
+
+def qubit_table(**fields):
+    """A channel table on a qubit: by default the lowering jump |0><1| at
+    rate 0.1, then the raising jump, both abs at gap 1.5; fields replace
+    the defaults."""
+    table = dict(
+        owner=[0, 1], row=[0, 1], col=[1, 0], value=[1.0, 1.0], rate=[0.1, 0.05],
+        bath_id=["abs", "abs"], bohr_frequency=[1.5, 1.5], check_bohr=[True, True],
+    )
+    table.update(fields)
+    return ChannelTable(**{k: np.asarray(v) for k, v in table.items()})
+
+
+def test_channel_table_checks_keep_the_channel_messages():
+    # a table fed straight to the generator gets every check of a
+    # DissipationChannel at once, with the same messages
+    h = np.diag([0.0, 1.5]).astype(complex)
+    listed = LindbladGenerator(h, [
+        DissipationChannel(np.array([[0, 1], [0, 0]]), 0.1, "abs", 1.5),
+        DissipationChannel(np.array([[0, 0], [1, 0]]), 0.05, "abs", 1.5),
+    ])
+    gen = LindbladGenerator(h, qubit_table())
+    assert np.array_equal(gen.superoperator.toarray(), listed.superoperator.toarray())
+    # the first channel whose rate is not finite is named; a later one at
+    # another gap is not
+    for rate in (np.inf, -np.inf, np.nan):
+        table = qubit_table(
+            owner=[0, 1, 2], row=[0, 1, 0], col=[1, 0, 1], value=[1.0] * 3,
+            rate=[0.1, rate, np.inf], bath_id=["abs"] * 3, bohr_frequency=[1.5, 1.5, 9.0],
+            check_bohr=[True] * 3,
+        )
+        needle = f"^abs rate overflows: {rate} at Bohr frequency 1.5$"
+        with pytest.raises(NumericsError, match=needle):
+            LindbladGenerator(h, table)
+    with pytest.raises(ValueError, match=r"^channel rate must be >= 0, got -0.05$"):
+        LindbladGenerator(h, qubit_table(rate=[0.1, -0.05]))
+    for row in ([0, 2], [-1, 1]):
+        with pytest.raises(ValueError, match=r"must be square with entries inside, got \(2, 2\)"):
+            LindbladGenerator(h, qubit_table(row=row))
+    for owner in ([0, 2], [-1, 1], [1, 0]):
+        with pytest.raises(ValueError, match="entry owners must ascend over the 2 channels"):
+            LindbladGenerator(h, qubit_table(owner=owner))
+    # the bath id is checked first
+    with pytest.raises(ValueError, match="unknown bath_id 'work'"):
+        LindbladGenerator(h, qubit_table(bath_id=["abs", "work"], rate=[0.1, np.inf]))
+    with pytest.raises(ValueError, match="frequency 2.5 "):
+        LindbladGenerator(h, qubit_table(bohr_frequency=[1.5, 2.5]))
+    LindbladGenerator(h, qubit_table(bohr_frequency=[1.5, 2.5], check_bohr=[True, False]))
+    # a channel holding one position twice means their sum, as in a
+    # DissipationChannel; the other channel keeps its entry
+    twice = qubit_table(owner=[0, 0, 1], row=[0, 0, 1], col=[1, 1, 0], value=[0.25, 0.5j, 1.0])
+    gen = LindbladGenerator(h, twice)
+    assert np.array_equal(gen.table.owner, [0, 1])
+    assert np.array_equal(gen.table.value, [0.25 + 0.5j, 1.0])
+    summed = DissipationChannel(Triplets([0, 0], [1, 1], [0.25, 0.5j], (2, 2)), 0.1, "abs", 1.5)
+    ref = LindbladGenerator(h, [summed, listed.channels[1]])
+    assert np.array_equal(gen.superoperator.toarray(), ref.superoperator.toarray())
 
 
 def test_triplets_sum_duplicates_and_match_dense():

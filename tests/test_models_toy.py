@@ -32,7 +32,7 @@ from solaraudit.models import (
     transfer_block_hamiltonian,
 )
 from solaraudit.config import default_section
-from solaraudit.core import Triplets
+from solaraudit.core import DissipationChannel, LindbladGenerator, Triplets
 from solaraudit.models.three_level import _index
 from solaraudit.thermo import bose_occupation
 
@@ -437,6 +437,69 @@ def test_transfer_jumps_are_two_entry_csr():
         assert isinstance(ch.jump, Triplets) and ch.jump.nnz == 2
         assert np.array_equal(ch.jump.toarray(), ref)
         assert ch.bath_id == bath
+
+
+def transfer_channels_one_by_one(p, n_max):
+    """The transfer ladder's 8 n_max channels as DissipationChannels, built
+    one jump at a time in the generator's order: per doublet n and sign,
+    the hot then the cold bath, the lowering then the raising jump."""
+    dim = 3 * (n_max + 1)
+    n_h, n_c = p.occupations()
+    inv = 1.0 / math.sqrt(2.0)
+    channels = []
+    for n in range(n_max):
+        doublet = [_index(0, n + 1, n_max), _index(1, n, n_max)]
+        split = 0.5 * dressed_frequency(n, p.gamma)
+        for sign in (+1, -1):
+            dressed = (inv, sign * inv)
+            for two, rate, n_bath, bath, gap in (
+                (_index(2, n + 1, n_max), p.gamma_h, n_h, "abs", p.omega_plus - sign * split),
+                (_index(2, n, n_max), p.gamma_c, n_c, "loss", p.omega_minus - sign * split),
+            ):
+                down = Triplets(doublet, [two, two], dressed, (dim, dim))
+                up = Triplets([two, two], doublet, dressed, (dim, dim))
+                channels.append(DissipationChannel(down, 0.5 * rate * (1 + n_bath), bath, gap))
+                channels.append(DissipationChannel(up, 0.5 * rate * n_bath, bath, gap))
+    return channels
+
+
+def test_transfer_table_matches_channels_built_one_by_one():
+    # the ladder's channel table, built by index arithmetic, gives the
+    # generator of its channels listed one by one, to the last bit
+    p = ThreeLevelParams(
+        omega_abs=1.0, omega_rc=0.5, gamma=0.02, t_abs=2.0, t_loss=0.2,
+        gamma_h=0.01, gamma_c=0.01,
+    )
+    for n_max in (6, 20):
+        gen = hamiltonian_transfer_generator(p, n_max)
+        h = transfer_block_hamiltonian(p, n_max)
+        ref = LindbladGenerator(h, transfer_channels_one_by_one(p, n_max))
+        lmat, lref = gen.superoperator, ref.superoperator
+        for x in ("row", "col", "data"):
+            assert getattr(lmat, x).tobytes() == getattr(lref, x).tobytes()
+        for bath, q in ref.heat_operators.items():
+            if bath == "sink":
+                assert q is None and gen.heat_operators[bath] is None
+            else:
+                assert q.tobytes() == gen.heat_operators[bath].tobytes()
+        assert len(gen.channels) == len(ref.channels) == 8 * n_max
+        for ch, want in zip(gen.channels, ref.channels):
+            for x in ("row", "col", "data"):
+                assert getattr(ch.jump, x).tobytes() == getattr(want.jump, x).tobytes()
+            assert (ch.rate, ch.bath_id, ch.bohr_frequency, ch.check_bohr) == (
+                want.rate, want.bath_id, want.bohr_frequency, want.check_bohr
+            )
+
+
+def test_transfer_generator_builds_no_channel_objects(monkeypatch):
+    calls = []
+    post_init = DissipationChannel.__post_init__
+    monkeypatch.setattr(
+        DissipationChannel, "__post_init__", lambda ch: calls.append(ch) or post_init(ch)
+    )
+    p = ThreeLevelParams(omega_abs=3.0, omega_rc=1.8, gamma=0.018, t_abs=1.3, t_loss=0.42)
+    gen = hamiltonian_transfer_generator(p, 60)
+    assert gen.table.rate.size == 480 and not calls
 
 
 def test_truncation_guard_raises_on_edge_weight():
