@@ -5,8 +5,8 @@ measured in the inverse of that unit. States are dim x dim complex matrices
 wrapped in DensityMatrix, which enforces Hermiticity, unit trace and
 positivity (within a small floor). Hamiltonians are plain ndarrays; jump
 operators are stored as Triplets, numpy (row, col, value) arrays, and a
-generator's channels as one ChannelTable: every jump's entries stacked,
-beside each channel's rate, bath tag and Bohr frequency.
+generator's channels as one ChannelTable: every jump stacked by rows into
+one Triplets, beside each channel's rate, bath tag and Bohr frequency.
 
 The generator is
 
@@ -31,8 +31,9 @@ of that set, a state built directly over those of its own nonzero entries.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -224,7 +225,7 @@ class Triplets:
         a = np.asarray(a, dtype=complex)
         if a.ndim != 2:
             raise ValueError(f"matrix must be 2d, got shape {a.shape}")
-        row, col = np.nonzero(a)
+        row, col = a.nonzero()
         return cls(row, col, a[row, col], a.shape)
 
     @classmethod
@@ -235,10 +236,11 @@ class Triplets:
         rows, cols = shape
         key = row.astype(np.int64) * cols + col
         dense = _fits_dense(rows, cols)
-        cells, at = (np.arange(rows * cols), key) if dense else _distinct(key)
-        sums = np.bincount(at, val.real, cells.size) + 1j * np.bincount(at, val.imag, cells.size)
+        cells, at = (None, key) if dense else _distinct(key)
+        size = rows * cols if dense else cells.size
+        sums = np.bincount(at, val.real, size) + 1j * np.bincount(at, val.imag, size)
         keep = np.flatnonzero(sums)
-        return cls(*np.divmod(cells[keep], cols), sums[keep], shape)
+        return cls(*np.divmod(keep if dense else cells[keep], cols), sums[keep], shape)
 
     def __matmul__(self, x):
         """self @ x for x of shape (cols,) or (cols, k). Dense if _fits_dense;
@@ -279,7 +281,7 @@ def _checked_rates(rate, bath_id, bohr_frequency):
     for b in dict.fromkeys(np.asarray(bath_id, dtype=str).tolist()):
         require_bath_id(b)
     rate = np.asarray(rate, dtype=float)
-    if not ((rate >= 0) & (rate < math.inf)).all():
+    if not all(0.0 <= r < math.inf for r in rate.tolist()):
         for k in np.flatnonzero(~np.isfinite(rate))[:1]:
             w = float(bohr_frequency[k])
             raise NumericsError(f"{bath_id[k]} rate overflows: {rate[k]} at Bohr frequency {w}")
@@ -287,83 +289,63 @@ def _checked_rates(rate, bath_id, bohr_frequency):
     return rate
 
 
-def _summed_entries(n, count, owner, row, col, value):
-    """Owner (0 for one jump), row, col and value of the entries of count
-    n x n jumps; if a jump holds a position twice, summed as Triplets.summed
-    sums. ValueError unless every entry is inside."""
-    index = np.concatenate([row, col])
-    if ((index < 0) | (index >= n)).any():
-        raise ValueError(f"jump operator must be square with entries inside, got {(n, n)}")
-    line = owner * n + row.astype(np.int64)
-    key = np.sort(line * n + col)
-    if (key[1:] == key[:-1]).any():
-        summed = Triplets.summed([(line, col, value)], (count * n, n))
-        return *np.divmod(summed.row, n), summed.col, summed.data
-    return owner, row, col, value
+def DissipationChannel(jump, rate, bath_id, bohr_frequency, check_bohr=True):
+    """One GKLS jump operator (dense or Triplets) with its rate and bath tag,
+    as a one-channel ChannelTable. bohr_frequency is the magnitude of the
+    level gap the jump connects, checked against the Hamiltonian at generator
+    construction unless check_bohr is False (needed for jumps that do not
+    connect eigenstates, itself a modeling statement worth keeping visible).
+    The jump must be square, and the rate gets every channel's checks
+    (_checked_rates) here, before a later channel is built; the generator
+    checks the jump's entries."""
+    bohr = float(bohr_frequency)
+    rate = _checked_rates([float(rate)], [bath_id], [bohr])
+    jump = jump if isinstance(jump, Triplets) else Triplets.from_dense(jump)
+    if jump.shape[0] != jump.shape[1]:
+        raise ValueError(f"jump operator must be square, got {jump.shape}")
+    return ChannelTable(jump, rate, np.array([bath_id]), np.array([bohr]), np.array([check_bohr]))
 
 
-@dataclass(frozen=True)
-class DissipationChannel:
-    """One GKLS jump operator with its rate and bath tag.
-
-    The jump (dense or Triplets) is stored as Triplets; a Triplets one has
-    its range checked and repeated positions summed (_summed_entries), which
-    Triplets.from_dense makes needless. bohr_frequency is the magnitude of
-    the level gap the jump connects, checked against the Hamiltonian at
-    generator construction unless check_bohr is False (needed for jumps that
-    do not connect eigenstates, itself a modeling statement worth keeping
-    visible). The rate gets every channel's checks (_checked_rates): one
-    that is not finite raises NumericsError, a negative one ValueError.
-    """
-
-    jump: Triplets
-    rate: float
-    bath_id: str
-    bohr_frequency: float
-    check_bohr: bool = True
-
-    def __post_init__(self):
-        bohr = float(self.bohr_frequency)
-        rate = _checked_rates([float(self.rate)], [self.bath_id], [bohr])
-        jump = self.jump if isinstance(self.jump, Triplets) else Triplets.from_dense(self.jump)
-        if jump.shape[0] != jump.shape[1]:
-            raise ValueError(f"jump operator must be square, got {jump.shape}")
-        if jump is self.jump:
-            _, *entries = _summed_entries(jump.shape[0], 1, 0, jump.row, jump.col, jump.data)
-            jump = jump if entries[0].size == jump.nnz else Triplets(*entries, jump.shape)
-        vars(self).update(jump=jump, rate=float(rate[0]), bohr_frequency=bohr)
-
-
-class ChannelTable(
-    namedtuple("ChannelTable", "owner row col value rate bath_id bohr_frequency check_bohr")
-):
-    """Channels as arrays: per stored jump entry, in ascending owner order,
-    its channel (owner), row, col and value; per channel, its other
-    DissipationChannel fields (rate, bath_id, bohr_frequency, check_bohr)."""
+class ChannelTable(namedtuple("ChannelTable", "jump rate bath_id bohr_frequency check_bohr")):
+    """Channels as arrays: every channel's n x n jump stacked by rows into
+    one (count n) x n Triplets jump, channel k on rows k n to k n + n - 1,
+    and per channel its rate, bath_id, bohr_frequency and check_bohr."""
 
     @classmethod
-    def stack(cls, channels):
-        """The table of a sequence of DissipationChannels, whose own checks
-        stand for the table's."""
-        jumps = [ch.jump for ch in channels]
-        owner = np.repeat(np.arange(len(jumps)), [a.nnz for a in jumps])
-        entries = (np.concatenate([np.zeros(0, t), *(getattr(a, x) for a in jumps)])
-                   for x, t in (("row", int), ("col", int), ("data", complex)))
-        fields = (np.array([getattr(ch, x) for ch in channels], t)
-                  for x, t in zip(cls._fields[4:], (float, str, float, bool)))
-        return cls(owner, *entries, *fields)
+    def joined(cls, tables, dim):
+        """The channels of a sequence of tables on dim x dim jumps, in order,
+        as one table: DimensionMismatchError for a table of another n, and
+        ValueError for a jump of other than count n rows or an entry outside
+        its own table's rows, which would land in a neighbouring channel."""
+        for t in tables:
+            (rows, n), count = t.jump.shape, len(t.rate)
+            if n != dim:
+                raise DimensionMismatchError(dim, n, what="jump operator")
+            if rows != count * n:
+                raise ValueError(f"stacked jump of {count} channels must have {count * n} rows, "
+                                 f"got {rows}")
+        parts = [(t.jump.row, t.jump.col, t.jump.data, *t[1:]) for t in tables]
+        row, col, value, *fields = (
+            np.concatenate([p[i] for p in parts] or [np.zeros(0, kind)])
+            for i, kind in enumerate((int, int, complex, float, str, float, bool))
+        )
+        start = list(accumulate((t.jump.shape[0] for t in tables), initial=0))
+        lo, hi = np.repeat([start[:-1], start[1:]], [t.jump.nnz for t in tables], axis=1)
+        row = row + lo
+        if ((row < lo) | (row >= hi) | (col < 0) | (col >= dim)).any():
+            raise ValueError(f"jump operator must be square with entries inside, got {(dim, dim)}")
+        return cls(Triplets(row, col, value, (start[-1], dim)), *fields)
 
-    def checked(self, dim):
-        """This table on dim x dim jumps after the checks each channel gets;
-        ValueError unless its owners ascend over the channels."""
-        rate = _checked_rates(self.rate, self.bath_id, self.bohr_frequency)
-        owner, row, col = (np.asarray(x) for x in self[:3])
-        if ((owner < 0) | (owner >= rate.size)).any() or (np.diff(owner) < 0).any():
-            raise ValueError(f"entry owners must ascend over the {rate.size} channels")
-        value = np.asarray(self.value, dtype=complex)
-        entries = _summed_entries(dim, rate.size, owner, row, col, value)
-        fields = (np.asarray(x, dtype=t) for x, t in zip(self[5:], (str, float, bool)))
-        return ChannelTable(*entries, rate, *fields)
+    def checked(self):
+        """This table after the checks each channel gets (_checked_rates);
+        a jump whose entries are not in strictly ascending (row, col) order,
+        as when it holds a position twice, is summed as Triplets.summed sums."""
+        rate, a = _checked_rates(self.rate, self.bath_id, self.bohr_frequency), self.jump
+        key = a.row.astype(np.int64) * a.shape[1] + a.col
+        if (key[1:] <= key[:-1]).any():
+            a = Triplets.summed([(a.row, a.col, a.data)], a.shape)
+        fields = (np.asarray(x, dtype=t) for x, t in zip(self[2:], (str, float, bool)))
+        return ChannelTable(a, rate, *fields)
 
 
 def _left_right(x, y):
@@ -381,10 +363,11 @@ def _left_right(x, y):
 class LindbladGenerator:
     """Hamiltonian plus tagged dissipation channels on one Hilbert space.
 
-    The channels are held as one ChannelTable, passed in and checked as a
-    whole, or stacked from DissipationChannels; every later step reads
-    slices of it. Superoperators act on row-major vectorized states,
-    vec(A X B) = kron(A, B^T) vec(X). Each bath tag b has the dissipator
+    The channels, one ChannelTable or a list of them (DissipationChannel
+    builds a one-channel table), are joined into one table and checked as
+    a whole; every later step reads slices of it. Superoperators act on
+    row-major vectorized states, vec(A X B) = kron(A, B^T) vec(X). Each
+    bath tag b has the dissipator
 
         D_b = sum_k r_k A_k (x) conj(A_k) - 1/2 (K_b (x) I + I (x) K_b^T),
         Q_b = D_b^dag(H) = sum_k r_k A_k^dag H A_k - 1/2 {K_b, H} (heat operator),
@@ -406,34 +389,27 @@ class LindbladGenerator:
         h.setflags(write=False)
         self.hamiltonian = h
         self.dim = h.shape[0]
-        if isinstance(channels, ChannelTable):
-            self.table = channels.checked(self.dim)
-        else:
-            channels = tuple(channels)
-            for ch in channels:
-                if ch.jump.shape[0] != self.dim:
-                    raise DimensionMismatchError(self.dim, ch.jump.shape[0], what="jump operator")
-            self.table = ChannelTable.stack(channels)
+        tables = [channels] if isinstance(channels, ChannelTable) else list(channels)
+        self.table = ChannelTable.joined(tables, self.dim).checked()
         self._check_bohr_frequencies()
 
     @cached_property
     def channels(self):
-        """The table's channels as DissipationChannels, built on first read
-        from fields the table already checked (so without __post_init__)."""
-        t, shape, out = self.table, (self.dim, self.dim), []
-        bounds = np.searchsorted(t.owner, np.arange(t.rate.size + 1)).tolist()
-        for lo, hi, *fields in zip(bounds, bounds[1:], *(x.tolist() for x in t[4:])):
-            out.append(object.__new__(DissipationChannel))
-            jump = Triplets(t.row[lo:hi], t.col[lo:hi], t.value[lo:hi], shape)
-            vars(out[-1]).update(zip(("jump", *t._fields[4:]), (jump, *fields)))
-        return tuple(out)
+        """The table's channels as one-channel tables, for benchmarks/tracing.py
+        until it reads the table itself."""
+        a, n = self.table.jump, self.dim
+        bounds = np.searchsorted(a.row, n * np.arange(self.table.rate.size + 1)).tolist()
+        return tuple(ChannelTable(Triplets(a.row[i:j] - k * n, a.col[i:j], a.data[i:j], (n, n)),
+                                  *(x[k : k + 1] for x in self.table[1:]))
+                     for k, (i, j) in enumerate(zip(bounds, bounds[1:])))
 
     def _entries(self, chosen):
-        """Owner, row, col and value of the entries of the channels a mask
-        chooses, the owners renumbered 0, 1, ... in table order."""
-        t = self.table
-        keep = chosen[t.owner]
-        return (np.cumsum(chosen) - 1)[t.owner[keep]], t.row[keep], t.col[keep], t.value[keep]
+        """Channel, row, col and value of the jump entries of the channels a
+        mask chooses, the channels renumbered 0, 1, ... in table order."""
+        a = self.table.jump
+        owner, row = np.divmod(a.row, self.dim)
+        keep = chosen[owner]
+        return (np.cumsum(chosen) - 1)[owner[keep]], row[keep], a.col[keep], a.data[keep]
 
     def _check_bohr_frequencies(self):
         # All checked jumps side by side, J = (A_1 | A_2 | ...): column block
@@ -466,10 +442,6 @@ class LindbladGenerator:
                 f"channel Bohr frequency {float(bohr[k])!r} does not "
                 f"match the Hamiltonian gap its jump connects (defect {defect[k]:.3e})"
             )
-
-    def bath_channels(self, bath_id):
-        require_bath_id(bath_id)
-        return [self.channels[k] for k in np.flatnonzero(self.table.bath_id == bath_id)]
 
     @cached_property
     def heat_operators(self):

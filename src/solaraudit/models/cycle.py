@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import BATH_IDS, LindbladGenerator
+from ..core import BATH_IDS, DissipationChannel, LindbladGenerator
 from ..errors import NumericsError
 from ..thermo import BathSpec, ThermoReport
 
@@ -105,12 +105,12 @@ class Ring:
         dim = len(self.energies)
         channels = []
         for link in self.links:
-            src, dst, bath, _ = link
+            src, dst, bath, rate = link
             gap = self._gap(link)
             jump = np.zeros((dim, dim), dtype=complex)
             if bath == "sink":
                 jump[dst, src] = 1.0
-                channels.append(self._bath(link).one_way(jump, abs(gap)))
+                channels.append(DissipationChannel(jump, rate, "sink", abs(gap)))
             else:
                 lower, upper = (src, dst) if gap > 0 else (dst, src)
                 jump[lower, upper] = 1.0

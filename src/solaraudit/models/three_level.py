@@ -21,6 +21,7 @@ from ..core import (
     ChannelTable,
     DensityMatrix,
     LindbladGenerator,
+    Triplets,
     liouvillian_apply,
     require_finite_fields,
 )
@@ -243,11 +244,14 @@ def hamiltonian_transfer_generator(p, n_max):
     two = _index(2, n + 1 - cold, n_max)[:, None]
     rates = [[0.5 * g * (1 + nb), 0.5 * g * nb] for g, nb in ((p.gamma_h, n_h), (p.gamma_c, n_c))]
     split = np.sqrt(p.gamma * (n + 1.0))  # dressed_frequency(n, gamma) / 2
+    dim = 3 * (n_max + 1)
     table = ChannelTable(
-        np.repeat(np.arange(n.size), 2),
-        np.where(up, two, doublet).ravel(),
-        np.where(up, doublet, two).ravel(),
-        (np.stack([np.ones(n.size), sign], axis=1) / math.sqrt(2.0)).ravel(),
+        Triplets(
+            (np.where(up, two, doublet) + dim * np.arange(n.size)[:, None]).ravel(),
+            np.where(up, doublet, two).ravel(),
+            (np.stack([np.ones(n.size), sign], axis=1) / math.sqrt(2.0)).ravel(),
+            (n.size * dim, dim),
+        ),
         np.array(rates)[cold, up[:, 0]],
         np.array(["abs", "loss"])[cold],
         np.array([p.omega_plus, p.omega_minus])[cold] - sign * split,

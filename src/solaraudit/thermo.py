@@ -87,10 +87,6 @@ class BathSpec:
         up = DissipationChannel(lower.conj().T, gamma0 * n, self.bath_id, omega)
         return [down, up]
 
-    def one_way(self, jump, omega):
-        """Single irreversible channel (sink-style extraction)."""
-        return DissipationChannel(jump, self.gamma0, self.bath_id, omega)
-
 
 def heat_current(gen, bath_id, rho):
     """Energy flow into the system from one bath: J_b = Tr[D_b(rho) H].

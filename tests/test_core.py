@@ -31,7 +31,7 @@ from solaraudit.models import (
 )
 from solaraudit.thermo import BathSpec
 
-from dissipator_oracle import dissipator_action, heat_operator
+from dissipator_oracle import dense_jumps, dissipator_action, heat_operator
 
 
 def qubit_decay_generator(omega=1.0, gamma=0.1):
@@ -161,7 +161,7 @@ def test_dissipator_action_matches_direct_formula():
     h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     h = h + h.conj().T
     gen = LindbladGenerator(h, [ch])
-    q = heat_operator([ch], h)
+    q = heat_operator(ch, h)
     assert np.abs(gen.heat_operators["loss"] - q).max() <= 1e-13 * np.abs(q).max()
     assert gen.heat_operators["abs"] is None and gen.heat_operators["sink"] is None
     assert heat_current(gen, "abs", rho) == 0.0 and heat_current(gen, "sink", rho) == 0.0
@@ -227,10 +227,12 @@ def test_channel_stores_sparse_jump():
     assert np.array_equal(ch.jump.toarray(), dense)
     again = DissipationChannel(ch.jump, 0.1, "loss", 0.0, check_bohr=False)
     assert np.array_equal(again.jump.toarray(), dense)
-    outside = (Triplets([0], [3], [1.0], (3, 3)), Triplets([-1], [0], [1.0], (3, 3)))
-    for bad in (np.zeros((2, 3)), *outside):
+    with pytest.raises(ValueError, match="must be square"):
+        DissipationChannel(np.zeros((2, 3)), 0.1, "loss", 0.0)
+    # a Triplets jump's entries are checked, and summed, by the generator
+    for bad in (Triplets([0], [3], [1.0], (3, 3)), Triplets([-1], [0], [1.0], (3, 3))):
         with pytest.raises(ValueError, match="must be square"):
-            DissipationChannel(bad, 0.1, "loss", 0.0)
+            LindbladGenerator(np.zeros((3, 3)), [DissipationChannel(bad, 0.1, "loss", 0.0)])
     # a jump holding one position twice means their sum, on the dense-
     # propagation path (dim 3) and on the Taylor action one (dim 20) alike
     for dim in (3, 20):
@@ -238,7 +240,8 @@ def test_channel_stores_sparse_jump():
         summed = np.zeros((dim, dim), dtype=complex)
         summed[0, 1], summed[2, 0] = 0.25 + 0.5j, 1.0
         ch = DissipationChannel(twice, 0.1, "loss", 0.0, check_bohr=False)
-        assert ch.jump.nnz == 2 and np.array_equal(ch.jump.toarray(), summed)
+        jump = LindbladGenerator(np.zeros((dim, dim)), [ch]).table.jump
+        assert jump.nnz == 2 and np.array_equal(jump.toarray(), summed)
         h = np.diag(np.arange(dim, dtype=float))
         gen = LindbladGenerator(h, [ch]).superoperator
         ref = LindbladGenerator(h, [DissipationChannel(summed, 0.1, "loss", 0.0, check_bohr=False)])
@@ -249,31 +252,32 @@ def test_channel_stores_sparse_jump():
 
 def qubit_table(**fields):
     """A channel table on a qubit: by default the lowering jump |0><1| at
-    rate 0.1, then the raising jump, both abs at gap 1.5; fields replace
-    the defaults."""
+    rate 0.1 on rows 0-1 of the stacked jump, then the raising jump on rows
+    2-3, both abs at gap 1.5; fields replace the defaults, row, col, value
+    and shape those of the stacked jump."""
     table = dict(
-        owner=[0, 1], row=[0, 1], col=[1, 0], value=[1.0, 1.0], rate=[0.1, 0.05],
+        row=[0, 3], col=[1, 0], value=[1.0, 1.0], shape=(4, 2), rate=[0.1, 0.05],
         bath_id=["abs", "abs"], bohr_frequency=[1.5, 1.5], check_bohr=[True, True],
     )
     table.update(fields)
-    return ChannelTable(**{k: np.asarray(v) for k, v in table.items()})
+    jump = Triplets(*(table.pop(x) for x in ("row", "col", "value", "shape")))
+    return ChannelTable(jump, **{k: np.asarray(v) for k, v in table.items()})
 
 
 def test_channel_table_checks_keep_the_channel_messages():
     # a table fed straight to the generator gets every check of a
     # DissipationChannel at once, with the same messages
     h = np.diag([0.0, 1.5]).astype(complex)
-    listed = LindbladGenerator(h, [
-        DissipationChannel(np.array([[0, 1], [0, 0]]), 0.1, "abs", 1.5),
-        DissipationChannel(np.array([[0, 0], [1, 0]]), 0.05, "abs", 1.5),
-    ])
+    down = DissipationChannel(np.array([[0, 1], [0, 0]]), 0.1, "abs", 1.5)
+    up = DissipationChannel(np.array([[0, 0], [1, 0]]), 0.05, "abs", 1.5)
+    listed = LindbladGenerator(h, [down, up])
     gen = LindbladGenerator(h, qubit_table())
     assert np.array_equal(gen.superoperator.toarray(), listed.superoperator.toarray())
     # the first channel whose rate is not finite is named; a later one at
     # another gap is not
     for rate in (np.inf, -np.inf, np.nan):
         table = qubit_table(
-            owner=[0, 1, 2], row=[0, 1, 0], col=[1, 0, 1], value=[1.0] * 3,
+            row=[0, 3, 4], col=[1, 0, 1], value=[1.0] * 3, shape=(6, 2),
             rate=[0.1, rate, np.inf], bath_id=["abs"] * 3, bohr_frequency=[1.5, 1.5, 9.0],
             check_bohr=[True] * 3,
         )
@@ -282,12 +286,20 @@ def test_channel_table_checks_keep_the_channel_messages():
             LindbladGenerator(h, table)
     with pytest.raises(ValueError, match=r"^channel rate must be >= 0, got -0.05$"):
         LindbladGenerator(h, qubit_table(rate=[0.1, -0.05]))
-    for row in ([0, 2], [-1, 1]):
+    for row, col in (([0, 4], [1, 0]), ([-1, 3], [1, 0]), ([0, 3], [2, 0])):
         with pytest.raises(ValueError, match=r"must be square with entries inside, got \(2, 2\)"):
-            LindbladGenerator(h, qubit_table(row=row))
-    for owner in ([0, 2], [-1, 1], [1, 0]):
-        with pytest.raises(ValueError, match="entry owners must ascend over the 2 channels"):
-            LindbladGenerator(h, qubit_table(owner=owner))
+            LindbladGenerator(h, qubit_table(row=row, col=col))
+    # the jump's level count is the table's: a qubit table on three levels
+    h3 = np.diag([0.0, 1.5, 4.0])
+    with pytest.raises(DimensionMismatchError, match="jump operator has dimension 2, expected 3"):
+        LindbladGenerator(h3, qubit_table())
+    with pytest.raises(ValueError, match="stacked jump of 2 channels must have 4 rows, got 6"):
+        LindbladGenerator(h, qubit_table(shape=(6, 2)))
+    # an entry outside its own table's rows never lands in a neighbour's
+    first = DissipationChannel(np.eye(3), 0.1, "loss", 0.0, check_bohr=False)
+    stray = DissipationChannel(Triplets([-1], [0], [1.0], (3, 3)), 0.1, "loss", 0.0, check_bohr=False)
+    with pytest.raises(ValueError, match="must be square"):
+        LindbladGenerator(h3, [first, stray])
     # the bath id is checked first
     with pytest.raises(ValueError, match="unknown bath_id 'work'"):
         LindbladGenerator(h, qubit_table(bath_id=["abs", "work"], rate=[0.1, np.inf]))
@@ -296,12 +308,12 @@ def test_channel_table_checks_keep_the_channel_messages():
     LindbladGenerator(h, qubit_table(bohr_frequency=[1.5, 2.5], check_bohr=[True, False]))
     # a channel holding one position twice means their sum, as in a
     # DissipationChannel; the other channel keeps its entry
-    twice = qubit_table(owner=[0, 0, 1], row=[0, 0, 1], col=[1, 1, 0], value=[0.25, 0.5j, 1.0])
+    twice = qubit_table(row=[0, 0, 3], col=[1, 1, 0], value=[0.25, 0.5j, 1.0])
     gen = LindbladGenerator(h, twice)
-    assert np.array_equal(gen.table.owner, [0, 1])
-    assert np.array_equal(gen.table.value, [0.25 + 0.5j, 1.0])
+    assert np.array_equal(gen.table.jump.row, [0, 3])
+    assert np.array_equal(gen.table.jump.data, [0.25 + 0.5j, 1.0])
     summed = DissipationChannel(Triplets([0, 0], [1, 1], [0.25, 0.5j], (2, 2)), 0.1, "abs", 1.5)
-    ref = LindbladGenerator(h, [summed, listed.channels[1]])
+    ref = LindbladGenerator(h, [summed, up])
     assert np.array_equal(gen.superoperator.toarray(), ref.superoperator.toarray())
 
 
@@ -363,14 +375,13 @@ def test_heat_operators_match_direct_formula():
         r = rho.entries
         total = -1j * (h @ r - r @ h)
         for bath in BATH_IDS:
-            channels = gen.bath_channels(bath)
-            direct = sum((dissipator_action(ch, rho) for ch in channels), np.zeros_like(r))
+            direct = dissipator_action(gen.table, rho, bath)
             total = total + direct
             q = gen.heat_operators[bath]
             if q is None:
-                assert not channels and heat_current(gen, bath, rho) == 0.0
+                assert bath not in gen.table.bath_id and heat_current(gen, bath, rho) == 0.0
                 continue
-            expected_q = heat_operator(channels, h)
+            expected_q = heat_operator(gen.table, h, bath)
             assert np.abs(q - expected_q).max() <= 1e-13 * np.abs(expected_q).max()
             scale = np.linalg.norm(direct) * np.linalg.norm(h)
             expected = np.trace(direct @ h).real
@@ -389,10 +400,9 @@ def test_superoperator_matches_kron_formula():
     ):
         h, eye = gen.hamiltonian, np.eye(gen.dim)
         expected = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        for ch in gen.channels:
-            a = ch.jump.toarray()
+        for a, rate in zip(dense_jumps(gen.table), gen.table.rate):
             k = a.conj().T @ a
-            expected += ch.rate * (
+            expected += rate * (
                 np.kron(a, a.conj()) - 0.5 * np.kron(k, eye) - 0.5 * np.kron(eye, k.T)
             )
         assert np.abs(gen.superoperator.toarray() - expected).max() <= 1e-13

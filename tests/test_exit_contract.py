@@ -115,6 +115,7 @@ OVERFLOW_CASES = [
      "heat operator of bath 'loss' is not finite"),
     ("thermal-rate", ["--vib_reorganization", "1e150", "--t_loss_k", "1e200"],
      "loss rate overflows"),
+    ("abs-rate-before-gap", ["--gamma_rad", "1e307", "--omega_ant", "12000"], "abs rate overflows"),
 ]
 
 

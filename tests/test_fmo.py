@@ -270,7 +270,7 @@ def test_build_model_without_sink():
     assert model.dim == 9
     assert "sink" not in model.labels
     assert model.sink_index == -1
-    assert all(ch.bath_id != "sink" for ch in model.generator.channels)
+    assert "sink" not in model.generator.table.bath_id
 
 
 def test_antenna_must_sit_above_excitons():
@@ -405,11 +405,9 @@ def test_population_conserved_along_trace():
 
 def test_sun_temperature_only_moves_absorption_rates():
     def tagged_rates(cfg, tag):
-        return sorted(
-            (ch.bohr_frequency, ch.rate)
-            for ch in build_model(cfg).generator.channels
-            if ch.bath_id == tag
-        )
+        table = build_model(cfg).generator.table
+        tagged = table.bath_id == tag
+        return sorted(zip(table.bohr_frequency[tagged].tolist(), table.rate[tagged].tolist()))
 
     hot = default_config()
     cool = default_config(t_sun=3000.0)

@@ -1,6 +1,9 @@
 """Three-level engine: both extraction schemes against independent oracles."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,11 +35,12 @@ from solaraudit.models import (
     transfer_block_hamiltonian,
 )
 from solaraudit.config import default_section
-from solaraudit.core import DissipationChannel, LindbladGenerator, Triplets
+from solaraudit import core
+from solaraudit.core import ChannelTable, DissipationChannel, LindbladGenerator, Triplets
 from solaraudit.models.three_level import _index
 from solaraudit.thermo import bose_occupation
 
-from dissipator_oracle import dissipator_action
+from dissipator_oracle import dense_jumps, dissipator_action
 
 
 def classical_rate_matrix(p):
@@ -152,10 +156,9 @@ def test_generator_stationary_at_closed_form():
 def test_sink_channel_moves_population_down_at_rate_gamma():
     p = ThreeLevelParams(omega_abs=1.0, omega_rc=0.5, gamma=0.02, t_abs=1.0, t_loss=0.1)
     gen = decay_generator(p)
-    sink_channels = [ch for ch in gen.channels if ch.bath_id == "sink"]
-    assert len(sink_channels) == 1
+    assert np.count_nonzero(gen.table.bath_id == "sink") == 1
     rho = DensityMatrix.from_populations([0.2, 0.5, 0.3])
-    d = dissipator_action(sink_channels[0], rho)
+    d = dissipator_action(gen.table, rho, "sink")
     assert d[0, 0].real == pytest.approx(p.gamma * 0.5, rel=1e-14)
     assert d[1, 1].real == pytest.approx(-p.gamma * 0.5, rel=1e-14)
     assert d[2, 2].real == pytest.approx(0.0, abs=1e-16)
@@ -372,10 +375,9 @@ def test_channels_shift_group_number_by_bath():
     n_max = 10
     gen = hamiltonian_transfer_generator(p, n_max)
     number = group_number_operator(n_max)
-    for ch in gen.channels:
-        a = ch.jump.toarray()
+    for a, bath in zip(dense_jumps(gen.table), gen.table.bath_id):
         comm = a @ number - number @ a
-        if ch.bath_id == "abs":
+        if bath == "abs":
             # hot jumps move exactly one repository quantum
             matches_down = np.max(np.abs(comm - a)) < 1e-12
             matches_up = np.max(np.abs(comm + a)) < 1e-12
@@ -432,15 +434,16 @@ def test_transfer_jumps_are_two_entry_csr():
             for two, bath in ((ket(2, n + 1), "abs"), (ket(2, n), "loss")):
                 lower = np.outer(dressed, two.conj())
                 expected += [(lower, bath), (lower.conj().T, bath)]
-    assert len(gen.channels) == len(expected)
-    for ch, (ref, bath) in zip(gen.channels, expected):
-        assert isinstance(ch.jump, Triplets) and ch.jump.nnz == 2
-        assert np.array_equal(ch.jump.toarray(), ref)
-        assert ch.bath_id == bath
+    table = gen.table
+    assert table.rate.size == len(expected) and isinstance(table.jump, Triplets)
+    assert np.array_equal(np.bincount(table.jump.row // dim), [2] * len(expected))
+    for a, tag, (ref, bath) in zip(dense_jumps(table), table.bath_id, expected):
+        assert np.array_equal(a, ref)
+        assert tag == bath
 
 
 def transfer_channels_one_by_one(p, n_max):
-    """The transfer ladder's 8 n_max channels as DissipationChannels, built
+    """The transfer ladder's 8 n_max channels as one-channel tables, built
     one jump at a time in the generator's order: per doublet n and sign,
     the hot then the cold bath, the lowering then the raising jump."""
     dim = 3 * (n_max + 1)
@@ -482,24 +485,53 @@ def test_transfer_table_matches_channels_built_one_by_one():
                 assert q is None and gen.heat_operators[bath] is None
             else:
                 assert q.tobytes() == gen.heat_operators[bath].tobytes()
-        assert len(gen.channels) == len(ref.channels) == 8 * n_max
-        for ch, want in zip(gen.channels, ref.channels):
-            for x in ("row", "col", "data"):
-                assert getattr(ch.jump, x).tobytes() == getattr(want.jump, x).tobytes()
-            assert (ch.rate, ch.bath_id, ch.bohr_frequency, ch.check_bohr) == (
-                want.rate, want.bath_id, want.bohr_frequency, want.check_bohr
-            )
+        assert gen.table.rate.size == ref.table.rate.size == 8 * n_max
+        for x in ("row", "col", "data"):
+            assert getattr(gen.table.jump, x).tobytes() == getattr(ref.table.jump, x).tobytes()
+        for got, want in zip(gen.table[1:], ref.table[1:]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_transfer_generator_builds_no_channel_objects(monkeypatch):
-    calls = []
-    post_init = DissipationChannel.__post_init__
-    monkeypatch.setattr(
-        DissipationChannel, "__post_init__", lambda ch: calls.append(ch) or post_init(ch)
-    )
+    # the ladder hands the generator one table of all its channels and
+    # builds no one-channel table on the way
+    calls, joined = [], []
+    channel, join = core.DissipationChannel, ChannelTable.joined.__func__
+
+    def spy_channel(*args, **kwargs):
+        calls.append(args)
+        return channel(*args, **kwargs)
+
+    def spy_join(cls, tables, dim):
+        joined.append(tables)
+        return join(cls, tables, dim)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("solaraudit") and getattr(module, "DissipationChannel", None) is channel:
+            monkeypatch.setattr(module, "DissipationChannel", spy_channel)
+    monkeypatch.setattr(ChannelTable, "joined", classmethod(spy_join))
     p = ThreeLevelParams(omega_abs=3.0, omega_rc=1.8, gamma=0.018, t_abs=1.3, t_loss=0.42)
     gen = hamiltonian_transfer_generator(p, 60)
     assert gen.table.rate.size == 480 and not calls
+    assert len(joined) == 1 and [t.rate.size for t in joined[0]] == [480]
+
+
+def test_traced_ladder_build_reads_the_generator():
+    # benchmarks/tracing.py reads a generator's channel count and jump
+    # bytes; a change that breaks those reads fails here, not only in a
+    # traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer().install()
+    try:
+        p = ThreeLevelParams(omega_abs=1.0, omega_rc=0.5, gamma=0.02, t_abs=2.0, t_loss=0.2)
+        hamiltonian_transfer_generator(p, 6)
+    finally:
+        tracer.restore()
+    assert tracer.missing == []
+    assert tracer.sizes["core.channels"] == 48 and tracer.sizes["core.jump_bytes"] > 0
 
 
 def test_truncation_guard_raises_on_edge_weight():
