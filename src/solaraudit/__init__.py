@@ -26,7 +26,6 @@ from .errors import (
     TruncationOverflowError,
 )
 from .thermo import (
-    BathSpec,
     ThermoReport,
     bose_occupation,
     entropy_production,
@@ -38,7 +37,6 @@ from .thermo import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BathSpec",
     "ConfigError",
     "DegenerateSteadyStateError",
     "DensityMatrix",

@@ -290,20 +290,26 @@ def _checked_rates(rate, bath_id, bohr_frequency):
 
 
 def DissipationChannel(jump, rate, bath_id, bohr_frequency, check_bohr=True):
-    """One GKLS jump operator (dense or Triplets) with its rate and bath tag,
-    as a one-channel ChannelTable. bohr_frequency is the magnitude of the
-    level gap the jump connects, checked against the Hamiltonian at generator
-    construction unless check_bohr is False (needed for jumps that do not
-    connect eigenstates, itself a modeling statement worth keeping visible).
-    The jump must be square, and the rate gets every channel's checks
-    (_checked_rates) here, before a later channel is built; the generator
-    checks the jump's entries."""
-    bohr = float(bohr_frequency)
-    rate = _checked_rates([float(rate)], [bath_id], [bohr])
-    jump = jump if isinstance(jump, Triplets) else Triplets.from_dense(jump)
-    if jump.shape[0] != jump.shape[1]:
-        raise ValueError(f"jump operator must be square, got {jump.shape}")
-    return ChannelTable(jump, rate, np.array([bath_id]), np.array([bohr]), np.array([check_bohr]))
+    """GKLS jump operators with their rates and bath tags, as a ChannelTable:
+    one square jump (dense or Triplets) or a dense (count, n, n) stack, with
+    a rate, bath_id, bohr_frequency and check_bohr per channel or one for
+    all. bohr_frequency, the magnitude of the level gap a jump connects, is
+    checked against the Hamiltonian at generator construction unless
+    check_bohr is False (needed for jumps that do not connect eigenstates,
+    itself a modeling statement worth keeping visible). The rates get every
+    channel's checks (_checked_rates) here, before a later channel is built;
+    the generator checks the jumps' entries."""
+    shape = np.shape(jump)
+    count = shape[0] if len(shape) == 3 else 1
+    fields = (np.asarray(x, dtype=t) for x, t in (
+        (rate, float), (bath_id, str), (bohr_frequency, float), (check_bohr, bool)))
+    rate, bath_id, bohr, check_bohr = (a if a.ndim else a.repeat(count) for a in fields)
+    rate = _checked_rates(rate, bath_id, bohr)
+    if not isinstance(jump, Triplets):  # a stack's jumps stacked by rows
+        jump = Triplets.from_dense(np.reshape(jump, (-1, shape[-1])) if len(shape) == 3 else jump)
+    if jump.shape[0] != count * jump.shape[1]:
+        raise ValueError(f"jump operator must be square, got {shape}")
+    return ChannelTable(jump, rate, bath_id, bohr, check_bohr)
 
 
 class ChannelTable(namedtuple("ChannelTable", "jump rate bath_id bohr_frequency check_bohr")):
@@ -364,10 +370,10 @@ class LindbladGenerator:
     """Hamiltonian plus tagged dissipation channels on one Hilbert space.
 
     The channels, one ChannelTable or a list of them (DissipationChannel
-    builds a one-channel table), are joined into one table and checked as
-    a whole; every later step reads slices of it. Superoperators act on
-    row-major vectorized states, vec(A X B) = kron(A, B^T) vec(X). Each
-    bath tag b has the dissipator
+    and thermo.thermal_pairs build tables), are joined into one table and
+    checked as a whole; every later step reads slices of it. Superoperators
+    act on row-major vectorized states, vec(A X B) = kron(A, B^T) vec(X).
+    Each bath tag b has the dissipator
 
         D_b = sum_k r_k A_k (x) conj(A_k) - 1/2 (K_b (x) I + I (x) K_b^T),
         Q_b = D_b^dag(H) = sum_k r_k A_k^dag H A_k - 1/2 {K_b, H} (heat operator),

@@ -25,12 +25,13 @@ from .core import (
     DensityMatrix,
     DissipationChannel,
     LindbladGenerator,
+    Triplets,
     liouvillian_apply,
     propagate,
     require_finite_fields,
 )
 from .errors import ConfigError, NumericsError, read_user_text
-from .thermo import BathSpec, bose_occupation, entropy_production, heat_current
+from .thermo import bose_occupation, entropy_production, heat_current, thermal_pairs
 
 KB_CM_PER_K = 0.6950348
 PS_TO_INTERNAL = 0.18836515673088532  # 2*pi*c*1e-12 with c in cm/s
@@ -236,12 +237,10 @@ def build_model(cfg):
     leave an isolated level and a spuriously degenerate stationary space.
     """
     with_sink = cfg.gamma_sink > 0
-    dim = 2 + N_SITES + (1 if with_sink else 0)
-    labels = ("ground", "antenna") + tuple(f"site{m + 1}" for m in range(N_SITES))
-    sink_index = -1
-    if with_sink:
-        labels = labels + ("sink",)
-        sink_index = dim - 1
+    dim = 2 + N_SITES + with_sink
+    sites = tuple(f"site{m + 1}" for m in range(N_SITES))
+    labels = ("ground", "antenna", *sites, *(("sink",) if with_sink else ()))
+    sink_index = dim - 1 if with_sink else -1
 
     site_block = np.diag(cfg.site_energies) + cfg.couplings
     h = np.zeros((dim, dim), dtype=complex)
@@ -255,84 +254,57 @@ def build_model(cfg):
     t_abs = kelvin_to_wavenumber(t_abs_k)
     t_loss = kelvin_to_wavenumber(cfg.t_loss_k)
 
-    ground = np.zeros(dim, dtype=complex)
-    ground[0] = 1.0
-    antenna = np.zeros(dim, dtype=complex)
-    antenna[1] = 1.0
-    excitons = []
-    for k in range(N_SITES):
-        v = np.zeros(dim, dtype=complex)
-        v[2 : 2 + N_SITES] = w[:, k]
-        excitons.append(v)
+    # the levels as columns: ground, antenna, then the excitons
+    levels = np.eye(dim, 2 + N_SITES, dtype=complex)
+    levels[2 : 2 + N_SITES, 2:] = w
+    excitons = np.arange(2, 2 + N_SITES)
 
-    channels = []
+    def jumps(lo, up):  # |lo><up| per pair of levels, as np.outer builds it
+        return levels[:, lo].T[:, :, None] * levels[:, up].conj().T[:, None, :]
 
     # Radiation: collective antenna dipole plus direct exciton absorption.
     ratio = cfg.mu_ant_ind / cfg.mu_fmo
     rate_ant = cfg.gamma_rad * cfg.n_pigments * (ratio * ratio)
-    channels += BathSpec("abs", t_abs, rate_ant).thermal_pair(
-        np.outer(ground, antenna.conj()), cfg.omega_ant
-    )
-    for k in range(N_SITES):
-        channels += BathSpec("abs", t_abs, cfg.gamma_rad * bright[k]).thermal_pair(
-            np.outer(ground, excitons[k].conj()), energies[k]
-        )
+    lower = jumps([0] * (1 + N_SITES), range(1, 2 + N_SITES))  # to the antenna, then each exciton
+    rate = [rate_ant, *(cfg.gamma_rad * b for b in bright.tolist())]
+    channels = [thermal_pairs("abs", t_abs, lower, [cfg.omega_ant, *energies], rate)]
 
-    # Vibrations: exciton relaxation, site dephasing, antenna-to-complex
-    # transfer. All share the protein-bath temperature.
-    for i in range(N_SITES):
-        for k in range(i + 1, N_SITES):
-            gap = energies[k] - energies[i]
-            overlap = float(np.sum(w[:, i] ** 2 * w[:, k] ** 2))
-            rate = cfg.vib.density(gap) * overlap
-            channels += BathSpec("loss", t_loss, rate).thermal_pair(
-                np.outer(excitons[i], excitons[k].conj()), gap
-            )
-    rate_phi = cfg.vib.dephasing_rate(t_loss)
-    for m in range(N_SITES):
-        site_weight = np.zeros((dim, dim), dtype=complex)
-        for k in range(N_SITES):
-            site_weight += w[m, k] ** 2 * np.outer(excitons[k], excitons[k].conj())
-        channels.append(DissipationChannel(site_weight, rate_phi, "loss", 0.0))
-    for k in range(N_SITES):
-        gap = cfg.omega_ant - energies[k]
-        if gap <= 0:
-            raise ConfigError(
-                "omega_ant must lie above every exciton energy for downhill "
-                f"antenna transfer; exciton at {energies[k]:.1f} cm^-1"
-            )
-        channels += BathSpec("loss", t_loss, cfg.gamma_ant_fmo * bright[k]).thermal_pair(
-            np.outer(excitons[k], antenna.conj()), gap
+    # Vibrations at the protein-bath temperature: exciton relaxation, site
+    # dephasing, antenna-to-complex transfer. A gap the spectral density or
+    # the transfer rejects fails after the pairs before it, pair by pair.
+    lo, up = np.triu_indices(N_SITES, 1)
+    gap = energies[up] - energies[lo]
+    down = np.append(gap > 0, False).argmin()  # the pairs before the first gap <= 0
+    overlap = (w[:, lo[:down]] ** 2 * w[:, up[:down]] ** 2).T.sum(axis=1)
+    rate = [cfg.vib.density(g) * x for g, x in zip(gap[:down], overlap.tolist())]
+    lower = jumps(excitons[lo[:down]], excitons[up[:down]])
+    channels.append(thermal_pairs("loss", t_loss, lower, gap[:down], rate))
+    if down < gap.size:  # raises for that gap
+        cfg.vib.density(gap[down])
+    site_weight = sum(w[:, k, None, None] ** 2 * p for k, p in enumerate(jumps(excitons, excitons)))
+    channels.append(DissipationChannel(site_weight, cfg.vib.dephasing_rate(t_loss), "loss", 0.0))
+    gap = cfg.omega_ant - energies
+    down = np.append(gap > 0, False).argmin()
+    rate = [cfg.gamma_ant_fmo * b for b in bright[:down].tolist()]
+    lower = jumps(excitons[:down], [1] * down)
+    channels.append(thermal_pairs("loss", t_loss, lower, gap[:down], rate))
+    if down < N_SITES:
+        raise ConfigError(
+            "omega_ant must lie above every exciton energy for downhill "
+            f"antenna transfer; exciton at {energies[down]:.1f} cm^-1"
         )
 
     if with_sink:
-        site3 = np.zeros(dim, dtype=complex)
-        site3[2 + SINK_SOURCE_SITE - 1] = 1.0
-        sink = np.zeros(dim, dtype=complex)
-        sink[sink_index] = 1.0
         # Site 3 is not an eigenstate, so this jump has no sharp Bohr
         # frequency; the nominal site energy is recorded instead.
-        channels.append(
-            DissipationChannel(
-                np.outer(sink, site3.conj()),
-                cfg.gamma_sink,
-                "sink",
-                float(cfg.site_energies[SINK_SOURCE_SITE - 1]),
-                check_bohr=False,
-            )
-        )
+        jump = Triplets([sink_index], [1 + SINK_SOURCE_SITE], [1.0], (dim, dim))
+        bohr = float(cfg.site_energies[SINK_SOURCE_SITE - 1])
+        channels.append(DissipationChannel(jump, cfg.gamma_sink, "sink", bohr, check_bohr=False))
 
-    gen = LindbladGenerator(h, channels)
     return FmoModel(
-        config=cfg,
-        generator=gen,
-        labels=labels,
-        sink_index=sink_index,
-        t_abs_k=t_abs_k,
-        t_abs_cm=t_abs,
-        t_loss_cm=t_loss,
-        exciton_energies=energies,
-        bright_weights=bright,
+        config=cfg, generator=LindbladGenerator(h, channels), labels=labels,
+        sink_index=sink_index, t_abs_k=t_abs_k, t_abs_cm=t_abs, t_loss_cm=t_loss,
+        exciton_energies=energies, bright_weights=bright,
     )
 
 

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import BATH_IDS, DissipationChannel, LindbladGenerator
+from ..core import BATH_IDS, DissipationChannel, LindbladGenerator, Triplets
 from ..errors import NumericsError
-from ..thermo import BathSpec, ThermoReport
+from ..thermo import ThermoReport, bose_occupation, thermal_pairs
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,11 @@ class Ring:
     def _gap(self, link):
         return self.energies[link[1]] - self.energies[link[0]]
 
-    def _bath(self, link):
-        _, _, bath, rate = link
-        temperature = {"abs": self.t_abs, "loss": self.t_loss}.get(bath)
-        return BathSpec(bath, temperature, rate)
+    def _temperature(self, link):
+        return {"abs": self.t_abs, "loss": self.t_loss}[link[2]]
 
     def _occupation(self, link):
-        return self._bath(link).occupation(abs(self._gap(link)))
+        return bose_occupation(abs(self._gap(link)), self._temperature(link))
 
     def occupations(self):
         """Bose occupation of every thermal link at its gap, in ring order."""
@@ -100,19 +98,19 @@ class Ring:
         )
 
     def generator(self):
-        """Lindblad generator on the level basis: a thermal pair per thermal
-        link, one one-way channel for the sink."""
+        """Lindblad generator on the level basis: one table of a thermal
+        pair per thermal link, in ring order, and the sink's one-way
+        channel."""
         dim = len(self.energies)
-        channels = []
-        for link in self.links:
-            src, dst, bath, rate = link
-            gap = self._gap(link)
-            jump = np.zeros((dim, dim), dtype=complex)
-            if bath == "sink":
-                jump[dst, src] = 1.0
-                channels.append(DissipationChannel(jump, rate, "sink", abs(gap)))
-            else:
-                lower, upper = (src, dst) if gap > 0 else (dst, src)
-                jump[lower, upper] = 1.0
-                channels += self._bath(link).thermal_pair(jump, abs(gap))
-        return LindbladGenerator(np.diag(self.energies).astype(complex), channels)
+        thermal = [link for link in self.links if link[2] != "sink"]
+        (sink,) = (link for link in self.links if link[2] == "sink")
+        gap = [self._gap(link) for link in thermal]
+        lower = np.zeros((len(thermal), dim, dim), dtype=complex)
+        for k, (src, dst, _, _) in enumerate(thermal):  # |lower level><upper level|
+            lower[(k, src, dst) if gap[k] > 0 else (k, dst, src)] = 1.0
+        _, _, bath, rate = zip(*thermal)
+        temperature = [self._temperature(link) for link in thermal]
+        pairs = thermal_pairs(bath, temperature, lower, np.abs(gap), rate)
+        jump = Triplets([sink[1]], [sink[0]], [1.0], (dim, dim))
+        sink = DissipationChannel(jump, sink[3], "sink", abs(self._gap(sink)))
+        return LindbladGenerator(np.diag(self.energies).astype(complex), [pairs, sink])

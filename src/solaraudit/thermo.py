@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_matrix, _vec, DissipationChannel, require_bath_id
+from .core import _as_matrix, _checked_rates, _vec, DissipationChannel, require_bath_id
 from .errors import NumericsError
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
@@ -41,51 +41,32 @@ def bose_occupation(omega, temperature):
     return 1.0 / math.expm1(x)
 
 
-@dataclass(frozen=True)
-class BathSpec:
-    """A bath tag with its temperature and base coupling rate.
-
-    Thermal baths (abs, loss) need temperature > 0. The sink carries no
-    temperature; it is a one-way extraction channel.
-    """
-
-    bath_id: str
-    temperature: float | None
-    gamma0: float
-
-    def __post_init__(self):
-        require_bath_id(self.bath_id)
-        if self.bath_id == "sink":
-            if self.temperature is not None:
-                raise ValueError("sink baths carry no temperature")
-        else:
-            if self.temperature is None or self.temperature <= 0:
-                raise ValueError(
-                    f"thermal bath {self.bath_id!r} needs temperature > 0, "
-                    f"got {self.temperature}"
-                )
-        if self.gamma0 < 0:
-            raise ValueError(f"gamma0 must be >= 0, got {self.gamma0}")
-
-    def occupation(self, omega):
-        if self.temperature is None:
-            raise ValueError("sink baths have no thermal occupation")
-        return bose_occupation(omega, self.temperature)
-
-    def thermal_pair(self, lower, omega):
-        """Detailed-balance channel pair for the transition at gap omega.
-
-        `lower` is the jump that takes the system down the gap; rates are
-        gamma0 (1 + n) down and gamma0 n up, on plain floats, where a numpy
-        scalar would warn. A rate that is not finite is the channel's to
-        reject.
-        """
-        n = self.occupation(omega)
-        gamma0 = float(self.gamma0)
-        lower = np.asarray(lower, dtype=complex)
-        down = DissipationChannel(lower, gamma0 * (1.0 + n), self.bath_id, omega)
-        up = DissipationChannel(lower.conj().T, gamma0 * n, self.bath_id, omega)
-        return [down, up]
+def thermal_pairs(bath_id, temperature, lower, omega, gamma0):
+    """Detailed-balance pairs as one ChannelTable. Pair k takes the jump
+    lower[k] of a dense (count, n, n) stack down the gap omega[k]: channel 2k
+    is lower[k] at rate gamma0[k] (1 + n_k), channel 2k + 1 its adjoint at
+    gamma0[k] n_k, n_k the bath's occupation at that gap. bath_id and
+    temperature are one value or one per pair. Pair by pair, the occupation
+    (none for a sink; a thermal bath needs temperature > 0) is checked after
+    the rates of every earlier pair. Rates are plain floats, where a numpy
+    scalar would warn; DissipationChannel rejects one that is not finite."""
+    lower = np.asarray(lower, dtype=complex)
+    bath_id, temperature = (x if np.ndim(x) else [x] * len(lower) for x in (bath_id, temperature))
+    omega, gamma0 = (np.asarray(x, dtype=float).tolist() for x in (omega, gamma0))
+    rate = []
+    for k, (b, t, w, g) in enumerate(zip(bath_id, temperature, omega, gamma0)):
+        try:
+            if b == "sink":
+                raise ValueError("sink baths have no thermal occupation")
+            if t is None or t <= 0:
+                raise ValueError(f"thermal bath {b!r} needs temperature > 0, got {t}")
+            n = bose_occupation(w, t)
+        except (ValueError, NumericsError):
+            _checked_rates(rate, np.repeat(bath_id[:k], 2), np.repeat(omega[:k], 2))
+            raise
+        rate += [g * (1.0 + n), g * n]
+    pairs = np.concatenate([lower, lower.conj().swapaxes(1, 2)], 1).reshape(-1, *lower.shape[1:])
+    return DissipationChannel(pairs, rate, *(np.asarray(x).repeat(2) for x in (bath_id, omega)))
 
 
 def heat_current(gen, bath_id, rho):

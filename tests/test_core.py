@@ -29,7 +29,7 @@ from solaraudit.models import (
     dressed_product_state,
     hamiltonian_transfer_generator,
 )
-from solaraudit.thermo import BathSpec
+from solaraudit.thermo import thermal_pairs
 
 from dissipator_oracle import dense_jumps, dissipator_action, heat_operator
 
@@ -212,8 +212,7 @@ def test_bohr_frequency_check_rejects_wrong_gap():
     lower01[0, 1] = 1.0
     lower12 = np.zeros((3, 3), dtype=complex)
     lower12[1, 2] = 1.0
-    good = BathSpec("loss", 0.5, 0.1).thermal_pair(lower01, 1.0)
-    good += BathSpec("abs", 0.5, 0.1).thermal_pair(lower12, 2.0)
+    good = [thermal_pairs(["loss", "abs"], 0.5, [lower01, lower12], [1.0, 2.0], [0.1, 0.1])]
     LindbladGenerator(h3, good)
     with pytest.raises(ValueError, match="frequency 2.5 "):
         LindbladGenerator(h3, good + [DissipationChannel(lower12.T, 0.1, "loss", 2.5)])
@@ -741,7 +740,7 @@ def test_steady_state_thermal_qubit_is_gibbs():
     h = np.diag([0.0, omega]).astype(complex)
     lower = np.zeros((2, 2), dtype=complex)
     lower[0, 1] = 1.0
-    gen = LindbladGenerator(h, BathSpec("loss", t, 0.2).thermal_pair(lower, omega))
+    gen = LindbladGenerator(h, thermal_pairs("loss", t, [lower], [omega], [0.2]))
     rho = steady_state(gen)
     ratio = rho.population(1) / rho.population(0)
     assert abs(ratio - np.exp(-omega / t)) < 1e-12
@@ -759,7 +758,7 @@ def test_steady_state_disconnected_blocks_degenerate():
     h = np.diag([0.0, 1.0, 3.0]).astype(complex)
     lower = np.zeros((3, 3), dtype=complex)
     lower[0, 1] = 1.0
-    gen = LindbladGenerator(h, BathSpec("loss", 0.5, 0.1).thermal_pair(lower, 1.0))
+    gen = LindbladGenerator(h, thermal_pairs("loss", 0.5, [lower], [1.0], [0.1]))
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(gen)
 

@@ -116,6 +116,10 @@ OVERFLOW_CASES = [
     ("thermal-rate", ["--vib_reorganization", "1e150", "--t_loss_k", "1e200"],
      "loss rate overflows"),
     ("abs-rate-before-gap", ["--gamma_rad", "1e307", "--omega_ant", "12000"], "abs rate overflows"),
+    ("transfer-rate-before-gap", ["--gamma_ant_fmo", "1e308", "--omega_ant", "12300"], "loss rate overflows"),
+    # the transfer's base rates gamma_ant_fmo * bright_k are taken on plain
+    # floats, where a numpy scalar would warn as it overflows
+    ("transfer-base-rate", ["--gamma_ant_fmo", "1e308"], "loss rate overflows"),
 ]
 
 

@@ -1,7 +1,7 @@
 """Spohn's inequality and the first law on random detailed-balance generators.
 
 Every channel here is either half of a detailed-balance pair at a true bath
-temperature (BathSpec.thermal_pair on an eigenbasis jump) or a pure
+temperature (thermo.thermal_pairs on eigenbasis jumps) or a pure
 dephasing by a projector that commutes with H. For such generators
 sigma = dS/dt - sum_b J_b / T_b >= 0 on every state (Spohn, J. Math. Phys.
 19, 1227, 1978), and with one temperature the Gibbs state is stationary.
@@ -12,7 +12,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from solaraudit import (
-    BathSpec,
     DensityMatrix,
     DissipationChannel,
     LindbladGenerator,
@@ -22,7 +21,7 @@ from solaraudit import (
     steady_state,
 )
 from solaraudit.core import HERMITICITY_TOL, TRACE_TOL
-from solaraudit.thermo import ENTROPY_EIGENVALUE_FLOOR
+from solaraudit.thermo import ENTROPY_EIGENVALUE_FLOOR, thermal_pairs
 
 THERMAL = ("abs", "loss")
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -66,11 +65,10 @@ def detailed_balance_models(draw):
 
 def generator(model, temperatures):
     h, u, energies, link_plan, dephasing = model
-    channels = []
-    for i, j, bath, gamma0 in link_plan:
-        spec = BathSpec(bath, temperatures[THERMAL.index(bath)], gamma0)
-        lower = np.outer(u[:, i], u[:, j].conj())  # |e_i><e_j|, down the gap E_j - E_i
-        channels += spec.thermal_pair(lower, energies[j] - energies[i])
+    i, j, baths, gamma0 = zip(*link_plan)
+    lower = [np.outer(u[:, a], u[:, b].conj()) for a, b in zip(i, j)]  # |e_i><e_j|, down E_j - E_i
+    temps = [temperatures[THERMAL.index(bath)] for bath in baths]
+    channels = [thermal_pairs(baths, temps, lower, energies[list(j)] - energies[list(i)], gamma0)]
     for mask, bath, rate in dephasing:
         projector = u[:, mask] @ u[:, mask].conj().T
         channels.append(DissipationChannel(projector, rate, bath, 0.0))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from solaraudit import (
-    BathSpec,
     DensityMatrix,
     DimensionMismatchError,
     DissipationChannel,
@@ -23,8 +22,9 @@ from solaraudit import (
     steady_state,
 )
 from solaraudit.models import ThreeLevelParams, decay_generator, decay_steady_populations
+from solaraudit.thermo import thermal_pairs
 
-from dissipator_oracle import dissipator_action
+from dissipator_oracle import dense_jumps, dissipator_action
 
 
 def vn_entropy(rho):
@@ -76,34 +76,35 @@ def test_bose_occupation_rejects_nonpositive():
         bose_occupation(1.0, -0.5)
 
 
-# -------------------------------------------------------------------- BathSpec
+# --------------------------------------------------------------- thermal_pairs
 
 
 def test_thermal_pair_detailed_balance():
     omega, t, g0 = 1.2, 0.6, 0.01
     lower = np.zeros((2, 2), dtype=complex)
     lower[0, 1] = 1.0
-    down, up = BathSpec("loss", t, g0).thermal_pair(lower, omega)
-    assert up.rate / down.rate == pytest.approx(np.exp(-omega / t), rel=1e-12)
-    assert down.bath_id == up.bath_id == "loss"
+    pair = thermal_pairs("loss", t, [lower], [omega], [g0])
+    down, up = pair.rate
+    assert up / down == pytest.approx(np.exp(-omega / t), rel=1e-12)
+    assert pair.bath_id.tolist() == ["loss", "loss"]
     n = bose_occupation(omega, t)
-    assert down.rate == pytest.approx(g0 * (1 + n), rel=1e-14)
-    assert up.rate == pytest.approx(g0 * n, rel=1e-14)
+    assert down == pytest.approx(g0 * (1 + n), rel=1e-14)
+    assert up == pytest.approx(g0 * n, rel=1e-14)
+    assert np.array_equal(dense_jumps(pair), [lower, lower.T])
 
 
 def test_sink_bath_carries_no_temperature():
-    with pytest.raises(ValueError):
-        BathSpec("sink", 1.0, 0.1)
-    with pytest.raises(ValueError):
-        BathSpec("abs", None, 0.1)
     jump = np.zeros((2, 2), dtype=complex)
     jump[0, 1] = 1.0
+    for temperature in (1.0, None):
+        with pytest.raises(ValueError, match="^sink baths have no thermal occupation$"):
+            thermal_pairs("sink", temperature, [jump], [1.0], [0.1])
+    with pytest.raises(ValueError, match="^thermal bath 'abs' needs temperature > 0, got None$"):
+        thermal_pairs("abs", None, [jump], [1.0], [0.1])
     ch = DissipationChannel(jump, 0.1, "sink", 1.0)
     assert ch.rate == 0.1 and ch.bath_id == "sink"
-    with pytest.raises(ValueError, match="no thermal occupation"):
-        BathSpec("sink", None, 0.1).occupation(1.0)
-    with pytest.raises(ValueError, match="gamma0"):
-        BathSpec("loss", 1.0, -0.1)
+    with pytest.raises(ValueError, match="channel rate must be >= 0"):
+        thermal_pairs("loss", 1.0, [jump], [1.0], [-0.1])
 
 
 def test_thermal_pair_rate_that_is_not_finite_is_a_numerical_failure():
@@ -113,10 +114,16 @@ def test_thermal_pair_rate_that_is_not_finite_is_a_numerical_failure():
     lower[0, 1] = 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for spec in (BathSpec("loss", 1e200, 1e150), BathSpec("abs", 1.0, np.inf)):
-            needle = f"{spec.bath_id} rate overflows: inf at Bohr frequency 1.2"
+        for bath, t, g0 in (("loss", 1e200, 1e150), ("abs", 1.0, np.inf)):
+            needle = f"{bath} rate overflows: inf at Bohr frequency 1.2"
             with pytest.raises(NumericsError, match=needle):
-                spec.thermal_pair(lower, 1.2)
+                thermal_pairs(bath, t, [lower], [1.2], [g0])
+        # pair by pair: an earlier pair's rate fails before a later pair's
+        # occupation, and that occupation before a later pair's rate
+        with pytest.raises(NumericsError, match="^loss rate overflows: inf at Bohr frequency 1.2$"):
+            thermal_pairs("loss", [1e200, -1.0], [lower, lower], [1.2, 1.0], [1e150, 0.1])
+        with pytest.raises(ValueError, match="^thermal bath 'loss' needs temperature > 0, got -1.0$"):
+            thermal_pairs("loss", [-1.0, 1e200], [lower, lower], [1.0, 1.2], [0.1, 1e150])
 
 
 # ------------------------------------------------------------------ heat current
@@ -260,7 +267,7 @@ def test_spohn_inequality_thermal_relaxation():
     h = np.diag([0.0, omega]).astype(complex)
     lower = np.zeros((2, 2), dtype=complex)
     lower[0, 1] = 1.0
-    gen = LindbladGenerator(h, BathSpec("loss", t, g0).thermal_pair(lower, omega))
+    gen = LindbladGenerator(h, thermal_pairs("loss", t, [lower], [omega], [g0]))
     rng = np.random.default_rng(9)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho0 = DensityMatrix((a @ a.conj().T) / np.trace(a @ a.conj().T))
