@@ -23,10 +23,12 @@ Propagation applies the exact exponential of that generator between grid
 times, restricted to the vec coordinates the generator can reach from the
 initial state: a dense exponential on a set of up to
 DENSE_PROPAGATION_MAX_DIM^2 coordinates, a truncated Taylor action on a
-larger one. Everything here is numpy; nothing imports scipy. Each state is
-diagonalised once: in one eigvalsh up to DENSE_PROPAGATION_MAX_DIM levels,
-and above that block by block, a propagated state over the connected blocks
-of that set, a state built directly over those of its own nonzero entries.
+larger one, and each propagated state is floored and validated on its
+entries in that set (a _Support) and written dense once. Everything here is
+numpy; nothing imports scipy. Each state is diagonalised once: in one
+eigvalsh up to DENSE_PROPAGATION_MAX_DIM levels, and above that block by
+block, a propagated state over the connected blocks of that set, a state
+built directly over those of its own nonzero entries.
 """
 
 import math
@@ -59,7 +61,7 @@ STEADY_STATE_RESIDUAL_TOL = 1e-10
 # transfer ladder's product start (m = 301, |L dt|_1 = 1.2) take ~2 ms on
 # the action. So the dense path serves m <= 16^2, the same bound sizes
 # every dense Triplets, and a state of up to 16 levels is diagonalised in
-# one eigvalsh rather than by blocks (_spectral_blocks).
+# one eigvalsh rather than by blocks (_support_of).
 DENSE_PROPAGATION_MAX_DIM = 16
 
 BATH_IDS = ("abs", "loss", "sink")
@@ -104,33 +106,41 @@ class DensityMatrix:
     Construction checks that every entry is finite, max|rho - rho^dag| <=
     1e-12, |tr rho - 1| <= 1e-10 and min eigenvalue >= -1e-9, the spectrum
     computed in one eigvalsh up to DENSE_PROPAGATION_MAX_DIM levels and
-    above that over the connected blocks of the nonzero entries. The
-    entries array is frozen after validation.
+    above that over the connected blocks of the nonzero entries. The checks
+    read the entries of a _Support outside which the state is exactly 0:
+    that of its nonzero entries (every coordinate up to
+    DENSE_PROPAGATION_MAX_DIM levels), or, for a state propagate builds, its
+    reachable set's. The entries array is frozen after validation.
     """
 
     __slots__ = ("entries", "dim")
 
-    def __init__(self, entries, *, _spectrum=None):
+    def __init__(self, entries, *, _spectrum=None, _support=None):
         # _spectrum: ascending eigenvalues of entries, known to the caller that
-        # built them (propagate and steady_state pass floor_positivity's)
-        mat = np.array(entries, dtype=complex)
+        # built them (propagate and steady_state pass floor_positivity's).
+        # _support: a _Support outside which the freshly written entries are
+        # exactly 0 (propagate's); the checks read only its entries, and the
+        # array is taken as it is, without a copy
+        mat = np.array(entries, dtype=complex) if _support is None else entries
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise StateValidationError(
                 f"state must be a square matrix, got shape {mat.shape}"
             )
-        _require_finite_state(mat)
-        defect = np.abs(mat - mat.conj().T).max()
+        support = _support_of(mat != 0) if _support is None else _support
+        x = mat.reshape(-1)[support.index]
+        _require_finite_state(x)
+        defect = np.abs(x - x[support.transpose].conj()).max()
         if defect > HERMITICITY_TOL:
             raise StateValidationError(
                 f"state is not Hermitian: max|rho - rho^dag| = {defect:.3e}"
             )
-        tr = mat.trace().real
+        tr = _trace(x, support)
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateValidationError(
                 f"state trace differs from 1 by {abs(tr - 1.0):.3e}"
             )
         if _spectrum is None:
-            _spectrum = _eigvalsh(mat, _spectral_blocks(mat != 0))
+            _spectrum = _eigenvalues(x, support)
         lo = _spectrum[0]
         if lo < -EIGENVALUE_FLOOR:
             raise StateValidationError(
@@ -530,7 +540,9 @@ def floor_positivity(matrix):
     state comes back as exactly sym / tr. An eigenvalue below -1e-9 is a
     real positivity violation and raises, as does a non-finite entry.
     """
-    return _floored(matrix)[0]
+    mat = np.asarray(matrix)
+    dim = mat.shape[0]
+    return _floored(mat.reshape(-1), _full_support(dim))[0].reshape(dim, dim)
 
 
 def _blocks(mask):
@@ -556,47 +568,91 @@ def _blocks(mask):
     return [order[size[order] == s].reshape(-1, s) for s in np.flatnonzero(np.bincount(size))]
 
 
-def _spectral_blocks(mask):
-    """The blocks _eigvalsh takes for a state held by a dim x dim pattern:
-    the pattern's _blocks above DENSE_PROPAGATION_MAX_DIM levels, and None
-    (one eigvalsh, which costs less than finding blocks) at or below it."""
-    return None if mask.shape[0] <= DENSE_PROPAGATION_MAX_DIM else _blocks(mask)
+class _Support(namedtuple("_Support", "dim index transpose diagonal level blocks")):
+    """A set of vec coordinates of a dim x dim state, closed under transpose,
+    outside which the state is exactly 0; the state is then given by its
+    entries on the set. index holds the set's ascending vec positions,
+    transpose each one's transpose as a position in index, diagonal the
+    positions in index of the diagonal entries and level their levels.
+    blocks is None when the set is every coordinate (one eigvalsh of the
+    whole state); else, per _blocks size, the (count, size, size) gather of
+    the block cells from the entries followed by one zero slot, which every
+    cell outside the set takes."""
 
 
-def _eigvalsh(sym, blocks=None):
-    """Ascending eigenvalues of a Hermitian matrix. Given the _blocks of a
-    pattern that holds its nonzero entries, the blocks of each size share
-    one batched eigvalsh."""
-    if blocks is None:
-        return np.linalg.eigvalsh(sym)
-    w = [np.linalg.eigvalsh(sym[b[:, :, None], b[:, None, :]]) for b in blocks]
-    return np.sort(np.concatenate([x.ravel() for x in w]))
+def _full_support(dim):
+    index = np.arange(dim * dim)
+    transpose = index.reshape(dim, dim).T.ravel()
+    return _Support(dim, index, transpose, index[:: dim + 1], index[:dim], None)
 
 
-def _floored(matrix, blocks=None):
-    """floor_positivity(matrix) and its ascending eigenvalues over the new
-    trace, the clipped ones as 0 (to rounding), found by _eigvalsh on
-    blocks, which must hold every nonzero entry. The full eigh runs only
-    when an eigenvalue needs clipping."""
-    _require_finite_state(matrix)
-    sym = 0.5 * (matrix + matrix.conj().T)
-    w = _eigvalsh(sym, blocks)
+def _support_of(mask):
+    """The _Support of the coordinates a dim x dim pattern or its transpose
+    holds; every coordinate at up to DENSE_PROPAGATION_MAX_DIM levels, where
+    one eigvalsh costs less than finding blocks."""
+    dim = mask.shape[0]
+    if dim <= DENSE_PROPAGATION_MAX_DIM:
+        return _full_support(dim)
+    mask = mask | mask.T
+    index = np.flatnonzero(mask)
+    if index.size == dim * dim:
+        return _full_support(dim)
+    at = np.full(dim * dim, index.size)
+    at[index] = np.arange(index.size)
+    row, col = np.divmod(index, dim)
+    diagonal = np.flatnonzero(row == col)
+    blocks = [at[b[:, :, None] * dim + b[:, None, :]] for b in _blocks(mask)]
+    return _Support(dim, index, at[col * dim + row], diagonal, row[diagonal], blocks)
+
+
+def _trace(x, support):
+    """Trace of a state given on a support: its diagonal scattered into a
+    length-dim vector and summed, in the order numpy's trace sums it."""
+    d = np.zeros(support.dim, dtype=x.dtype)
+    d[support.level] = x[support.diagonal]
+    return d.sum().real
+
+
+def _eigenvalues(x, support):
+    """Ascending eigenvalues of a Hermitian state given by its entries on a
+    support: one eigvalsh on the full support, else one batched eigvalsh
+    per block size."""
+    if support.blocks is None:
+        return np.linalg.eigvalsh(x.reshape(support.dim, support.dim))
+    padded = np.append(x, 0.0)
+    return np.sort(np.concatenate([np.linalg.eigvalsh(padded[g]).ravel() for g in support.blocks]))
+
+
+def _floored(x, support):
+    """floor_positivity of a state given by its entries x on a support: the
+    repaired entries, their ascending eigenvalues over the new trace (the
+    clipped ones as 0, to rounding; _eigenvalues) and the support they are
+    given on. Only an eigenvalue that needs clipping runs the full eigh on
+    the dense state; its repair may fill any entry, so it comes back on the
+    full support."""
+    _require_finite_state(x)
+    sym = 0.5 * (x + x[support.transpose].conj())
+    w, dim = _eigenvalues(sym, support), support.dim
     if w[0] < -EIGENVALUE_FLOOR:
         raise StateValidationError(
             f"positivity violation: eigenvalue {w[0]:.3e} below -{EIGENVALUE_FLOOR:.0e}"
         )
     # the Hermitian eigensolver rounds a zero eigenvalue to within
     # dim eps max|w|; repairing that would spread noise into exact zeros
-    rounding = sym.shape[0] * np.finfo(float).eps * max(-w[0], w[-1])
+    rounding = dim * np.finfo(float).eps * max(-w[0], w[-1])
     if w[0] < -rounding:
+        dense = np.zeros(dim * dim, dtype=sym.dtype)
+        dense[support.index] = sym
+        sym = dense.reshape(dim, dim)
         w, u = np.linalg.eigh(sym)
         neg = w < -rounding
-        sym = sym - (u[:, neg] * w[neg]) @ u[:, neg].conj().T
+        sym = (sym - (u[:, neg] * w[neg]) @ u[:, neg].conj().T).reshape(-1)
         w = np.sort(np.where(neg, 0.0, w))
-    tr = sym.trace().real
+        support = _full_support(dim)
+    tr = _trace(sym, support)
     if tr <= 0:
         raise StateValidationError(f"state trace collapsed to {tr:.3e}")
-    return sym / tr, w / tr
+    return sym / tr, w / tr, support
 
 
 def expm_dense(a):
@@ -722,12 +778,13 @@ def _action(a):
     return exp_l
 
 
-def _propagator(lmat, keep):
-    """advance(y, dt) = exp(L dt) y for a vec y held by keep, where L is
-    lmat restricted to keep's coordinates: a dense exponential per step
-    length if that restriction fits _fits_dense, else the Taylor action
-    (_action). The result is 0 outside keep."""
-    index = np.flatnonzero(keep)
+def _propagator(lmat, keep, within=None):
+    """advance(y, dt) = exp(L dt) y for a vec y held by keep and given on
+    the ascending vec positions within (which hold keep; every coordinate by
+    default), where L is lmat restricted to keep's coordinates: a dense
+    exponential per step length if that restriction fits _fits_dense, else
+    the Taylor action (_action). The result is 0 outside keep."""
+    index = np.flatnonzero(keep if within is None else keep[within])
     at = np.cumsum(keep) - 1
     inside = keep[lmat.col]
     sub = Triplets(at[lmat.row[inside]], at[lmat.col[inside]], lmat.data[inside], (index.size,) * 2)
@@ -764,13 +821,18 @@ def propagate(gen, rho0, t_grid):
     per step length; otherwise a truncated Taylor series (_action, Al-Mohy
     and Higham, SIAM J. Sci. Comput. 2011) acts on the vector without
     forming the propagator. An |L dt| that overflows, or a propagated state
-    that is not finite, raises NumericsError. Output states are symmetrized and
-    positivity-floored before validation, and the floored state starts the
-    next step; if its repair left the set, the set is found again from it.
-    Each state is diagonalised once: in one eigvalsh up to
-    DENSE_PROPAGATION_MAX_DIM levels; above that block by block, since the
-    set, read as a dim x dim pattern, splits into connected blocks (_blocks,
-    found once per set) outside which the state is exactly 0.
+    that is not finite, raises NumericsError. Output states are symmetrized,
+    positivity-floored (_floored) and validated on their kept entries, the
+    set closed under transpose (a _Support), every coordinate up to
+    DENSE_PROPAGATION_MAX_DIM levels, and written dense once; the floored
+    entries start the next step. Only a state whose floor clipped an
+    eigenvalue is repaired dense, and only then (or when the set is not
+    closed under transpose) is it asked whether it left the set; if so, the
+    set is found again from it. Each state is diagonalised once: in one
+    eigvalsh up to DENSE_PROPAGATION_MAX_DIM levels; above that block by
+    block, since the set, read as a dim x dim pattern, splits into
+    connected blocks (_blocks, found once per set) outside which the state
+    is exactly 0.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -791,23 +853,33 @@ def propagate(gen, rho0, t_grid):
     # rho0 reaches
     lnorm = float(np.bincount(lmat.col, np.abs(lmat.data), lmat.shape[1]).max())
 
-    def restrict(y):  # the set y reaches, its propagator and its blocks
+    dim = gen.dim
+
+    def restrict(y):  # the set a dense vec y reaches, its states' support and its propagator
         keep = _reachable(lmat, y != 0)
-        return keep, _propagator(lmat, keep), _spectral_blocks(keep.reshape(gen.dim, gen.dim))
+        mask = keep.reshape(dim, dim)
+        support = _support_of(mask)
+        return keep, support, np.array_equal(mask, mask.T), _propagator(lmat, keep, support.index)
 
     y = rho0.entries.reshape(-1)
-    keep, advance, blocks = restrict(y)
+    keep, support, closed, advance = restrict(y)
+    x = y[support.index]
     out = [rho0]
     # each grid value is rounded to within an ulp of max|t|, so two steps
     # of one length differ by up to four of those
     for dt in _step_lengths(np.diff(t), 4 * np.finfo(float).eps * t[-1]):
         if not math.isfinite(lnorm * dt):
             raise NumericsError(f"|L dt|_1 overflows at dt = {dt!r}")
-        repaired, spectrum = _floored(advance(y, dt).reshape(gen.dim, gen.dim), blocks)
-        y = repaired.reshape(-1)
-        if y[~keep].any():  # a repair left the set: propagate from here on a new one
-            keep, advance, blocks = restrict(y)
-        out.append(DensityMatrix(repaired, _spectrum=spectrum))
+        x, spectrum, held = _floored(advance(x, dt), support)
+        y = np.zeros(dim * dim, dtype=complex)
+        y[held.index] = x
+        # a repair, or the symmetrization of a set not closed under
+        # transpose, may leave the set: if so, propagate from here on a new one
+        if held is not support or not closed:
+            if y[~keep].any():
+                keep, support, closed, advance = restrict(y)
+            x = y[support.index]
+        out.append(DensityMatrix(y.reshape(dim, dim), _spectrum=spectrum, _support=support))
     return out
 
 
@@ -830,7 +902,8 @@ def steady_state(gen):
     tr = rho.trace()
     if abs(tr) < 1e-12 * np.linalg.norm(v):
         raise DegenerateSteadyStateError(null_count or 1)
-    rho, spectrum = _floored(rho / tr)
+    rho, spectrum, _ = _floored((rho / tr).reshape(-1), _full_support(gen.dim))
+    rho = rho.reshape(gen.dim, gen.dim)
     residual = np.abs(liouvillian_apply(gen, rho)).max()
     if residual > STEADY_STATE_RESIDUAL_TOL:
         raise SteadyStateConvergenceError(residual, STEADY_STATE_RESIDUAL_TOL)

@@ -48,6 +48,14 @@ def random_state(rng, dim):
     return DensityMatrix(rho / rho.trace())
 
 
+def floored(matrix):
+    """core._floored of a matrix on every coordinate: the repaired matrix
+    and its spectrum."""
+    dim = len(matrix)
+    x, spectrum, _ = core._floored(matrix.reshape(-1), core._full_support(dim))
+    return x.reshape(dim, dim), spectrum
+
+
 # ----------------------------------------------------------- state validation
 
 
@@ -86,7 +94,7 @@ def test_state_below_the_eigenvalue_floor_raises_on_every_path(monkeypatch):
     # state's to rounding
     near = np.diag([1.0 + 0.5 * core.EIGENVALUE_FLOOR, -0.5 * core.EIGENVALUE_FLOOR]).astype(complex)
     DensityMatrix(near)
-    fixed, spectrum = core._floored(near)
+    fixed, spectrum = floored(near)
     assert np.abs(spectrum - np.linalg.eigvalsh(fixed)).max() <= 1e-15
 
 
@@ -690,22 +698,29 @@ def test_propagate_matches_full_space_exponential():
             assert not rho.entries.reshape(-1)[~keep].any()
 
 
-def test_propagate_follows_a_repair_out_of_the_reachable_set():
+def level_one_decay(dim):
+    """Levels at 0, 1 and 2.5, level 1 decaying to 0, and levels 3 and up,
+    if any, in no channel."""
+    h = np.diag([0.0, 1.0, 2.5, *(4.0 + np.arange(dim - 3))]).astype(complex)
+    lower = np.zeros((dim, dim), dtype=complex)
+    lower[0, 1] = 1.0
+    return LindbladGenerator(h, [DissipationChannel(lower, 0.3, "loss", 1.0)])
+
+
+def assert_propagation_follows_a_repair(dim):
     # rho0 holds |0><0| and a coherence c between levels 1 and 2, which
     # reaches no population of theirs; its eigenvalue -c is within the
     # floor. The first step repairs it along an even mix of |1> and |2>,
     # which puts weight on both populations, outside the set; later steps
     # must carry that weight, and level 1's decays to level 0.
-    h = np.diag([0.0, 1.0, 2.5]).astype(complex)
-    lower = np.zeros((3, 3), dtype=complex)
-    lower[0, 1] = 1.0
-    gen = LindbladGenerator(h, [DissipationChannel(lower, 0.3, "loss", 1.0)])
+    gen = level_one_decay(dim)
     c = 1e-12
-    start = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    start = np.zeros((dim, dim), dtype=complex)
+    start[0, 0] = 1.0
     start[1, 2] = start[2, 1] = c
     rho0 = DensityMatrix(start)
     keep = core._reachable(gen.superoperator, start.reshape(-1) != 0)
-    assert np.flatnonzero(keep).tolist() == [0, 5, 7]
+    assert np.flatnonzero(keep).tolist() == [0, dim + 2, 2 * dim + 1]
     grid = 0.5 * np.arange(6)
     states = propagate(gen, rho0, grid)
     reference = full_space_reference(gen, rho0, grid, floor_positivity)
@@ -713,8 +728,147 @@ def test_propagate_follows_a_repair_out_of_the_reachable_set():
     for rho, ref in zip(states, reference):
         assert np.abs(rho.entries - ref).max() <= 1e-14
     populations = np.array([np.diag(rho.entries).real for rho in states[1:]])
-    assert (populations[:, 1:] > 0.1 * c).all()
+    assert (populations[:, 1:3] > 0.1 * c).all()
     assert (np.diff(populations[:, 1]) < 0).all()
+
+
+def test_propagate_follows_a_repair_out_of_the_reachable_set():
+    assert_propagation_follows_a_repair(3)
+
+
+def test_propagate_follows_a_repair_out_of_a_set_of_blocks(monkeypatch):
+    # the same repair above DENSE_PROPAGATION_MAX_DIM levels, where each
+    # state is floored on its set's blocks: the clip runs on the dense state,
+    # and the set is found again from the repaired one
+    dim = core.DENSE_PROPAGATION_MAX_DIM + 1
+    found, sets = core._propagator, []
+
+    def recorded(lmat, keep, within=None):
+        sets.append(within.tolist())
+        return found(lmat, keep, within)
+
+    monkeypatch.setattr(core, "_propagator", recorded)
+    assert_propagation_follows_a_repair(dim)
+    # the start's set, then the repaired state's, which holds populations 1
+    # and 2; neither is every coordinate, so both are floored on blocks
+    assert len(sets) == 2
+    assert sets[0] == [0, dim + 2, 2 * dim + 1]
+    assert {0, dim + 1, 2 * dim + 2} <= set(sets[1])
+    assert len(sets[1]) < dim * dim
+
+
+def test_propagate_follows_a_one_sided_start_out_of_its_set():
+    # a coherence 1e-13 between levels 1 and 2 on one side only passes the
+    # Hermiticity check and reaches a set not closed under transpose. The
+    # first step's symmetrization puts half of it on the other side, outside
+    # the set, with no eigenvalue to clip; later steps must carry it there,
+    # on every coordinate and on blocks. Dropping it is an error of ~5e-14.
+    grid = 0.5 * np.arange(6)
+    for dim in (3, core.DENSE_PROPAGATION_MAX_DIM + 1):
+        gen = level_one_decay(dim)
+        start = np.zeros((dim, dim), dtype=complex)
+        start[[0, 1, 2], [0, 1, 2]] = 0.5, 0.25, 0.25
+        start[1, 2] = 1e-13
+        rho0 = DensityMatrix(start)
+        mask = core._reachable(gen.superoperator, start.reshape(-1) != 0).reshape(dim, dim)
+        assert mask[1, 2] and not mask[2, 1]
+        states = propagate(gen, rho0, grid)
+        reference = full_space_reference(gen, rho0, grid, floor_positivity)
+        for rho, ref in zip(states, reference):
+            assert np.abs(rho.entries - ref).max() <= 1e-14
+        assert all(rho.entries[2, 1] == rho.entries[1, 2].conjugate() != 0 for rho in states[1:])
+
+
+def test_propagated_states_are_the_dense_symmetrized_steps_bitwise():
+    # each state is symmetrized, floored and validated on its kept entries
+    # and written dense once; on these starts no eigenvalue needs clipping,
+    # so each state is, byte for byte, the dense 0.5 (m + m^dag) / tr of the
+    # restricted propagator's step from the state before, and exactly 0
+    # outside the reachable set. The ladders (dim 63 and 183) take the
+    # block path, the FMO trace (dim 10) the full support.
+    cfg = default_config()
+    fmo = build_model(cfg)
+    cases = [(*product_start_ladder(n_max), np.linspace(0.0, 1.6, 9)) for n_max in (20, 60)]
+    cases.append((fmo.generator, DensityMatrix.ground(fmo.dim),
+                  np.linspace(0.0, cfg.t_max_ps, cfg.n_times) * PS_TO_INTERNAL))
+    for gen, rho0, grid in cases:
+        lmat = gen.superoperator
+        keep = core._reachable(lmat, rho0.entries.reshape(-1) != 0)
+        advance = core._propagator(lmat, keep)
+        steps = core._step_lengths(np.diff(grid), 4 * np.finfo(float).eps * grid[-1])
+        states = propagate(gen, rho0, grid)
+        assert len(states) == grid.size
+        y = rho0.entries.reshape(-1)
+        for dt, rho in zip(steps, states[1:]):
+            m = advance(y, dt).reshape(gen.dim, gen.dim)
+            sym = 0.5 * (m + m.conj().T)
+            ref = sym / sym.trace().real
+            assert rho.entries.tobytes() == ref.tobytes()
+            assert not rho.entries.reshape(-1)[~keep].any()
+            y = ref.reshape(-1)
+
+
+def test_state_checks_on_a_support_match_the_dense_checks():
+    # a state propagate builds is checked on its support's entries only,
+    # and taken without a copy; for entries that are 0 outside the support
+    # each check gives the dense check's verdict and message
+    dim = core.DENSE_PROPAGATION_MAX_DIM + 1
+    mask = np.eye(dim, dtype=bool)
+    mask[1, 2] = True
+    support = core._support_of(mask)
+    good = np.diag(np.full(dim, 1.0 / dim)).astype(complex)
+    good[1, 2] = good[2, 1] = 0.01
+    rho = DensityMatrix(good, _spectrum=np.linalg.eigvalsh(good), _support=support)
+    assert rho.entries is good and not good.flags.writeable
+    one_sided, heavy, nan = good.copy(), good.copy(), good.copy()
+    one_sided[1, 2] += 1e-9
+    heavy[0, 0] += 1e-9
+    nan[2, 1] = np.nan
+    faults = ((one_sided, "not Hermitian"), (heavy, "trace differs"), (nan, "non-finite"))
+    for bad, message in faults:
+        with pytest.raises(StateValidationError, match=message) as want:
+            DensityMatrix(bad)
+        with pytest.raises(StateValidationError) as got:
+            DensityMatrix(bad, _spectrum=np.zeros(dim), _support=support)
+        assert str(got.value) == str(want.value)
+
+
+def test_propagation_faults_carry_the_floors_messages(monkeypatch):
+    # the second step of the n_max=6 ladder (dim 21, floored on blocks)
+    # lands on a state with a fault inside its set: a nan, an eigenvalue
+    # below -EIGENVALUE_FLOOR, or a zero trace. propagate raises the message
+    # floor_positivity gives for the same dense state.
+    gen = hamiltonian_transfer_generator(LADDER, 6)
+    rho0 = dressed_product_state(LADDER, 6)
+    assert gen.dim > core.DENSE_PROPAGATION_MAX_DIM
+    keep = core._reachable(gen.superoperator, rho0.entries.reshape(-1) != 0)
+    level = np.flatnonzero(np.diag(keep.reshape(gen.dim, gen.dim)))[3]
+    nan, negative = rho0.entries.copy(), rho0.entries.copy()
+    nan[level, level] = np.nan
+    negative[level, level] = -2 * core.EIGENVALUE_FLOOR
+    faults = (
+        (nan, "state has non-finite entries"),
+        (negative, "positivity violation: eigenvalue -2.000e-09"),
+        (np.zeros_like(nan), "state trace collapsed to 0.000e+00"),
+    )
+    propagator = core._propagator
+    for bad, message in faults:
+        def faulty(lmat, keep, within=None, bad=bad):
+            advance = propagator(lmat, keep, within)
+            steps = []
+
+            def step(y, dt):
+                steps.append(dt)
+                return advance(y, dt) if len(steps) == 1 else bad.reshape(-1)[within]
+            return step
+
+        monkeypatch.setattr(core, "_propagator", faulty)
+        with pytest.raises(StateValidationError) as want:
+            floor_positivity(bad)
+        with pytest.raises(StateValidationError) as got:
+            propagate(gen, rho0, 0.5 * np.arange(4))
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(message)
 
 
 def test_liouvillian_apply_takes_a_stack_of_states():
@@ -809,7 +963,7 @@ def test_floor_leaves_the_eigensolvers_rounding_of_zero_alone():
 
     sym = state(-0.5 * rounding)
     assert -rounding <= np.linalg.eigvalsh(sym)[0] < 0.0
-    fixed, spectrum = core._floored(sym)
+    fixed, spectrum = floored(sym)
     assert np.array_equal(fixed, sym / sym.trace().real)
     assert np.array_equal(spectrum, np.linalg.eigvalsh(sym) / sym.trace().real)
     repaired = floor_positivity(state(-1e-12))
@@ -860,10 +1014,11 @@ def test_blocks_are_the_connected_components_of_a_pattern():
         assert blocks(mask) == [[list(range(183))]]
 
 
-def test_block_spectrum_matches_eigvalsh():
+def test_block_spectrum_matches_eigvalsh(monkeypatch):
     # random Hermitian blocks on a shuffled numbering: the blocks are found
     # from the nonzero pattern, and their eigenvalues are eigvalsh's within
-    # the eigensolver's rounding, dim eps max|w|
+    # the eigensolver's rounding, dim eps max|w|, at every size
+    monkeypatch.setattr(core, "DENSE_PROPAGATION_MAX_DIM", 0)
     rng = np.random.default_rng(61)
     for sizes in ((1, 1, 2, 3, 2, 5, 1, 3), (4,), (1, 1, 1), (2, 2, 2, 7)):
         dim = sum(sizes)
@@ -878,7 +1033,9 @@ def test_block_spectrum_matches_eigvalsh():
         blocks = core._blocks(m != 0)
         assert sorted(s for b in blocks for s in [b.shape[1]] * b.shape[0]) == sorted(sizes)
         w = np.linalg.eigvalsh(m)
-        assert np.abs(core._eigvalsh(m, blocks) - w).max() <= dim * np.finfo(float).eps * np.abs(w).max()
+        support = core._support_of(m != 0)
+        got = core._eigenvalues(m.reshape(-1)[support.index], support)
+        assert np.abs(got - w).max() <= dim * np.finfo(float).eps * np.abs(w).max()
 
 
 def test_positivity_is_enforced_inside_a_block(monkeypatch):

@@ -516,15 +516,20 @@ def test_transfer_generator_builds_no_channel_objects(monkeypatch):
     assert len(joined) == 1 and [t.rate.size for t in joined[0]] == [480]
 
 
-def test_traced_ladder_build_reads_the_generator():
-    # benchmarks/tracing.py reads a generator's channel count and jump
-    # bytes; a change that breaks those reads fails here, not only in a
-    # traced benchmark run
+def benchmark_tracer():
+    """benchmarks/tracing.py's Tracer, installed."""
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
     spec = importlib.util.spec_from_file_location("tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    tracer = tracing.Tracer().install()
+    return tracing.Tracer().install()
+
+
+def test_traced_ladder_build_reads_the_generator():
+    # benchmarks/tracing.py reads a generator's channel count and jump
+    # bytes; a change that breaks those reads fails here, not only in a
+    # traced benchmark run
+    tracer = benchmark_tracer()
     try:
         p = ThreeLevelParams(omega_abs=1.0, omega_rc=0.5, gamma=0.02, t_abs=2.0, t_loss=0.2)
         hamiltonian_transfer_generator(p, 6)
@@ -532,6 +537,25 @@ def test_traced_ladder_build_reads_the_generator():
         tracer.restore()
     assert tracer.missing == []
     assert tracer.sizes["core.channels"] == 48 and tracer.sizes["core.jump_bytes"] > 0
+
+
+def test_traced_ladder_propagation_validates_each_state_once():
+    # core.density_matrix counts DensityMatrix constructions: the start,
+    # then one per propagated state, each under the core.propagate span,
+    # whichever way propagate validates it (core.propagate is read after
+    # install, which rebinds it)
+    p = ThreeLevelParams(omega_abs=1.0, omega_rc=0.5, gamma=0.02, t_abs=2.0, t_loss=0.2)
+    gen = hamiltonian_transfer_generator(p, 6)
+    tracer = benchmark_tracer()
+    try:
+        states = core.propagate(gen, dressed_product_state(p, 6), 0.5 * np.arange(9))
+    finally:
+        tracer.restore()
+    assert tracer.missing == []
+    names = [span[0] for span in tracer.spans]
+    inside = [span[0] for span in tracer.spans if span[3] == names.index("core.propagate")]
+    assert names.count("core.density_matrix") == len(states) == 9
+    assert inside.count("core.density_matrix") == len(states) - 1
 
 
 def test_truncation_guard_raises_on_edge_weight():
