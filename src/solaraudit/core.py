@@ -21,7 +21,8 @@ downstream. Products and sums run dense up to the size of the
 dense-propagation superoperator and by sorting triplets above it.
 Propagation applies the exact exponential of that generator between grid
 times, restricted to the vec coordinates the generator can reach from the
-initial state: a dense exponential on a set of up to
+initial state, and assembles it on a set holding those, found from its
+parts, never whole: a dense exponential on a set of up to
 DENSE_PROPAGATION_MAX_DIM^2 coordinates, a truncated Taylor action on a
 larger one, and each propagated state is floored and validated on its
 entries in that set (a _Support) and written dense once. Everything here is
@@ -284,6 +285,16 @@ def _product(a, b):
     return Triplets.summed([(a.row[ia], b.col[ib], a.data[ia] * b.data[ib])], shape)
 
 
+def _dense_sum(row, col, value, n):
+    """The n x n array of (row, col, value) entries, values at one position
+    added in order, as Triplets.summed adds them; a sum that overflows is
+    left to the caller's checks."""
+    out = np.zeros((n, n), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(out, (row, col), value)
+    return out
+
+
 def _checked_rates(rate, bath_id, bohr_frequency):
     """Channel rates as floats after the checks each channel gets, in order:
     a known bath id, a finite rate (else NumericsError for the first such
@@ -364,15 +375,20 @@ class ChannelTable(namedtuple("ChannelTable", "jump rate bath_id bohr_frequency 
         return ChannelTable(a, rate, *fields)
 
 
-def _left_right(x, y):
-    """Triplets of X (x) I and I (x) Y^T for square Triplets X and Y: the
-    superoperator of rho -> X rho + rho Y."""
+def _left_right(x, y, keep=None):
+    """Triplets parts of X (x) I and I (x) Y^T for square Triplets X and Y,
+    the superoperator of rho -> X rho + rho Y: an entry of X at (i, j) gives
+    (i n + m, j n + m) and one of Y at (i, j) gives (m n + j, m n + i), entry
+    by entry, m ascending. If a dim x dim pattern keep is given, only the vec
+    columns it holds (column a n + b at keep[a, b]) are generated."""
     n = x.shape[0]
-    m = np.arange(n, dtype=_index_dtype(n * n))
-    xr, xc, yr, yc = (a.astype(m.dtype)[:, None] for a in (x.row, x.col, y.row, y.col))
+    if keep is None:
+        (xe, xm), (ye, ym) = (np.divmod(np.arange(z.nnz * n), n) for z in (x, y))
+    else:
+        (xe, xm), (ye, ym) = (np.divmod(np.flatnonzero(k), n) for k in (keep[x.col], keep.T[y.row]))
     return [
-        ((xr * n + m).ravel(), (xc * n + m).ravel(), np.repeat(x.data, n)),
-        ((m * n + yc).ravel(), (m * n + yr).ravel(), np.repeat(y.data, n)),
+        (x.row[xe] * np.intp(n) + xm, x.col[xe] * np.intp(n) + xm, x.data[xe]),
+        (ym * n + y.col[ye], ym * n + y.row[ye], y.data[ye]),
     ]
 
 
@@ -471,8 +487,7 @@ class LindbladGenerator:
             # the Kronecker part and adds H[i, k] v to sum_c r_c A_c^dag H A_c at (j, l)
             r, c, v = kron
             with np.errstate(over="ignore", invalid="ignore"):
-                q = Triplets.summed([(c % n, c // n, h[r % n, r // n] * v)], (n, n)).toarray()
-                q = q + k_half @ h + h @ k_half
+                q = _dense_sum(c % n, c // n, h[r % n, r // n] * v, n) + k_half @ h + h @ k_half
             if not np.isfinite(q).all():
                 raise NumericsError(f"heat operator of bath {bath!r} is not finite")
             return q
@@ -499,19 +514,69 @@ class LindbladGenerator:
         m = _product(columns, Triplets(owner, vec, a.conj(), (count, n * n)))
         p, q, v = m.row, m.col, m.data
         same = p // n == q // n
-        k_half = Triplets.summed([(p[same] % n, q[same] % n, -0.5 * v[same].conj())], (n, n))
-        return (p // n * n + q // n, p % n * n + q % n, v), k_half.toarray()
+        k_half = _dense_sum(p[same] % n, q[same] % n, -0.5 * v[same].conj(), n)
+        return (p // n * n + q // n, p % n * n + q % n, v), k_half
+
+    @cached_property
+    def _parts(self):
+        """What L sums: each bath's sum_k r_k A_k (x) conj(A_k) entries as a
+        (row, col, value) part, in BATH_IDS order; and G = -i H - sum_b K_b / 2
+        and G^dag as Triplets."""
+        terms = [t for t in self._bath_terms.values() if t is not None]
+        g = Triplets.from_dense(-1j * self.hamiltonian + sum(k_half for _, k_half in terms))
+        order = np.argsort(g.col, kind="stable")
+        g_dag = Triplets(g.col[order], g.row[order], g.data[order].conj(), g.shape)
+        return [kron for kron, _ in terms], g, g_dag
 
     @cached_property
     def superoperator(self):
-        """Vectorized generator as dim^2 x dim^2 Triplets, summed as every
-        sum_k r_k A_k (x) conj(A_k) plus G (x) I + I (x) conj(G), where
-        G = -i H - sum_b K_b / 2."""
+        """Vectorized generator as dim^2 x dim^2 Triplets (_liouvillian on
+        every coordinate). steady_state and liouvillian_apply read it;
+        propagate only for the norm of an |L dt| that may overflow."""
+        return self._liouvillian()
+
+    def _liouvillian(self, index=None):
+        """L = sum_b sum_k r_k A_k (x) conj(A_k) + G (x) I + I (x) conj(G) as
+        Triplets, summed position by position in that order
+        (Triplets.summed). Given the ascending vec positions index of a set
+        that every part maps into itself (as _closure finds), L on those
+        columns, renumbered 0, 1, ... in order: the bath products' entries
+        there, and G's parts generated there only (_left_right), so it is
+        the full L's restriction, bitwise."""
         n = self.dim
-        terms = [t for t in self._bath_terms.values() if t is not None]
-        g = -1j * self.hamiltonian + sum(k_half for _, k_half in terms)
-        parts = _left_right(Triplets.from_dense(g), Triplets.from_dense(g.conj().T))
-        return Triplets.summed([*(kron for kron, _ in terms), *parts], (n * n, n * n))
+        krons, g, g_dag = self._parts
+        if index is None:
+            return Triplets.summed([*krons, *_left_right(g, g_dag)], (n * n, n * n))
+        keep, at = np.zeros(n * n, dtype=bool), np.zeros(n * n, dtype=np.intp)
+        keep[index], at[index] = True, np.arange(index.size)
+        kept = [(r[inside], c[inside], v[inside]) for r, c, v in krons for inside in [keep[c]]]
+        parts = [*kept, *_left_right(g, g_dag, keep.reshape(n, n))]
+        return Triplets.summed([(at[r], at[c], v) for r, c, v in parts], (index.size, index.size))
+
+    def _closure(self, start):
+        """A set of vec coordinates holding a boolean vec mask start that L
+        maps into itself, found from L's parts without L, as ascending vec
+        positions: the least set closed under an edge c -> r for each bath
+        product entry at (r, c) and, for each G[i, j] != 0 and every b, a
+        left edge (j, b) -> (i, b) and a right edge (b, j) -> (b, i). L
+        sums those parts and drops exact-zero sums, so the set holds the one
+        _reachable finds, and _liouvillian can assemble L on it."""
+        n = self.dim
+        krons, g, _ = self._parts
+        column = np.zeros((n, n), dtype=bool)  # column[j]: the i of each G[i, j] != 0
+        column[g.col, g.row] = True
+        seen = start.copy()
+        new = np.flatnonzero(seen)
+        while new.size:
+            j, b = np.divmod(new, n)
+            (e, i), (f, k) = (np.divmod(np.flatnonzero(column[a]), n) for a in (j, b))
+            jumped = [r[seen[c]] for r, c, _ in krons]
+            reached = np.concatenate([i * n + b[e], j[f] * n + k, *jumped])
+            fresh = np.zeros_like(seen)
+            fresh[reached[~seen[reached]]] = True
+            new = np.flatnonzero(fresh)
+            seen[new] = True
+        return np.flatnonzero(seen)
 
 
 def _vec(gen, rho):
@@ -694,6 +759,12 @@ def _step_lengths(steps, tol):
     return lengths
 
 
+def _norm1(col, value):
+    """1-norm of a matrix given by its entries' columns and values: the
+    largest column sum of |value|, 0 if it has none."""
+    return float(np.bincount(col, np.abs(value)).max(initial=0.0))
+
+
 def _reachable(lmat, keep):
     """The smallest set of vec coordinates holding keep that the
     superoperator lmat maps into itself, as a boolean mask: the fixed point
@@ -746,7 +817,7 @@ def _action(a):
     mu = a.data[a.row == a.col].sum() / n
     diag = np.arange(n)
     b = Triplets.summed([(a.row, a.col, a.data), (diag, diag, np.full(n, -mu))], a.shape)
-    norm = float(np.bincount(b.col, np.abs(b.data), n).max())
+    norm = _norm1(b.col, b.data)
     col = b.col.astype(np.intp)
     at = (2 * b.row.astype(np.intp)[:, None] + np.arange(2)).ravel()
 
@@ -815,13 +886,17 @@ def propagate(gen, rho0, t_grid):
     length: steps within 4 eps max|t| of one another, the rounding of the
     grid values, are one length, the shortest of them. L acts only on the
     smallest set of vec coordinates that holds rho0's support and that L
-    maps into itself (found from L's sparsity pattern), an exact reduction:
-    the other coordinates stay 0. If that set fits _fits_dense, the
+    maps into itself, an exact reduction: the other coordinates stay 0. L
+    is never assembled whole: gen._closure finds a set holding that one
+    from L's parts, gen._liouvillian assembles L there, and _reachable
+    reads the set off it. If that set fits _fits_dense, the
     propagator is a dense exponential (expm_dense) of L on it, computed once
     per step length; otherwise a truncated Taylor series (_action, Al-Mohy
     and Higham, SIAM J. Sci. Comput. 2011) acts on the vector without
-    forming the propagator. An |L dt| that overflows, or a propagated state
-    that is not finite, raises NumericsError. Output states are symmetrized,
+    forming the propagator. An |L dt|_1 of the whole L that overflows
+    (checked against a bound from L's parts, and against L's own norm only
+    if twice that bound overflows), or a propagated state that is not
+    finite, raises NumericsError. Output states are symmetrized,
     positivity-floored (_floored) and validated on their kept entries, the
     set closed under transpose (a _Support), every coordinate up to
     DENSE_PROPAGATION_MAX_DIM levels, and written dense once; the floored
@@ -848,15 +923,23 @@ def propagate(gen, rho0, t_grid):
     if rho0.dim != gen.dim:
         raise DimensionMismatchError(gen.dim, rho0.dim, what="initial state")
 
-    lmat = gen.superoperator
     # the whole generator's norm: a span that overflows it raises whatever
-    # rho0 reaches
-    lnorm = float(np.bincount(lmat.col, np.abs(lmat.data), lmat.shape[1]).max())
-
+    # rho0 reaches. L's column sums are at most its parts': G's largest
+    # twice, plus each bath product's largest. Only a span that overflows
+    # twice that bound needs L's own norm, and so the whole L.
+    krons, g, _ = gen._parts
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = 2 * _norm1(g.col, g.data) + sum(_norm1(c, v) for _, c, v in krons)
+    lnorm = None
     dim = gen.dim
 
     def restrict(y):  # the set a dense vec y reaches, its states' support and its propagator
-        keep = _reachable(lmat, y != 0)
+        start = y != 0
+        index = gen._closure(start)
+        sub = gen._liouvillian(index)
+        # _reachable and _propagator take L on vec coordinates
+        lmat = Triplets(index[sub.row], index[sub.col], sub.data, (dim * dim,) * 2)
+        keep = _reachable(lmat, start)
         mask = keep.reshape(dim, dim)
         support = _support_of(mask)
         return keep, support, np.array_equal(mask, mask.T), _propagator(lmat, keep, support.index)
@@ -868,8 +951,11 @@ def propagate(gen, rho0, t_grid):
     # each grid value is rounded to within an ulp of max|t|, so two steps
     # of one length differ by up to four of those
     for dt in _step_lengths(np.diff(t), 4 * np.finfo(float).eps * t[-1]):
-        if not math.isfinite(lnorm * dt):
-            raise NumericsError(f"|L dt|_1 overflows at dt = {dt!r}")
+        if not math.isfinite(2 * bound * dt):
+            if lnorm is None:
+                lnorm = _norm1(gen.superoperator.col, gen.superoperator.data)
+            if not math.isfinite(lnorm * dt):
+                raise NumericsError(f"|L dt|_1 overflows at dt = {dt!r}")
         x, spectrum, held = _floored(advance(x, dt), support)
         y = np.zeros(dim * dim, dtype=complex)
         y[held.index] = x

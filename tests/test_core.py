@@ -1,5 +1,6 @@
 """Dynamics substrate checked against closed forms and brute-force oracles."""
 
+import math
 import warnings
 
 import numpy as np
@@ -869,6 +870,189 @@ def test_propagation_faults_carry_the_floors_messages(monkeypatch):
             propagate(gen, rho0, 0.5 * np.arange(4))
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(message)
+
+
+def cancelling_generator():
+    """Three levels at 2, 1 and 0, one channel at rate 1/4 whose jump holds
+    diagonal and off-diagonal entries, (|0> - |1>)(<0| - <1|) + |2><2|. In
+    L's columns at the populations of levels 0 and 1, the bath product's
+    entries at the coherences between them cancel G's, exactly in dyadic
+    arithmetic: those edges are in L's parts but not in L."""
+    h = np.diag([2.0, 1.0, 0.0]).astype(complex)
+    jump = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+    return LindbladGenerator(h, [DissipationChannel(jump, 0.25, "loss", 0.0, check_bohr=False)])
+
+
+def fmo_trace(gamma_sink):
+    cfg = default_config(gamma_sink=gamma_sink)
+    gen = build_model(cfg).generator
+    grid = np.linspace(0.0, cfg.t_max_ps, cfg.n_times) * PS_TO_INTERNAL
+    return gen, DensityMatrix.ground(gen.dim), grid
+
+
+def chain_start(levels, dim=40):
+    v = np.zeros(dim)
+    v[dim - levels:] = 1.0
+    return chain_generator(dim), DensityMatrix.pure(v), np.array([0.0, 4.0, 9.0])
+
+
+def ring_start(model):
+    from solaraudit import config
+    from solaraudit.models import MODELS
+
+    section, params, _ = MODELS[model]
+    defaults = config.default_section(section)
+    fields = {k: v for k, v in defaults.items() if k in params.__dataclass_fields__}
+    gen = params(**fields).ring().generator()
+    return gen, DensityMatrix.ground(gen.dim), np.linspace(0.0, 20.0, 11)
+
+
+def driven_decay():
+    h = np.array([[0.0, 0.8], [0.8, 1.0]], dtype=complex)
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    gen = LindbladGenerator(h, [DissipationChannel(lower, 0.1, "loss", 1.0, check_bohr=False)])
+    return gen, DensityMatrix.ground(2), 0.5 * np.arange(5)
+
+
+# name -> (generator, start, grid) of a propagation: FMO defaults with and
+# without the sink, the ladder at n_max 6, 20 and 60, the three rings, the
+# dim-40 chain from its top state and from the 17-level superposition
+# (whose floor clips eigenvalues twice), cancelling_generator, and a driven
+# qubit that decays, whose coherences only G's right edges reach
+GENERATOR_ZOO = {
+    "fmo-sink": lambda: fmo_trace(1.0),
+    "fmo-no-sink": lambda: fmo_trace(0.0),
+    "ladder-6": lambda: (hamiltonian_transfer_generator(LADDER, 6),
+                         dressed_product_state(LADDER, 6), 0.5 * np.arange(9)),
+    "ladder-20": lambda: (*product_start_ladder(20), np.linspace(0.0, 1.6, 9)),
+    "ladder-60": lambda: (*product_start_ladder(60), np.linspace(0.0, 1.6, 9)),
+    **{model: (lambda model=model: ring_start(model))
+       for model in ("toy_decay", "donor_acceptor", "photocell")},
+    "chain-top": lambda: chain_start(1),
+    "chain-17": lambda: chain_start(17),
+    "cancelling": lambda: (cancelling_generator(), DensityMatrix.ground(3), 0.5 * np.arange(5)),
+    "driven-decay": driven_decay,
+}
+
+
+@pytest.mark.parametrize("name", GENERATOR_ZOO)
+def test_liouvillian_on_a_closed_set_is_the_superoperators_restriction_bitwise(monkeypatch, name):
+    # propagate assembles L only on the set _closure finds from L's parts;
+    # that set holds the reachable one and L maps it into itself, L
+    # assembled there is the whole superoperator's restriction to the last
+    # bit, propagation runs on the reachable set itself, and each state is
+    # the floored step of _propagator on the whole superoperator's
+    # reachable set
+    found, kept = core._propagator, []
+
+    def recorded(lmat, keep, within=None):
+        kept.append(keep.copy())
+        return found(lmat, keep, within)
+
+    monkeypatch.setattr(core, "_propagator", recorded)
+    gen, rho0, grid = GENERATOR_ZOO[name]()
+    states = propagate(gen, rho0, grid)
+    assert "superoperator" not in gen.__dict__
+    lmat = gen.superoperator
+    start = rho0.entries.reshape(-1) != 0
+    keep = core._reachable(lmat, start)
+    index = gen._closure(start)
+    closed = np.zeros(lmat.shape[0], dtype=bool)
+    closed[index] = True
+    assert (np.diff(index) > 0).all()
+    assert closed[keep].all() and closed[lmat.row[closed[lmat.col]]].all()
+    # the parts' edges that cancel in L make the set larger than the
+    # reachable one; L's own pattern then finds the reachable set
+    assert (index.size > np.count_nonzero(keep)) == (name == "cancelling")
+    assert np.array_equal(kept[0], keep)
+    sub = gen._liouvillian(index)
+    inside, at = closed[lmat.col], np.cumsum(closed) - 1
+    assert sub.shape == (index.size, index.size)
+    assert sub.row.tobytes() == at[lmat.row[inside]].astype(sub.row.dtype).tobytes()
+    assert sub.col.tobytes() == at[lmat.col[inside]].astype(sub.col.dtype).tobytes()
+    assert sub.data.tobytes() == lmat.data[inside].tobytes()
+    advance = found(lmat, keep)
+    steps = core._step_lengths(np.diff(grid), 4 * np.finfo(float).eps * grid[-1])
+    y = rho0.entries.reshape(-1)
+    for dt, rho in zip(steps, states[1:]):
+        ref = floor_positivity(advance(y, dt).reshape(gen.dim, gen.dim))
+        assert rho.entries.tobytes() == ref.tobytes()
+        y = ref.reshape(-1)
+
+
+def test_ladder_propagation_never_builds_the_whole_liouvillian(monkeypatch):
+    # the n_max=60 ladder (dim 183) from its product start: L's 111,378
+    # unsummed entries are never generated, only the 1,562 of the 301
+    # columns its set holds. The bath products M, dim^2 x dim^2 by
+    # construction with 480 entries, are summed with the generator's
+    # other per-bath terms before the spy is installed.
+    gen, rho0 = product_start_ladder(60)
+    gen._bath_terms
+    summed, calls = Triplets.summed.__func__, []
+
+    def spy(cls, parts, shape):
+        parts = list(parts)
+        calls.append((shape, sum(len(p[0]) for p in parts)))
+        return summed(cls, parts, shape)
+
+    monkeypatch.setattr(Triplets, "summed", classmethod(spy))
+    states = propagate(gen, rho0, np.linspace(0.0, 1.6, 9))
+    size = gen.dim**2
+    assert len(states) == 9 and "superoperator" not in gen.__dict__
+    assert calls and all(shape != (size, size) for shape, _ in calls)
+    assert max(count for _, count in calls) < 2000
+
+
+def test_overflow_guard_reads_the_whole_liouvillian_only_past_its_bound():
+    # the chain's top state reaches two coordinates. At dt = 2e306, L's
+    # norm (~39) times dt is finite, but twice the bound from its parts
+    # (2 x ~78) times dt is not: the guard reads the whole L, finds no
+    # overflow, and the step runs (to level 0). At an ordinary dt it reads
+    # nothing.
+    gen = chain_generator(40)
+    v = np.zeros(gen.dim)
+    v[-1] = 1.0
+    states = propagate(gen, DensityMatrix.pure(v), [0.0, 1.0])
+    assert "superoperator" not in gen.__dict__
+    dt = 2e306
+    states = propagate(gen, DensityMatrix.pure(v), [0.0, dt])
+    assert "superoperator" in gen.__dict__
+    lmat = gen.superoperator
+    lnorm = float(np.bincount(lmat.col, np.abs(lmat.data)).max())
+    assert math.isfinite(lnorm * dt) and not math.isfinite(4 * lnorm * dt)
+    assert states[-1].population(0) == pytest.approx(1.0, abs=1e-12)
+
+
+def isolated_level_beside(h, jump, rate):
+    """A generator of one jump at rate on the levels of a diagonal h, plus
+    one more level at energy 0 in no channel, and the pure state on it."""
+    dim = len(h) + 1
+    padded = np.zeros((dim, dim), dtype=complex)
+    padded[:-1, :-1] = jump
+    gen = LindbladGenerator(np.diag([*h, 0.0]).astype(complex),
+                            [DissipationChannel(padded, rate, "loss", 0.0, check_bohr=False)])
+    return gen, DensityMatrix.pure(np.eye(dim)[-1])
+
+
+@pytest.mark.parametrize("case", ["hamiltonian", "bath-product"])
+def test_overflow_outside_the_reachable_set_still_raises(case):
+    # a state on an isolated level reaches nothing else, but the whole
+    # generator's |L dt|_1 overflows at dt = 2e7, so propagation raises as
+    # it did when L was built whole: through G's column sums (a level at
+    # 1e308 beside a decaying one), or through a bath product's, a jump
+    # spreading level 0 over three levels at rate 1e300, where |L|_1 = 1e301
+    # is over three times G's largest column sum (1.5e300)
+    if case == "hamiltonian":
+        decay = np.zeros((2, 2))
+        decay[0, 1] = 1.0
+        gen, rho0 = isolated_level_beside([1.0, 1e308], decay, 0.05)
+    else:
+        spread = np.zeros((3, 3))
+        spread[:, 0] = 1.0
+        gen, rho0 = isolated_level_beside([1.0, 2.0, 3.0], spread, 1e300)
+    assert propagate(gen, rho0, [0.0, 1e-300])[-1].population(gen.dim - 1) == 1.0
+    with pytest.raises(NumericsError, match=r"^\|L dt\|_1 overflows at dt = 20000000\.0$"):
+        propagate(gen, rho0, [0.0, 2e7])
 
 
 def test_liouvillian_apply_takes_a_stack_of_states():
