@@ -21,8 +21,8 @@ downstream. Products and sums run dense up to the size of the
 dense-propagation superoperator and by sorting triplets above it.
 Propagation applies the exact exponential of that generator between grid
 times, restricted to the vec coordinates the generator can reach from the
-initial state, and assembles it on a set holding those, found from its
-parts, never whole: a dense exponential on a set of up to
+initial state, which one search finds while it generates the generator's
+columns there, never whole: a dense exponential on a set of up to
 DENSE_PROPAGATION_MAX_DIM^2 coordinates, a truncated Taylor action on a
 larger one, and each propagated state is floored and validated on its
 entries in that set (a _Support) and written dense once. Everything here is
@@ -242,7 +242,8 @@ class Triplets:
     @classmethod
     def summed(cls, parts, shape):
         """Sum of (row, col, value) parts, values at one position added in
-        order; exact-zero sums are dropped. Bins all cells if _fits_dense, else sorts."""
+        order, in (row, col) order; exact-zero sums are dropped. Bins all
+        cells if _fits_dense, else sorts."""
         row, col, val = (np.concatenate(x) for x in zip(*parts))
         rows, cols = shape
         key = row.astype(np.int64) * cols + col
@@ -375,23 +376,6 @@ class ChannelTable(namedtuple("ChannelTable", "jump rate bath_id bohr_frequency 
         return ChannelTable(a, rate, *fields)
 
 
-def _left_right(x, y, keep=None):
-    """Triplets parts of X (x) I and I (x) Y^T for square Triplets X and Y,
-    the superoperator of rho -> X rho + rho Y: an entry of X at (i, j) gives
-    (i n + m, j n + m) and one of Y at (i, j) gives (m n + j, m n + i), entry
-    by entry, m ascending. If a dim x dim pattern keep is given, only the vec
-    columns it holds (column a n + b at keep[a, b]) are generated."""
-    n = x.shape[0]
-    if keep is None:
-        (xe, xm), (ye, ym) = (np.divmod(np.arange(z.nnz * n), n) for z in (x, y))
-    else:
-        (xe, xm), (ye, ym) = (np.divmod(np.flatnonzero(k), n) for k in (keep[x.col], keep.T[y.row]))
-    return [
-        (x.row[xe] * np.intp(n) + xm, x.col[xe] * np.intp(n) + xm, x.data[xe]),
-        (ym * n + y.col[ye], ym * n + y.row[ye], y.data[ye]),
-    ]
-
-
 class LindbladGenerator:
     """Hamiltonian plus tagged dissipation channels on one Hilbert space.
 
@@ -519,64 +503,74 @@ class LindbladGenerator:
 
     @cached_property
     def _parts(self):
-        """What L sums: each bath's sum_k r_k A_k (x) conj(A_k) entries as a
-        (row, col, value) part, in BATH_IDS order; and G = -i H - sum_b K_b / 2
-        and G^dag as Triplets."""
+        """What L sums, as one table of entries that _columns looks a column
+        up in by key: each bath's sum_k r_k A_k (x) conj(A_k) entries in
+        BATH_IDS order (key: the column), then the entries of G = -i H -
+        sum_b K_b / 2 by column (G^dag's rows), for G (x) I (key: dim^2 +
+        the column; row: the row times dim) and for I (x) conj(G) (key:
+        dim^2 + dim + the column; row: the row; value conjugated), stably
+        sorted by key. Returns the entries' keys, rows and values, and G as
+        Triplets."""
+        n = self.dim
         terms = [t for t in self._bath_terms.values() if t is not None]
         g = Triplets.from_dense(-1j * self.hamiltonian + sum(k_half for _, k_half in terms))
         order = np.argsort(g.col, kind="stable")
-        g_dag = Triplets(g.col[order], g.row[order], g.data[order].conj(), g.shape)
-        return [kron for kron, _ in terms], g, g_dag
+        col, row, value = g.col[order] + np.intp(n * n), g.row[order], g.data[order]
+        parts = [(c, r, v) for (r, c, v), _ in terms]
+        parts += [(col, row * np.intp(n), value), (col + n, row, value.conj())]
+        key, row, value = (np.concatenate(x) for x in zip(*parts))
+        order = key.argsort(kind="stable")
+        return key[order], row[order], value[order], g
 
     @cached_property
     def superoperator(self):
-        """Vectorized generator as dim^2 x dim^2 Triplets (_liouvillian on
-        every coordinate). steady_state and liouvillian_apply read it;
-        propagate only for the norm of an |L dt| that may overflow."""
-        return self._liouvillian()
+        """Vectorized generator as dim^2 x dim^2 Triplets (_columns of every
+        coordinate). steady_state and liouvillian_apply read it; propagate
+        only for the norm of an |L dt| that may overflow."""
+        return self._columns(np.arange(self.dim**2))
 
-    def _liouvillian(self, index=None):
-        """L = sum_b sum_k r_k A_k (x) conj(A_k) + G (x) I + I (x) conj(G) as
-        Triplets, summed position by position in that order
-        (Triplets.summed). Given the ascending vec positions index of a set
-        that every part maps into itself (as _closure finds), L on those
-        columns, renumbered 0, 1, ... in order: the bath products' entries
-        there, and G's parts generated there only (_left_right), so it is
-        the full L's restriction, bitwise."""
-        n = self.dim
-        krons, g, g_dag = self._parts
-        if index is None:
-            return Triplets.summed([*krons, *_left_right(g, g_dag)], (n * n, n * n))
-        keep, at = np.zeros(n * n, dtype=bool), np.zeros(n * n, dtype=np.intp)
-        keep[index], at[index] = True, np.arange(index.size)
-        kept = [(r[inside], c[inside], v[inside]) for r, c, v in krons for inside in [keep[c]]]
-        parts = [*kept, *_left_right(g, g_dag, keep.reshape(n, n))]
-        return Triplets.summed([(at[r], at[c], v) for r, c, v in parts], (index.size, index.size))
+    def _columns(self, new):
+        """L's entries in the ascending vec columns new, column new[k] of L
+        as column k of dim^2 x new.size Triplets, where L = sum_b sum_k r_k
+        A_k (x) conj(A_k) + G (x) I + I (x) conj(G), summed position by
+        position in that order (Triplets.summed). Column a dim + b holds the
+        bath products' entries in it, G (x) I's G[i, a] at row i dim + b,
+        read from column a of G, and I (x) conj(G)'s conj(G[j, b]) at row
+        a dim + j, read from column b (_parts): each column is summed whole,
+        so any set of columns is that of the whole L, bitwise."""
+        n, count = self.dim, new.size
+        key, row, value, _ = self._parts
+        a, b = np.divmod(new, n)
+        lookup = np.concatenate([new, a + n * n, b + (n * n + n)])  # each part's key per column
+        hi = key.searchsorted(lookup, "right")
+        size = hi - key.searchsorted(lookup)
+        # per entry: its offset in the table, its row's base and its column
+        per_part = [hi - size.cumsum(), np.concatenate([0 * b, b, new - b]), np.arange(3 * count) % count]
+        offset, base, col = np.array(per_part).repeat(size, axis=1)
+        at = np.arange(offset.size) + offset
+        return Triplets.summed([(row[at] + base, col, value[at])], (n * n, count))
 
-    def _closure(self, start):
-        """A set of vec coordinates holding a boolean vec mask start that L
-        maps into itself, found from L's parts without L, as ascending vec
-        positions: the least set closed under an edge c -> r for each bath
-        product entry at (r, c) and, for each G[i, j] != 0 and every b, a
-        left edge (j, b) -> (i, b) and a right edge (b, j) -> (b, i). L
-        sums those parts and drops exact-zero sums, so the set holds the one
-        _reachable finds, and _liouvillian can assemble L on it."""
-        n = self.dim
-        krons, g, _ = self._parts
-        column = np.zeros((n, n), dtype=bool)  # column[j]: the i of each G[i, j] != 0
-        column[g.col, g.row] = True
-        seen = start.copy()
-        new = np.flatnonzero(seen)
+    def _reached(self, start):
+        """The smallest set of vec coordinates holding a boolean vec mask
+        start that L maps into itself, as the boolean mask _reachable finds,
+        and L on it as Triplets renumbered 0, 1, ... in vec order, without
+        assembling L whole: each round generates the columns the set gained
+        in the round before (_columns) and adds the rows that hold their
+        nonzero sums, so no column is generated twice."""
+        keep = start.copy()
+        new = np.flatnonzero(start)
+        found = []
         while new.size:
-            j, b = np.divmod(new, n)
-            (e, i), (f, k) = (np.divmod(np.flatnonzero(column[a]), n) for a in (j, b))
-            jumped = [r[seen[c]] for r, c, _ in krons]
-            reached = np.concatenate([i * n + b[e], j[f] * n + k, *jumped])
-            fresh = np.zeros_like(seen)
-            fresh[reached[~seen[reached]]] = True
-            new = np.flatnonzero(fresh)
-            seen[new] = True
-        return np.flatnonzero(seen)
+            part = self._columns(new)
+            found.append((part.row, new[part.col], part.data))
+            rows = part.row[~keep[part.row]]  # ascending, as Triplets.summed sorts
+            new = rows[np.diff(rows, prepend=-1) != 0]
+            keep[new] = True
+        index = np.flatnonzero(keep)
+        row, col, value = (np.concatenate(x) for x in zip(*found))
+        row, col = np.searchsorted(index, row), np.searchsorted(index, col)
+        order = np.argsort(row * index.size + col)
+        return keep, Triplets(row[order], col[order], value[order], (index.size,) * 2)
 
 
 def _vec(gen, rho):
@@ -849,18 +843,13 @@ def _action(a):
     return exp_l
 
 
-def _propagator(lmat, keep, within=None):
-    """advance(y, dt) = exp(L dt) y for a vec y held by keep and given on
-    the ascending vec positions within (which hold keep; every coordinate by
-    default), where L is lmat restricted to keep's coordinates: a dense
-    exponential per step length if that restriction fits _fits_dense, else
-    the Taylor action (_action). The result is 0 outside keep."""
-    index = np.flatnonzero(keep if within is None else keep[within])
-    at = np.cumsum(keep) - 1
-    inside = keep[lmat.col]
-    sub = Triplets(at[lmat.row[inside]], at[lmat.col[inside]], lmat.data[inside], (index.size,) * 2)
-    if _fits_dense(*sub.shape):
-        sub = sub.toarray()
+def _propagator(lmat, at):
+    """advance(y, dt) = exp(L dt) y for L the square Triplets lmat on the
+    coordinates of a vector y at its ascending positions at, outside which y
+    is 0: a dense exponential per step length if lmat fits _fits_dense, else
+    the Taylor action (_action). The result is 0 outside at."""
+    if _fits_dense(*lmat.shape):
+        sub = lmat.toarray()
         cache = {}
 
         def exp_l(x, dt):
@@ -869,11 +858,11 @@ def _propagator(lmat, keep, within=None):
             return cache[dt] @ x
 
     else:
-        exp_l = _action(sub)
+        exp_l = _action(lmat)
 
     def advance(y, dt):
         out = np.zeros_like(y)
-        out[index] = exp_l(y[index], dt)
+        out[at] = exp_l(y[at], dt)
         return out
 
     return advance
@@ -887,9 +876,8 @@ def propagate(gen, rho0, t_grid):
     grid values, are one length, the shortest of them. L acts only on the
     smallest set of vec coordinates that holds rho0's support and that L
     maps into itself, an exact reduction: the other coordinates stay 0. L
-    is never assembled whole: gen._closure finds a set holding that one
-    from L's parts, gen._liouvillian assembles L there, and _reachable
-    reads the set off it. If that set fits _fits_dense, the
+    is never assembled whole: gen._reached finds that set column by column
+    and returns L on it. If that set fits _fits_dense, the
     propagator is a dense exponential (expm_dense) of L on it, computed once
     per step length; otherwise a truncated Taylor series (_action, Al-Mohy
     and Higham, SIAM J. Sci. Comput. 2011) acts on the vector without
@@ -927,22 +915,18 @@ def propagate(gen, rho0, t_grid):
     # rho0 reaches. L's column sums are at most its parts': G's largest
     # twice, plus each bath product's largest. Only a span that overflows
     # twice that bound needs L's own norm, and so the whole L.
-    krons, g, _ = gen._parts
+    g, krons = gen._parts[-1], [t[0] for t in gen._bath_terms.values() if t is not None]
     with np.errstate(over="ignore", invalid="ignore"):
         bound = 2 * _norm1(g.col, g.data) + sum(_norm1(c, v) for _, c, v in krons)
     lnorm = None
     dim = gen.dim
 
     def restrict(y):  # the set a dense vec y reaches, its states' support and its propagator
-        start = y != 0
-        index = gen._closure(start)
-        sub = gen._liouvillian(index)
-        # _reachable and _propagator take L on vec coordinates
-        lmat = Triplets(index[sub.row], index[sub.col], sub.data, (dim * dim,) * 2)
-        keep = _reachable(lmat, start)
+        keep, lmat = gen._reached(y != 0)
         mask = keep.reshape(dim, dim)
         support = _support_of(mask)
-        return keep, support, np.array_equal(mask, mask.T), _propagator(lmat, keep, support.index)
+        at = np.flatnonzero(keep[support.index])
+        return keep, support, np.array_equal(mask, mask.T), _propagator(lmat, at)
 
     y = rho0.entries.reshape(-1)
     keep, support, closed, advance = restrict(y)

@@ -586,6 +586,16 @@ def product_start_ladder(n_max):
     return hamiltonian_transfer_generator(p, n_max), DensityMatrix.from_populations(pops)
 
 
+def restricted_propagator(lmat, keep):
+    """core._propagator of the superoperator lmat restricted to the vec
+    coordinates a boolean mask keep holds, on vectors over every coordinate
+    (an oracle for the L propagate assembles on its set)."""
+    index, at = np.flatnonzero(keep), np.cumsum(keep) - 1
+    inside = keep[lmat.col]
+    sub = Triplets(at[lmat.row[inside]], at[lmat.col[inside]], lmat.data[inside], (index.size,) * 2)
+    return core._propagator(sub, index)
+
+
 def test_taylor_action_matches_expm_multiply():
     # the restricted action against scipy's expm_multiply on the whole
     # superoperator (an oracle here only; it implements the same algorithm):
@@ -610,7 +620,7 @@ def test_taylor_action_matches_expm_multiply():
         y = rho0.entries.reshape(-1)
         keep = core._reachable(lmat, y != 0)
         assert np.count_nonzero(keep) == size > core.DENSE_PROPAGATION_MAX_DIM**2
-        advance = core._propagator(lmat, keep)
+        advance = restricted_propagator(lmat, keep)
         oracle = csr_array((lmat.data, (lmat.row, lmat.col)), shape=lmat.shape)
         for dt in steps:
             assert np.abs(advance(y, dt) - expm_multiply(oracle * dt, y)).max() <= 1e-12
@@ -742,16 +752,19 @@ def test_propagate_follows_a_repair_out_of_a_set_of_blocks(monkeypatch):
     # state is floored on its set's blocks: the clip runs on the dense state,
     # and the set is found again from the repaired one
     dim = core.DENSE_PROPAGATION_MAX_DIM + 1
-    found, sets = core._propagator, []
+    found, sets = LindbladGenerator._reached, []
 
-    def recorded(lmat, keep, within=None):
-        sets.append(within.tolist())
-        return found(lmat, keep, within)
+    def recorded(self, start):
+        keep, lmat = found(self, start)
+        mask = keep.reshape(dim, dim)
+        sets.append(np.flatnonzero(mask | mask.T).tolist())
+        return keep, lmat
 
-    monkeypatch.setattr(core, "_propagator", recorded)
+    monkeypatch.setattr(LindbladGenerator, "_reached", recorded)
     assert_propagation_follows_a_repair(dim)
     # the start's set, then the repaired state's, which holds populations 1
-    # and 2; neither is every coordinate, so both are floored on blocks
+    # and 2; neither, with its transpose, is every coordinate, so both are
+    # floored on blocks
     assert len(sets) == 2
     assert sets[0] == [0, dim + 2, 2 * dim + 1]
     assert {0, dim + 1, 2 * dim + 2} <= set(sets[1])
@@ -795,7 +808,7 @@ def test_propagated_states_are_the_dense_symmetrized_steps_bitwise():
     for gen, rho0, grid in cases:
         lmat = gen.superoperator
         keep = core._reachable(lmat, rho0.entries.reshape(-1) != 0)
-        advance = core._propagator(lmat, keep)
+        advance = restricted_propagator(lmat, keep)
         steps = core._step_lengths(np.diff(grid), 4 * np.finfo(float).eps * grid[-1])
         states = propagate(gen, rho0, grid)
         assert len(states) == grid.size
@@ -843,7 +856,9 @@ def test_propagation_faults_carry_the_floors_messages(monkeypatch):
     rho0 = dressed_product_state(LADDER, 6)
     assert gen.dim > core.DENSE_PROPAGATION_MAX_DIM
     keep = core._reachable(gen.superoperator, rho0.entries.reshape(-1) != 0)
-    level = np.flatnonzero(np.diag(keep.reshape(gen.dim, gen.dim)))[3]
+    mask = keep.reshape(gen.dim, gen.dim)
+    within = np.flatnonzero(mask | mask.T)  # the coordinates each state is given on
+    level = np.flatnonzero(np.diag(mask))[3]
     nan, negative = rho0.entries.copy(), rho0.entries.copy()
     nan[level, level] = np.nan
     negative[level, level] = -2 * core.EIGENVALUE_FLOOR
@@ -854,11 +869,12 @@ def test_propagation_faults_carry_the_floors_messages(monkeypatch):
     )
     propagator = core._propagator
     for bad, message in faults:
-        def faulty(lmat, keep, within=None, bad=bad):
-            advance = propagator(lmat, keep, within)
+        def faulty(lmat, at, bad=bad):
+            advance = propagator(lmat, at)
             steps = []
 
             def step(y, dt):
+                assert y.size == within.size
                 steps.append(dt)
                 return advance(y, dt) if len(steps) == 1 else bad.reshape(-1)[within]
             return step
@@ -914,11 +930,22 @@ def driven_decay():
     return gen, DensityMatrix.ground(2), 0.5 * np.arange(5)
 
 
+def random_dense():
+    """Four levels of a seeded random Hermitian H and one dense random jump,
+    so that L's diagonal sums a bath product entry and both of G's parts,
+    none of them dyadic, in a fixed order."""
+    rng = np.random.default_rng(67)
+    a, jump = (re + 1j * im for re, im in rng.normal(size=(2, 2, 4, 4)))
+    gen = LindbladGenerator(a + a.conj().T, [DissipationChannel(jump, 0.3, "loss", 0.0, check_bohr=False)])
+    return gen, DensityMatrix.ground(4), 0.5 * np.arange(5)
+
+
 # name -> (generator, start, grid) of a propagation: FMO defaults with and
 # without the sink, the ladder at n_max 6, 20 and 60, the three rings, the
 # dim-40 chain from its top state and from the 17-level superposition
-# (whose floor clips eigenvalues twice), cancelling_generator, and a driven
-# qubit that decays, whose coherences only G's right edges reach
+# (whose floor clips eigenvalues twice), cancelling_generator, a driven
+# qubit that decays, whose coherences only G's right edges reach, and
+# random_dense
 GENERATOR_ZOO = {
     "fmo-sink": lambda: fmo_trace(1.0),
     "fmo-no-sink": lambda: fmo_trace(0.0),
@@ -932,52 +959,106 @@ GENERATOR_ZOO = {
     "chain-17": lambda: chain_start(17),
     "cancelling": lambda: (cancelling_generator(), DensityMatrix.ground(3), 0.5 * np.arange(5)),
     "driven-decay": driven_decay,
+    "random-dense": random_dense,
 }
 
 
 @pytest.mark.parametrize("name", GENERATOR_ZOO)
 def test_liouvillian_on_a_closed_set_is_the_superoperators_restriction_bitwise(monkeypatch, name):
-    # propagate assembles L only on the set _closure finds from L's parts;
-    # that set holds the reachable one and L maps it into itself, L
-    # assembled there is the whole superoperator's restriction to the last
-    # bit, propagation runs on the reachable set itself, and each state is
-    # the floored step of _propagator on the whole superoperator's
-    # reachable set
-    found, kept = core._propagator, []
+    # propagate finds its set column by column (gen._reached) and never
+    # reads the whole superoperator. Each set it finds is the one _reachable
+    # reads off the whole superoperator, cancelling_generator's too (whose
+    # parts hold edges that cancel in L), L on it is that superoperator's
+    # restriction to the last bit, and each state is the floored step of
+    # the restricted superoperator's propagator
+    found, reached = LindbladGenerator._reached, []
 
-    def recorded(lmat, keep, within=None):
-        kept.append(keep.copy())
-        return found(lmat, keep, within)
+    def recorded(self, start):
+        out = found(self, start)
+        reached.append((start.copy(), *out))
+        return out
 
-    monkeypatch.setattr(core, "_propagator", recorded)
+    monkeypatch.setattr(LindbladGenerator, "_reached", recorded)
     gen, rho0, grid = GENERATOR_ZOO[name]()
     states = propagate(gen, rho0, grid)
     assert "superoperator" not in gen.__dict__
     lmat = gen.superoperator
-    start = rho0.entries.reshape(-1) != 0
-    keep = core._reachable(lmat, start)
-    index = gen._closure(start)
-    closed = np.zeros(lmat.shape[0], dtype=bool)
-    closed[index] = True
-    assert (np.diff(index) > 0).all()
-    assert closed[keep].all() and closed[lmat.row[closed[lmat.col]]].all()
-    # the parts' edges that cancel in L make the set larger than the
-    # reachable one; L's own pattern then finds the reachable set
-    assert (index.size > np.count_nonzero(keep)) == (name == "cancelling")
-    assert np.array_equal(kept[0], keep)
-    sub = gen._liouvillian(index)
-    inside, at = closed[lmat.col], np.cumsum(closed) - 1
-    assert sub.shape == (index.size, index.size)
-    assert sub.row.tobytes() == at[lmat.row[inside]].astype(sub.row.dtype).tobytes()
-    assert sub.col.tobytes() == at[lmat.col[inside]].astype(sub.col.dtype).tobytes()
-    assert sub.data.tobytes() == lmat.data[inside].tobytes()
-    advance = found(lmat, keep)
+    assert np.array_equal(reached[0][0], rho0.entries.reshape(-1) != 0)
+    for start, kept, sub in reached:
+        keep = core._reachable(lmat, start)
+        assert np.array_equal(kept, keep)
+        inside, at = keep[lmat.col], np.cumsum(keep) - 1
+        assert sub.shape == (np.count_nonzero(keep),) * 2
+        assert sub.row.tobytes() == at[lmat.row[inside]].astype(sub.row.dtype).tobytes()
+        assert sub.col.tobytes() == at[lmat.col[inside]].astype(sub.col.dtype).tobytes()
+        assert sub.data.tobytes() == lmat.data[inside].tobytes()
+    advance = restricted_propagator(lmat, reached[0][1])
     steps = core._step_lengths(np.diff(grid), 4 * np.finfo(float).eps * grid[-1])
     y = rho0.entries.reshape(-1)
     for dt, rho in zip(steps, states[1:]):
         ref = floor_positivity(advance(y, dt).reshape(gen.dim, gen.dim))
         assert rho.entries.tobytes() == ref.tobytes()
         y = ref.reshape(-1)
+
+
+def liouvillian_oracle(gen):
+    """L summed from its parts in their order, each position's values added
+    as Triplets.summed adds them: every bath product (gen._bath_terms), then
+    G (x) I, G[i, j] at (i n + m, j n + m), then I (x) conj(G), conj(G[i, j])
+    at (m n + i, m n + j), for G = -i H - sum_b K_b / 2 and every m."""
+    n = gen.dim
+    terms = [t for t in gen._bath_terms.values() if t is not None]
+    g = Triplets.from_dense(-1j * gen.hamiltonian + sum(k_half for _, k_half in terms))
+    i, j = (np.repeat(x.astype(np.intp), n) for x in (g.row, g.col))
+    m, value = np.tile(np.arange(n), g.nnz), np.repeat(g.data, n)
+    left = (i * n + m, j * n + m, value)
+    right = (m * n + i, m * n + j, value.conj())
+    return Triplets.summed([*(kron for kron, _ in terms), left, right], (n * n, n * n))
+
+
+@pytest.mark.parametrize("name", GENERATOR_ZOO)
+def test_columns_are_the_liouvillians_columns_bitwise(name):
+    # the superoperator is L summed part by part in the oracle's order, and
+    # any ascending set of columns, generated alone, is those columns of it,
+    # renumbered in order, byte for byte
+    gen = GENERATOR_ZOO[name]()[0]
+    size = gen.dim**2
+    oracle = liouvillian_oracle(gen)
+    lmat = gen.superoperator
+    assert lmat.shape == oracle.shape
+    for got, want in zip((lmat.row, lmat.col, lmat.data), (oracle.row, oracle.col, oracle.data)):
+        assert got.tobytes() == want.astype(got.dtype).tobytes()
+    rng = np.random.default_rng(61)
+    for count in sorted({1, 2, min(size, 7), size // 3, size - 1}):
+        new = np.sort(rng.choice(size, count, replace=False))
+        chosen = np.zeros(size, dtype=bool)
+        chosen[new] = True
+        inside = chosen[oracle.col]
+        sub = gen._columns(new)
+        assert sub.shape == (size, count)
+        assert sub.row.tobytes() == oracle.row[inside].astype(sub.row.dtype).tobytes()
+        col = np.searchsorted(new, oracle.col[inside])
+        assert sub.col.tobytes() == col.astype(sub.col.dtype).tobytes()
+        assert sub.data.tobytes() == oracle.data[inside].tobytes()
+
+
+def test_reached_generates_each_column_once(monkeypatch):
+    # the n_max=60 ladder's product start reaches 301 coordinates in
+    # rounds; each round generates only the columns the set gained in the
+    # round before, so the columns generated are the set, each once
+    gen, rho0 = product_start_ladder(60)
+    columns, calls = LindbladGenerator._columns, []
+
+    def spy(self, new):
+        calls.append(new.copy())
+        return columns(self, new)
+
+    monkeypatch.setattr(LindbladGenerator, "_columns", spy)
+    keep, sub = gen._reached(rho0.entries.reshape(-1) != 0)
+    generated = np.concatenate(calls)
+    assert len(calls) > 1 and sub.shape == (301, 301)
+    assert generated.size == np.count_nonzero(keep) == 301
+    assert np.array_equal(np.sort(generated), np.flatnonzero(keep))
 
 
 def test_ladder_propagation_never_builds_the_whole_liouvillian(monkeypatch):
