@@ -167,23 +167,8 @@ class DensityMatrix:
         return cls.pure(v)
 
     @classmethod
-    def from_populations(cls, populations):
-        p = np.asarray(populations, dtype=float)
-        return cls(np.diag(p).astype(complex))
-
-    @classmethod
     def maximally_mixed(cls, dim):
         return cls(np.eye(dim, dtype=complex) / dim)
-
-    @classmethod
-    def gibbs(cls, hamiltonian, temperature):
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
-        h = np.asarray(hamiltonian, dtype=complex)
-        w, u = np.linalg.eigh(h)
-        weights = np.exp(-(w - w.min()) / temperature)
-        weights /= weights.sum()
-        return cls((u * weights) @ u.conj().T)
 
     def population(self, index):
         return self.entries[index, index].real
@@ -193,13 +178,6 @@ class DensityMatrix:
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"
-
-
-_INT32_MAX = np.iinfo(np.int32).max
-
-
-def _index_dtype(size):  # int32 where indices up to size fit
-    return np.int32 if size <= _INT32_MAX else np.int64
 
 
 def _fits_dense(rows, cols):  # no larger than the dense-propagation superoperator
@@ -221,13 +199,13 @@ def _distinct(key):
 
 class Triplets:
     """Sparse complex matrix: (row, col, data) arrays holding each position
-    at most once, plus the shape. Triplets.summed adds repeated positions."""
+    at most once, plus the shape; row and col are np.intp at every size.
+    Triplets.summed adds repeated positions."""
 
     __slots__ = ("row", "col", "data", "shape", "nnz")
 
     def __init__(self, row, col, data, shape):
-        idx = _index_dtype(max(shape))
-        self.row, self.col = np.asarray(row, dtype=idx), np.asarray(col, dtype=idx)
+        self.row, self.col = np.asarray(row, dtype=np.intp), np.asarray(col, dtype=np.intp)
         self.data = np.asarray(data, dtype=complex)
         self.shape, self.nnz = tuple(shape), self.data.size
 
@@ -246,7 +224,7 @@ class Triplets:
         cells if _fits_dense, else sorts."""
         row, col, val = (np.concatenate(x) for x in zip(*parts))
         rows, cols = shape
-        key = row.astype(np.int64) * cols + col
+        key = row * cols + col
         dense = _fits_dense(rows, cols)
         cells, at = (None, key) if dense else _distinct(key)
         size = rows * cols if dense else cells.size
@@ -262,7 +240,7 @@ class Triplets:
         cols = x.reshape(x.shape[0], -1)
         k, n = cols.shape[1], self.shape[0] * cols.shape[1]
         y = (self.data[:, None] * cols[self.col]).ravel()
-        at = self.row if k == 1 else (self.row.astype(np.int64)[:, None] * k + np.arange(k)).ravel()
+        at = self.row if k == 1 else (self.row[:, None] * k + np.arange(k)).ravel()
         out = np.bincount(at, y.real, n) + 1j * np.bincount(at, y.imag, n)
         return out.reshape(self.shape[0], *x.shape[1:])
 
@@ -369,7 +347,7 @@ class ChannelTable(namedtuple("ChannelTable", "jump rate bath_id bohr_frequency 
         a jump whose entries are not in strictly ascending (row, col) order,
         as when it holds a position twice, is summed as Triplets.summed sums."""
         rate, a = _checked_rates(self.rate, self.bath_id, self.bohr_frequency), self.jump
-        key = a.row.astype(np.int64) * a.shape[1] + a.col
+        key = a.row * a.shape[1] + a.col
         if (key[1:] <= key[:-1]).any():
             a = Triplets.summed([(a.row, a.col, a.data)], a.shape)
         fields = (np.asarray(x, dtype=t) for x, t in zip(self[2:], (str, float, bool)))
@@ -493,7 +471,7 @@ class LindbladGenerator:
         # r_k vec(A_k) with the rows vec(A_k)^dag, holds sum_k r_k A_k (x)
         # conj(A_k): M[(i, j), (k, l)] is its entry (i n + k, j n + l).
         # K_b[j, l] = sum_i conj M[(i, j), (i, l)]; -K_b / 2 is returned.
-        vec = row.astype(np.int64) * n + col
+        vec = row * n + col
         columns = Triplets(vec, owner, rates[owner] * a, (n * n, count))
         m = _product(columns, Triplets(owner, vec, a.conj(), (count, n * n)))
         p, q, v = m.row, m.col, m.data
@@ -509,18 +487,19 @@ class LindbladGenerator:
         sum_b K_b / 2 by column (G^dag's rows), for G (x) I (key: dim^2 +
         the column; row: the row times dim) and for I (x) conj(G) (key:
         dim^2 + dim + the column; row: the row; value conjugated), stably
-        sorted by key. Returns the entries' keys, rows and values, and G as
-        Triplets."""
+        sorted by key. Returns the entries' keys, rows and values; a column
+        of L sums one key's entries of each of the three parts, which bounds
+        L's norm (propagate's overflow guard)."""
         n = self.dim
         terms = [t for t in self._bath_terms.values() if t is not None]
         g = Triplets.from_dense(-1j * self.hamiltonian + sum(k_half for _, k_half in terms))
         order = np.argsort(g.col, kind="stable")
-        col, row, value = g.col[order] + np.intp(n * n), g.row[order], g.data[order]
+        col, row, value = g.col[order] + n * n, g.row[order], g.data[order]
         parts = [(c, r, v) for (r, c, v), _ in terms]
-        parts += [(col, row * np.intp(n), value), (col + n, row, value.conj())]
+        parts += [(col, row * n, value), (col + n, row, value.conj())]
         key, row, value = (np.concatenate(x) for x in zip(*parts))
         order = key.argsort(kind="stable")
-        return key[order], row[order], value[order], g
+        return key[order], row[order], value[order]
 
     @cached_property
     def superoperator(self):
@@ -539,7 +518,7 @@ class LindbladGenerator:
         a dim + j, read from column b (_parts): each column is summed whole,
         so any set of columns is that of the whole L, bitwise."""
         n, count = self.dim, new.size
-        key, row, value, _ = self._parts
+        key, row, value = self._parts
         a, b = np.divmod(new, n)
         lookup = np.concatenate([new, a + n * n, b + (n * n + n)])  # each part's key per column
         hi = key.searchsorted(lookup, "right")
@@ -812,11 +791,10 @@ def _action(a):
     diag = np.arange(n)
     b = Triplets.summed([(a.row, a.col, a.data), (diag, diag, np.full(n, -mu))], a.shape)
     norm = _norm1(b.col, b.data)
-    col = b.col.astype(np.intp)
-    at = (2 * b.row.astype(np.intp)[:, None] + np.arange(2)).ravel()
+    at = (2 * b.row[:, None] + np.arange(2)).ravel()
 
     def apply(x):  # b x: both parts of every product binned in one bincount
-        return np.bincount(at, (b.data * x[col]).view(float), 2 * n).view(complex)
+        return np.bincount(at, (b.data * x[b.col]).view(float), 2 * n).view(complex)
 
     def exp_l(x, dt):
         if not math.isfinite(norm * dt):
@@ -912,12 +890,14 @@ def propagate(gen, rho0, t_grid):
         raise DimensionMismatchError(gen.dim, rho0.dim, what="initial state")
 
     # the whole generator's norm: a span that overflows it raises whatever
-    # rho0 reaches. L's column sums are at most its parts': G's largest
-    # twice, plus each bath product's largest. Only a span that overflows
-    # twice that bound needs L's own norm, and so the whole L.
-    g, krons = gen._parts[-1], [t[0] for t in gen._bath_terms.values() if t is not None]
+    # rho0 reaches. A column of L sums one column of the bath products, one
+    # of G for G (x) I and one of G for I (x) conj(G), each one key of
+    # _parts, so its sum is at most three times the largest sum of |value|
+    # over one key. Only a span that overflows twice that bound needs L's
+    # own norm, and so the whole L.
+    key, _, value = gen._parts
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = 2 * _norm1(g.col, g.data) + sum(_norm1(c, v) for _, c, v in krons)
+        bound = 3 * _norm1(key, value)
     lnorm = None
     dim = gen.dim
 

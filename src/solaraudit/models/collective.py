@@ -53,12 +53,7 @@ class OscillatorLimitReport:
     j: int
     collective_levels: np.ndarray
     oscillator_levels: np.ndarray
-    deviations: np.ndarray
     max_deviation: float
-    ground_collective: float
-    ground_oscillator: float
-    splitting_collective: float
-    splitting_oscillator: float
 
 
 def _two_band_hamiltonian(omega_rc, ladder_top, coupling_of, offset):
@@ -108,15 +103,7 @@ def compare_with_oscillator_limit(p, hp):
     h_osc = _two_band_hamiltonian(p.omega_rc, hp.n_max, oscillator_amp, j)
     ev_coll = np.linalg.eigvalsh(h_coll)[: hp.low_count]
     ev_osc = np.linalg.eigvalsh(h_osc)[: hp.low_count]
-    dev = np.abs(ev_coll - ev_osc)
     return OscillatorLimitReport(
-        j=j,
-        collective_levels=ev_coll,
-        oscillator_levels=ev_osc,
-        deviations=dev,
-        max_deviation=float(dev.max()),
-        ground_collective=float(ev_coll[0]),
-        ground_oscillator=float(ev_osc[0]),
-        splitting_collective=float(ev_coll[2] - ev_coll[1]) if hp.low_count >= 3 else math.nan,
-        splitting_oscillator=float(ev_osc[2] - ev_osc[1]) if hp.low_count >= 3 else math.nan,
+        j=j, collective_levels=ev_coll, oscillator_levels=ev_osc,
+        max_deviation=float(np.abs(ev_coll - ev_osc).max()),
     )

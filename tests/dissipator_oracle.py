@@ -1,10 +1,11 @@
 """The GKLS dissipator and its Heisenberg-picture heat operator written out
 directly, channel by channel, as oracles for the generator and the heat
-operators of solaraudit.core."""
+operators of solaraudit.core, and the Gibbs state that a generator in
+detailed balance with one temperature must hold still."""
 
 import numpy as np
 
-from solaraudit.core import _as_matrix
+from solaraudit.core import DensityMatrix, _as_matrix
 
 
 def dense_jumps(table):
@@ -40,3 +41,11 @@ def heat_operator(table, h, bath=None):
         aa = a.conj().T @ a
         q += rate * (a.conj().T @ h @ a - 0.5 * (aa @ h + h @ aa))
     return q
+
+
+def gibbs_state(hamiltonian, temperature):
+    """exp(-H / T) / Z as a DensityMatrix, from the eigenbasis of H."""
+    w, u = np.linalg.eigh(np.asarray(hamiltonian, dtype=complex))
+    weights = np.exp(-(w - w.min()) / temperature)
+    weights /= weights.sum()
+    return DensityMatrix((u * weights) @ u.conj().T)

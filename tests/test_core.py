@@ -32,7 +32,7 @@ from solaraudit.models import (
 )
 from solaraudit.thermo import thermal_pairs
 
-from dissipator_oracle import dense_jumps, dissipator_action, heat_operator
+from dissipator_oracle import dense_jumps, dissipator_action, gibbs_state, heat_operator
 
 
 def qubit_decay_generator(omega=1.0, gamma=0.1):
@@ -111,14 +111,14 @@ def test_density_matrix_constructors():
     assert DensityMatrix.ground(3).population(0) == 1.0
     mixed = DensityMatrix.maximally_mixed(4)
     assert np.allclose(mixed.eigenvalues(), 0.25)
-    pops = DensityMatrix.from_populations([0.2, 0.3, 0.5])
+    pops = DensityMatrix(np.diag([0.2, 0.3, 0.5]))
     assert pops.population(2) == pytest.approx(0.5)
 
 
 def test_gibbs_state_populations():
     h = np.diag([0.0, 1.0, 2.5]).astype(complex)
     t = 0.8
-    rho = DensityMatrix.gibbs(h, t)
+    rho = gibbs_state(h, t)
     expected = np.exp(-np.array([0.0, 1.0, 2.5]) / t)
     expected /= expected.sum()
     assert np.allclose(np.diag(rho.entries).real, expected, atol=1e-14)
@@ -462,7 +462,7 @@ def test_propagate_unitary_rabi_oscillation():
 def test_propagate_no_channels_eigenstate_constant():
     h = np.diag([0.0, 2.0, 5.0]).astype(complex)
     gen = LindbladGenerator(h, [])
-    rho0 = DensityMatrix.from_populations([0.1, 0.6, 0.3])
+    rho0 = DensityMatrix(np.diag([0.1, 0.6, 0.3]))
     states = propagate(gen, rho0, np.linspace(0.0, 10.0, 5))
     for rho in states:
         assert np.abs(rho.entries - rho0.entries).max() < 1e-12
@@ -583,7 +583,7 @@ def product_start_ladder(n_max):
     x = np.pi * (np.arange(n_max + 1) - n_max / 2.0) / (n_max - 6)
     osc = np.where(np.abs(x) < np.pi / 2.0, np.cos(np.clip(x, -np.pi / 2.0, np.pi / 2.0)) ** 4, 0.0)
     pops = np.kron([bd.rho_minus, bd.rho_plus, bd.rho_two], osc / osc.sum())
-    return hamiltonian_transfer_generator(p, n_max), DensityMatrix.from_populations(pops)
+    return hamiltonian_transfer_generator(p, n_max), DensityMatrix(np.diag(pops))
 
 
 def restricted_propagator(lmat, keep):
@@ -989,8 +989,8 @@ def test_liouvillian_on_a_closed_set_is_the_superoperators_restriction_bitwise(m
         assert np.array_equal(kept, keep)
         inside, at = keep[lmat.col], np.cumsum(keep) - 1
         assert sub.shape == (np.count_nonzero(keep),) * 2
-        assert sub.row.tobytes() == at[lmat.row[inside]].astype(sub.row.dtype).tobytes()
-        assert sub.col.tobytes() == at[lmat.col[inside]].astype(sub.col.dtype).tobytes()
+        assert sub.row.tobytes() == at[lmat.row[inside]].tobytes()
+        assert sub.col.tobytes() == at[lmat.col[inside]].tobytes()
         assert sub.data.tobytes() == lmat.data[inside].tobytes()
     advance = restricted_propagator(lmat, reached[0][1])
     steps = core._step_lengths(np.diff(grid), 4 * np.finfo(float).eps * grid[-1])
@@ -1001,6 +1001,17 @@ def test_liouvillian_on_a_closed_set_is_the_superoperators_restriction_bitwise(m
         y = ref.reshape(-1)
 
 
+@pytest.mark.parametrize("name", GENERATOR_ZOO)
+def test_indices_are_intp_at_every_size(name):
+    # Triplets hold np.intp rows and columns whatever their shape, so no
+    # index arithmetic has to widen them: the channel table's stacked jump,
+    # the superoperator and L on a reached set
+    gen, rho0, _ = GENERATOR_ZOO[name]()
+    _, sub = gen._reached(rho0.entries.reshape(-1) != 0)
+    for t in (gen.table.jump, gen.superoperator, sub):
+        assert t.row.dtype == np.intp and t.col.dtype == np.intp
+
+
 def liouvillian_oracle(gen):
     """L summed from its parts in their order, each position's values added
     as Triplets.summed adds them: every bath product (gen._bath_terms), then
@@ -1009,7 +1020,7 @@ def liouvillian_oracle(gen):
     n = gen.dim
     terms = [t for t in gen._bath_terms.values() if t is not None]
     g = Triplets.from_dense(-1j * gen.hamiltonian + sum(k_half for _, k_half in terms))
-    i, j = (np.repeat(x.astype(np.intp), n) for x in (g.row, g.col))
+    i, j = (np.repeat(x, n) for x in (g.row, g.col))
     m, value = np.tile(np.arange(n), g.nnz), np.repeat(g.data, n)
     left = (i * n + m, j * n + m, value)
     right = (m * n + i, m * n + j, value.conj())
@@ -1027,7 +1038,7 @@ def test_columns_are_the_liouvillians_columns_bitwise(name):
     lmat = gen.superoperator
     assert lmat.shape == oracle.shape
     for got, want in zip((lmat.row, lmat.col, lmat.data), (oracle.row, oracle.col, oracle.data)):
-        assert got.tobytes() == want.astype(got.dtype).tobytes()
+        assert got.tobytes() == want.tobytes()
     rng = np.random.default_rng(61)
     for count in sorted({1, 2, min(size, 7), size // 3, size - 1}):
         new = np.sort(rng.choice(size, count, replace=False))
@@ -1036,9 +1047,9 @@ def test_columns_are_the_liouvillians_columns_bitwise(name):
         inside = chosen[oracle.col]
         sub = gen._columns(new)
         assert sub.shape == (size, count)
-        assert sub.row.tobytes() == oracle.row[inside].astype(sub.row.dtype).tobytes()
+        assert sub.row.tobytes() == oracle.row[inside].tobytes()
         col = np.searchsorted(new, oracle.col[inside])
-        assert sub.col.tobytes() == col.astype(sub.col.dtype).tobytes()
+        assert sub.col.tobytes() == col.tobytes()
         assert sub.data.tobytes() == oracle.data[inside].tobytes()
 
 

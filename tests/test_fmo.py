@@ -9,6 +9,7 @@ import pytest
 from solaraudit import (
     DensityMatrix,
     entropy_production,
+    entropy_rate,
     heat_current,
     liouvillian_apply,
     propagate,
@@ -31,6 +32,9 @@ from solaraudit.fmo import (
     parse_site_data,
     sigma_trace,
 )
+from solaraudit.thermo import FIRST_LAW_RELATIVE_TOL
+
+from dissipator_oracle import gibbs_state
 
 
 def tiny_site_text(diag=0.0, asym=False):
@@ -283,7 +287,7 @@ def test_thermal_control_steady_state_is_gibbs():
     model = build_model(cfg)
     assert model.t_abs_k == pytest.approx(3000.0, rel=1e-9)
     rho = steady_state(model.generator)
-    gibbs = DensityMatrix.gibbs(model.generator.hamiltonian, kelvin_to_wavenumber(3000.0))
+    gibbs = gibbs_state(model.generator.hamiltonian, kelvin_to_wavenumber(3000.0))
     assert np.max(np.abs(rho.entries - gibbs.entries)) < 1e-7
 
 
@@ -312,6 +316,48 @@ def test_first_law_along_trace():
         currents = [heat_current(gen, bath, rho) for bath in ("abs", "loss", "sink")]
         scale = max(abs(c) for c in currents)
         assert abs(lhs - sum(currents)) < 1e-9 * scale
+
+
+def default_trace(**overrides):
+    """The model of default_config(**overrides), and the states of its
+    default trace with their rho_dot, stacked, from the public API."""
+    cfg = default_config(**overrides)
+    model = build_model(cfg)
+    grid = np.linspace(0.0, cfg.t_max_ps, cfg.n_times) * PS_TO_INTERNAL
+    states = propagate(model.generator, DensityMatrix.ground(model.dim), grid)
+    rho = np.stack([state.entries for state in states])
+    return model, rho, liouvillian_apply(model.generator, rho)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"gamma_sink": 0.0}], ids=["sink", "no-sink"])
+def test_first_law_closes_on_every_row_of_the_default_trace(overrides):
+    # d<H>/dt = Tr[H rho_dot] is J_abs + J_loss + sink_flow on each of the
+    # 201 rows, to FIRST_LAW_RELATIVE_TOL of the row's largest current
+    # (measured: 1.1e-14 with the sink, 5.1e-13 without)
+    model, rho, rho_dot = default_trace(**overrides)
+    gen = model.generator
+    energy_rate = np.einsum("ij,tji->t", gen.hamiltonian, rho_dot).real
+    currents = np.stack([heat_current(gen, bath, rho) for bath in ("abs", "loss", "sink")])
+    assert energy_rate.shape == (201,)
+    gap = np.abs(energy_rate - currents.sum(axis=0))
+    assert np.all(gap <= FIRST_LAW_RELATIVE_TOL * np.abs(currents).max(axis=0))
+
+
+def test_negative_sigma_rows_of_the_default_trace_are_decided():
+    # sigma = dS/dt - J_abs/T_abs - J_loss/T_loss is negative on 78 of the
+    # 201 rows, from t = 6.15 ps on, and each of those signs is decided:
+    # |sigma| exceeds eps times the summed magnitudes of its three terms,
+    # the rounding of their sum
+    model, rho, rho_dot = default_trace()
+    gen = model.generator
+    j_abs, j_loss = (heat_current(gen, bath, rho) for bath in ("abs", "loss"))
+    temperatures = (model.t_abs_cm, model.t_loss_cm)
+    sigma = entropy_production(rho, rho_dot, (j_abs, j_loss), temperatures)
+    terms = np.stack([entropy_rate(rho, rho_dot), -j_abs / temperatures[0], -j_loss / temperatures[1]])
+    negative = np.flatnonzero(sigma < 0.0)
+    assert negative.size == 78 and negative[0] == 123 and negative[-1] == 200
+    bound = np.finfo(float).eps * np.abs(terms).sum(axis=0)
+    assert np.all(np.abs(sigma[negative]) > bound[negative])
 
 
 def test_sigma_trace_default_run_crosses_negative():

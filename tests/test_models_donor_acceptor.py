@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from solaraudit import DensityMatrix, NumericsError, heat_current, steady_state
+from solaraudit import NumericsError, heat_current, steady_state
 from solaraudit.models import (
     DonorAcceptorParams,
     PhotocellParams,
@@ -16,6 +16,8 @@ from solaraudit.models import (
     photocell_report,
     photocell_steady_state,
 )
+
+from dissipator_oracle import gibbs_state
 
 
 def da_rate_matrix(p):
@@ -202,10 +204,10 @@ def test_donor_acceptor_populations_normalized():
 def test_donor_acceptor_gibbs_limit():
     p = _da(gamma_load=0.0, t_abs=0.7, t_loss=0.7)
     h = np.diag([p.omega_b, p.omega_a, p.omega_alpha, p.omega_beta])
-    gibbs = np.real(np.diag(DensityMatrix.gibbs(h, 0.7).entries))
+    gibbs = np.real(np.diag(gibbs_state(h, 0.7).entries))
     assert np.max(np.abs(donor_acceptor_steady_state(p) - gibbs)) < 1e-8
     rho = steady_state(donor_acceptor_generator(p))
-    assert np.max(np.abs(rho.entries - DensityMatrix.gibbs(h, 0.7).entries)) < 1e-8
+    assert np.max(np.abs(rho.entries - gibbs_state(h, 0.7).entries)) < 1e-8
 
 
 def test_donor_acceptor_zero_hot_occupation_raises():
@@ -362,7 +364,7 @@ def test_photocell_populations_normalized():
 def test_photocell_gibbs_limit():
     p = _pc(gamma_load=0.0, t_abs=0.8, t_loss=0.8)
     h = np.diag([p.omega_b, p.omega_x1, p.omega_x2, p.omega_alpha, p.omega_beta])
-    gibbs = np.real(np.diag(DensityMatrix.gibbs(h, 0.8).entries))
+    gibbs = np.real(np.diag(gibbs_state(h, 0.8).entries))
     assert np.max(np.abs(photocell_steady_state(p) - gibbs)) < 1e-8
 
 

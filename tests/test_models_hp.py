@@ -110,9 +110,10 @@ def test_empty_reservoir_ground_energy():
     p = _params()
     for j in (4, 12):
         rep = compare_with_oscillator_limit(p, CollectiveReservoirParams(j=j))
-        assert rep.ground_collective == pytest.approx(-j * p.omega_rc, abs=1e-12)
-        assert rep.ground_oscillator == pytest.approx(-j * p.omega_rc, abs=1e-12)
-        assert abs(rep.ground_collective - rep.ground_oscillator) < 1e-13
+        ground_collective, ground_oscillator = rep.collective_levels[0], rep.oscillator_levels[0]
+        assert ground_collective == pytest.approx(-j * p.omega_rc, abs=1e-12)
+        assert ground_oscillator == pytest.approx(-j * p.omega_rc, abs=1e-12)
+        assert abs(ground_collective - ground_oscillator) < 1e-13
 
 
 def test_single_excitation_splitting_is_dressed_gap():
@@ -120,12 +121,14 @@ def test_single_excitation_splitting_is_dressed_gap():
     rep = compare_with_oscillator_limit(p, CollectiveReservoirParams(j=8))
     gap = dressed_frequency(0, p.gamma)
     assert gap == pytest.approx(2.0 * math.sqrt(p.gamma), rel=1e-15)
-    assert rep.splitting_oscillator == pytest.approx(gap, rel=1e-12)
+    splitting_collective, splitting_oscillator = (
+        levels[2] - levels[1] for levels in (rep.collective_levels, rep.oscillator_levels))
+    assert splitting_oscillator == pytest.approx(gap, rel=1e-12)
     # the first doublet closes on itself in both models (the 2j/(2j) factor
     # is exactly 1 there), so the splitting agrees and the finite-size
     # correction only enters from the second rung up
-    assert rep.splitting_collective == pytest.approx(gap, rel=1e-12)
-    assert np.max(rep.deviations[:3]) < 1e-12
+    assert splitting_collective == pytest.approx(gap, rel=1e-12)
+    assert np.max(np.abs(rep.collective_levels - rep.oscillator_levels)[:3]) < 1e-12
     assert rep.max_deviation > 1e-4
 
 

@@ -23,6 +23,8 @@ from solaraudit import (
 from solaraudit.core import HERMITICITY_TOL, TRACE_TOL
 from solaraudit.thermo import ENTROPY_EIGENVALUE_FLOOR, thermal_pairs
 
+from dissipator_oracle import gibbs_state
+
 THERMAL = ("abs", "loss")
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
@@ -111,5 +113,5 @@ def test_spohn_inequality_and_first_law_on_full_rank_states(data):
 @given(detailed_balance_models(), st.floats(0.5, 5.0))
 def test_one_temperature_steady_state_is_gibbs(model, temperature):
     gen = generator(model, (temperature, temperature))
-    gibbs = DensityMatrix.gibbs(gen.hamiltonian, temperature).entries
+    gibbs = gibbs_state(gen.hamiltonian, temperature).entries
     assert np.abs(steady_state(gen).entries - gibbs).max() <= 1e-9

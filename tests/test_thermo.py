@@ -135,7 +135,7 @@ def test_heat_currents_toy_decay_steady_state():
         omega_abs=1.1, omega_rc=0.6, gamma=0.002, t_abs=1.3, t_loss=0.07
     )
     gen = decay_generator(p)
-    rho = DensityMatrix.from_populations(decay_steady_populations(p))
+    rho = DensityMatrix(np.diag(decay_steady_populations(p)))
     flux = p.gamma * rho.population(1)
     assert heat_current(gen, "abs", rho) == pytest.approx(p.omega_plus * flux, rel=1e-10)
     assert heat_current(gen, "loss", rho) == pytest.approx(
@@ -246,7 +246,7 @@ def test_entropy_rate_rejects_non_hermitian_rhodot():
 
 
 def test_isolated_eigenstate_has_zero_entropy_production():
-    rho = DensityMatrix.from_populations([1.0, 0.0])
+    rho = DensityMatrix(np.diag([1.0, 0.0]))
     sigma = entropy_production(rho, np.zeros((2, 2)), (0.0, 0.0), (1.0, 0.5))
     assert sigma == 0.0
 
