@@ -118,7 +118,7 @@ def _report(model, file_sections, overrides):
     params = _section_params(MODELS[model][0], file_sections, overrides)
     r = model_report(model, params)
     rows = [(r.j_abs, r.j_loss, r.power, r.ratio, r.sigma, r.verdict)]
-    return REPORT_HEADER, rows, (), model.replace("_", "-"), params, MODEL_UNITS, ()
+    return REPORT_HEADER, rows, model.replace("_", "-"), params, MODEL_UNITS, ()
 
 
 def _sweep(file_sections, overrides):
@@ -136,12 +136,9 @@ def _sweep(file_sections, overrides):
         fixed=fixed,
     )
     table = run_sweep(spec)
-    footers = [
-        f"# violation: {format_number(lo)}..{format_number(hi)}" for lo, hi in table.violations
-    ]
     header = ("axis",) + REPORT_HEADER
     params = {**sweep_params, **fixed}
-    return header, table.rows(), footers, spec.model, params, MODEL_UNITS, table.violations
+    return header, table.rows(), spec.model, params, MODEL_UNITS, table.violations
 
 
 def _compare_power(file_sections, overrides):
@@ -157,7 +154,7 @@ def _compare_power(file_sections, overrides):
         ratio_grid=grid,
     )
     header = ("ratio", "p_dec", "p_ham")
-    return header, result.rows(), (), "compare_power", params, MODEL_UNITS, ()
+    return header, result.rows(), "compare_power", params, MODEL_UNITS, ()
 
 
 def _fmo_trace(file_sections, overrides):
@@ -169,11 +166,12 @@ def _fmo_trace(file_sections, overrides):
         raise ConfigError(str(exc))
     rows = list(zip(trace.t_ps, trace.j_abs, trace.j_loss, trace.sink_flow, trace.sigma))
     header = ("t_ps", "j_abs", "j_loss", "sink_flow", "sigma")
-    return header, rows, (), "fmo", params, TRACE_UNITS, ()
+    return header, rows, "fmo", params, TRACE_UNITS, ()
 
 
 # command -> function of (file sections, flag overrides) returning the table
-# it prints: (header, rows, csv footers, model, params, units, violations)
+# it prints: (header, rows, model, params, units, violations), each violation
+# interval a CSV footer
 COMMANDS = {
     **{model.replace("_", "-"): partial(_report, model) for model in MODELS},
     "fmo-trace": _fmo_trace,
@@ -192,11 +190,13 @@ USAGE = (
 
 
 def _run_command(command, config_path, fmt, out, overrides):
-    header, rows, footers, model, params, units, violations = COMMANDS[command](
+    header, rows, model, params, units, violations = COMMANDS[command](
         _file_sections(config_path), overrides
     )
     if fmt == "csv":
-        text = emit_csv(header, rows, footers)
+        text = emit_csv(header, rows, [
+            f"# violation: {format_number(lo)}..{format_number(hi)}" for lo, hi in violations
+        ])
     else:
         text = emit_json(
             {

@@ -184,17 +184,22 @@ def _fits_dense(rows, cols):  # no larger than the dense-propagation superoperat
     return rows * cols <= DENSE_PROPAGATION_MAX_DIM**4
 
 
-def _distinct(key):
-    """Sorted distinct values of an integer array, and each entry's index
-    among them, by a stable sort and a neighbour comparison."""
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    first = np.empty(key.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    at = np.empty(key.size, dtype=np.intp)
-    at[order] = np.cumsum(first) - 1
-    return ordered[first], at
+def _binned(at, values, size):
+    """The size sums of complex values, values[i] added to sum at[i] in
+    input order; a sum that overflows is left to the caller's checks."""
+    out = np.zeros(size, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(out, at, values)
+    return out
+
+
+def _runs(key, lookup):
+    """Every pair of a query lookup[q] and an entry e of the ascending array
+    key with key[e] == lookup[q], by query and then entry: (q, e) arrays."""
+    lo = key.searchsorted(lookup)
+    size = key.searchsorted(lookup, "right") - lo
+    query = np.arange(lookup.size).repeat(size)
+    return query, np.arange(query.size) + (lo + size - size.cumsum())[query]
 
 
 class Triplets:
@@ -226,23 +231,21 @@ class Triplets:
         rows, cols = shape
         key = row * cols + col
         dense = _fits_dense(rows, cols)
-        cells, at = (None, key) if dense else _distinct(key)
-        size = rows * cols if dense else cells.size
-        sums = np.bincount(at, val.real, size) + 1j * np.bincount(at, val.imag, size)
+        cells, at = (None, key) if dense else np.unique(key, return_inverse=True)
+        sums = _binned(at, val, rows * cols if dense else cells.size)
         keep = np.flatnonzero(sums)
         return cls(*np.divmod(keep if dense else cells[keep], cols), sums[keep], shape)
 
     def __matmul__(self, x):
         """self @ x for x of shape (cols,) or (cols, k). Dense if _fits_dense;
-        else one bincount over row k + column, entries added in stored order."""
+        else each product binned at row k + column (_binned), in stored order."""
         if _fits_dense(*self.shape):
             return self.toarray() @ x
         cols = x.reshape(x.shape[0], -1)
         k, n = cols.shape[1], self.shape[0] * cols.shape[1]
         y = (self.data[:, None] * cols[self.col]).ravel()
         at = self.row if k == 1 else (self.row[:, None] * k + np.arange(k)).ravel()
-        out = np.bincount(at, y.real, n) + 1j * np.bincount(at, y.imag, n)
-        return out.reshape(self.shape[0], *x.shape[1:])
+        return _binned(at, y, n).reshape(self.shape[0], *x.shape[1:])
 
     def toarray(self):
         out = np.zeros(self.shape, dtype=complex)
@@ -257,21 +260,9 @@ def _product(a, b):
     if _fits_dense(*shape):
         return Triplets.from_dense(a.toarray() @ b.toarray())
     order = np.argsort(b.row, kind="stable")
-    start = np.searchsorted(b.row, np.arange(b.shape[0] + 1), sorter=order)
-    lo, reps = start[a.col], np.diff(start)[a.col]
-    ia = np.repeat(np.arange(a.nnz), reps)
-    ib = order[np.arange(ia.size) - np.repeat(np.cumsum(reps) - reps - lo, reps)]
+    ia, at = _runs(b.row[order], a.col)
+    ib = order[at]
     return Triplets.summed([(a.row[ia], b.col[ib], a.data[ia] * b.data[ib])], shape)
-
-
-def _dense_sum(row, col, value, n):
-    """The n x n array of (row, col, value) entries, values at one position
-    added in order, as Triplets.summed adds them; a sum that overflows is
-    left to the caller's checks."""
-    out = np.zeros((n, n), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(out, (row, col), value)
-    return out
 
 
 def _checked_rates(rate, bath_id, bohr_frequency):
@@ -449,7 +440,8 @@ class LindbladGenerator:
             # the Kronecker part and adds H[i, k] v to sum_c r_c A_c^dag H A_c at (j, l)
             r, c, v = kron
             with np.errstate(over="ignore", invalid="ignore"):
-                q = _dense_sum(c % n, c // n, h[r % n, r // n] * v, n) + k_half @ h + h @ k_half
+                q = _binned(c % n * n + c // n, h[r % n, r // n] * v, n * n)
+                q = q.reshape(n, n) + k_half @ h + h @ k_half
             if not np.isfinite(q).all():
                 raise NumericsError(f"heat operator of bath {bath!r} is not finite")
             return q
@@ -476,7 +468,7 @@ class LindbladGenerator:
         m = _product(columns, Triplets(owner, vec, a.conj(), (count, n * n)))
         p, q, v = m.row, m.col, m.data
         same = p // n == q // n
-        k_half = _dense_sum(p[same] % n, q[same] % n, -0.5 * v[same].conj(), n)
+        k_half = _binned(p[same] % n * n + q[same] % n, -0.5 * v[same].conj(), n * n).reshape(n, n)
         return (p // n * n + q // n, p % n * n + q % n, v), k_half
 
     @cached_property
@@ -520,14 +512,10 @@ class LindbladGenerator:
         n, count = self.dim, new.size
         key, row, value = self._parts
         a, b = np.divmod(new, n)
-        lookup = np.concatenate([new, a + n * n, b + (n * n + n)])  # each part's key per column
-        hi = key.searchsorted(lookup, "right")
-        size = hi - key.searchsorted(lookup)
-        # per entry: its offset in the table, its row's base and its column
-        per_part = [hi - size.cumsum(), np.concatenate([0 * b, b, new - b]), np.arange(3 * count) % count]
-        offset, base, col = np.array(per_part).repeat(size, axis=1)
-        at = np.arange(offset.size) + offset
-        return Triplets.summed([(row[at] + base, col, value[at])], (n * n, count))
+        # each part's key per column, and the base of each of its entries' rows
+        part, at = _runs(key, np.concatenate([new, a + n * n, b + (n * n + n)]))
+        base = np.concatenate([0 * b, b, new - b])
+        return Triplets.summed([(row[at] + base[part], part % count, value[at])], (n * n, count))
 
     def _reached(self, start):
         """The smallest set of vec coordinates holding a boolean vec mask
@@ -547,9 +535,8 @@ class LindbladGenerator:
             keep[new] = True
         index = np.flatnonzero(keep)
         row, col, value = (np.concatenate(x) for x in zip(*found))
-        row, col = np.searchsorted(index, row), np.searchsorted(index, col)
-        order = np.argsort(row * index.size + col)
-        return keep, Triplets(row[order], col[order], value[order], (index.size,) * 2)
+        renumbered = (np.searchsorted(index, row), np.searchsorted(index, col), value)
+        return keep, Triplets.summed([renumbered], (index.size,) * 2)
 
 
 def _vec(gen, rho):

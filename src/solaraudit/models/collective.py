@@ -56,24 +56,18 @@ class OscillatorLimitReport:
     max_deviation: float
 
 
-def _two_band_hamiltonian(omega_rc, ladder_top, coupling_of, offset):
-    """H on basis |sigma, nu>, sigma in {0, 1}, nu in 0..ladder_top.
+def _two_band_hamiltonian(omega_rc, amps, offset):
+    """H on basis |sigma, nu>, sigma in {0, 1}, nu in 0..amps.size.
 
     Diagonal: sigma * omega_rc + omega_rc * (nu - offset), so the empty
     lower band sits at -offset * omega_rc exactly. Coupling links
-    |1, nu> with |0, nu+1> at amplitude coupling_of(nu).
+    |1, nu> with |0, nu+1> at amplitude amps[nu].
     """
-    per = ladder_top + 1
-    dim = 2 * per
-    h = np.zeros((dim, dim))
-    for nu in range(per):
-        base = omega_rc * (nu - offset)
-        h[nu, nu] = base
-        h[per + nu, per + nu] = omega_rc + base
-    for nu in range(ladder_top):
-        amp = coupling_of(nu)
-        h[per + nu, nu + 1] = amp
-        h[nu + 1, per + nu] = amp
+    per = amps.size + 1
+    base = omega_rc * (np.arange(per) - offset)
+    h = np.diag(np.concatenate([base, omega_rc + base]))
+    nu = np.arange(per - 1)
+    h[per + nu, nu + 1] = h[nu + 1, per + nu] = amps
     return h
 
 
@@ -92,15 +86,10 @@ def compare_with_oscillator_limit(p, hp):
         raise ValueError("gamma must be positive for the transfer coupling")
     j = hp.j
     g = math.sqrt(p.gamma)
-
-    def collective_amp(nu):
-        return g * math.sqrt((nu + 1.0) * (2.0 * j - nu) / (2.0 * j))
-
-    def oscillator_amp(nu):
-        return g * math.sqrt(nu + 1.0)
-
-    h_coll = _two_band_hamiltonian(p.omega_rc, 2 * j, collective_amp, j)
-    h_osc = _two_band_hamiltonian(p.omega_rc, hp.n_max, oscillator_amp, j)
+    nu, mu = np.arange(2 * j), np.arange(hp.n_max)
+    collective_amps = g * np.sqrt((nu + 1.0) * (2.0 * j - nu) / (2.0 * j))
+    h_coll = _two_band_hamiltonian(p.omega_rc, collective_amps, j)
+    h_osc = _two_band_hamiltonian(p.omega_rc, g * np.sqrt(mu + 1.0), j)
     ev_coll = np.linalg.eigvalsh(h_coll)[: hp.low_count]
     ev_osc = np.linalg.eigvalsh(h_osc)[: hp.low_count]
     return OscillatorLimitReport(

@@ -129,27 +129,19 @@ def violation_intervals(spec, reports):
     Interior edges are bisected between the bracketing grid points down
     to EDGE_TOL; edges at the ends of the grid stay at the grid value.
     """
-    flags = [r.verdict == "violation" for r in reports]
-    grid = spec.grid
+    grid, n = spec.grid, len(reports)
 
     def violating(x):
         return spec.point_report(x).verdict == "violation"
 
-    intervals = []
-    i = 0
-    n = len(flags)
-    while i < n:
-        if not flags[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and flags[j + 1]:
-            j += 1
-        lo = grid[i] if i == 0 else _refine_edge(violating, grid[i - 1], grid[i])
-        hi = grid[j] if j == n - 1 else _refine_edge(violating, grid[j], grid[j + 1])
-        intervals.append((float(lo), float(hi)))
-        i = j + 1
-    return intervals
+    # a run of violating points starts and ends where the padded flags change
+    flags = np.concatenate([[False], [r.verdict == "violation" for r in reports], [False]])
+    starts, stops = np.flatnonzero(np.diff(flags)).reshape(-1, 2).T
+    return [
+        (float(grid[i] if i == 0 else _refine_edge(violating, grid[i - 1], grid[i])),
+         float(grid[j] if j == n - 1 else _refine_edge(violating, grid[j], grid[j + 1])))
+        for i, j in zip(starts.tolist(), (stops - 1).tolist())
+    ]
 
 
 def run_sweep(spec):

@@ -1147,9 +1147,23 @@ def test_overflow_outside_the_reachable_set_still_raises(case):
         propagate(gen, rho0, [0.0, 2e7])
 
 
+def test_an_imaginary_sum_that_overflows_stays_imaginary_without_a_warning():
+    # L's coherence entries sum G[0, 0] + conj(G[1, 1]) = 2e308 i and its
+    # negative: each overflows to an infinite imaginary part beside a real
+    # part of exactly 0, not nan, and propagation names the overflow
+    gen = LindbladGenerator(np.diag([-1e308, 1e308]).astype(complex), [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = gen.superoperator.data
+        assert data.real.tolist() == [0.0, 0.0]
+        assert data.imag.tolist() == [math.inf, -math.inf]
+        with pytest.raises(NumericsError, match=r"^\|L dt\|_1 overflows at dt = 1\.0$"):
+            propagate(gen, DensityMatrix(np.full((2, 2), 0.5)), [0.0, 1.0])
+
+
 def test_liouvillian_apply_takes_a_stack_of_states():
     # one product for a stack equals a call per state: dense for the
-    # dim-10 trace model, by bincount for the dim-21 ladder
+    # dim-10 trace model, binned (core._binned) for the dim-21 ladder
     rng = np.random.default_rng(41)
     for gen in (build_model(default_config()).generator, hamiltonian_transfer_generator(LADDER, 6)):
         stack = np.stack([random_state(rng, gen.dim).entries for _ in range(6)]).reshape(2, 3, gen.dim, gen.dim)
