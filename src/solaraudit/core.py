@@ -238,12 +238,14 @@ class Triplets:
 
     def __matmul__(self, x):
         """self @ x for x of shape (cols,) or (cols, k). Dense if _fits_dense;
-        else each product binned at row k + column (_binned), in stored order."""
-        if _fits_dense(*self.shape):
-            return self.toarray() @ x
-        cols = x.reshape(x.shape[0], -1)
+        else each product binned at row k + column (_binned), in stored order.
+        A product that overflows is left to the caller's checks."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if _fits_dense(*self.shape):
+                return self.toarray() @ x
+            cols = x.reshape(x.shape[0], -1)
+            y = (self.data[:, None] * cols[self.col]).ravel()
         k, n = cols.shape[1], self.shape[0] * cols.shape[1]
-        y = (self.data[:, None] * cols[self.col]).ravel()
         at = self.row if k == 1 else (self.row[:, None] * k + np.arange(k)).ravel()
         return _binned(at, y, n).reshape(self.shape[0], *x.shape[1:])
 
@@ -925,9 +927,12 @@ def steady_state(gen):
 
     SVD-based: the right singular vector of the smallest singular value is
     reshaped, Hermitized, trace-normalized and positivity-floored. A null
-    space of dimension > 1 and an unresolved residual both raise.
+    space of dimension > 1, an unresolved residual and a superoperator
+    with a non-finite entry all raise.
     """
     m = gen.superoperator.toarray()
+    if not np.isfinite(m).all():
+        raise NumericsError("superoperator has a non-finite entry; no steady state")
     _, svals, vh = np.linalg.svd(m)
     smax = svals[0] if svals.size else 0.0
     null_tol = max(1e-12 * smax, 1e3 * np.finfo(float).eps * smax)

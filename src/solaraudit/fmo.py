@@ -213,17 +213,15 @@ class FmoConfig:
 
 @dataclass(frozen=True, eq=False)
 class FmoModel:
-    """Assembled generator plus the labels and scales the trace needs."""
+    """Assembled generator plus the scales the trace needs. The levels are
+    in the order ground, antenna, sites 1-7, then the sink (sink_index, -1
+    when there is none)."""
 
-    config: FmoConfig
     generator: LindbladGenerator
-    labels: tuple
     sink_index: int
     t_abs_k: float
     t_abs_cm: float
     t_loss_cm: float
-    exciton_energies: np.ndarray
-    bright_weights: np.ndarray
 
     @property
     def dim(self):
@@ -238,8 +236,6 @@ def build_model(cfg):
     """
     with_sink = cfg.gamma_sink > 0
     dim = 2 + N_SITES + with_sink
-    sites = tuple(f"site{m + 1}" for m in range(N_SITES))
-    labels = ("ground", "antenna", *sites, *(("sink",) if with_sink else ()))
     sink_index = dim - 1 if with_sink else -1
 
     site_block = np.diag(cfg.site_energies) + cfg.couplings
@@ -301,11 +297,7 @@ def build_model(cfg):
         bohr = float(cfg.site_energies[SINK_SOURCE_SITE - 1])
         channels.append(DissipationChannel(jump, cfg.gamma_sink, "sink", bohr, check_bohr=False))
 
-    return FmoModel(
-        config=cfg, generator=LindbladGenerator(h, channels), labels=labels,
-        sink_index=sink_index, t_abs_k=t_abs_k, t_abs_cm=t_abs, t_loss_cm=t_loss,
-        exciton_energies=energies, bright_weights=bright,
-    )
+    return FmoModel(LindbladGenerator(h, channels), sink_index, t_abs_k, t_abs, t_loss)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ The work repository behind the transfer scheme is physically a large set of
 two-level units, addressed through collective pseudospin operators of
 magnitude j. In the low-excitation regime those operators bosonize onto a
 single oscillator (the model the closed forms use). This module builds both
-Hamiltonians on the {|0>, |1>} x repository block exactly and compares
-their low-lying spectra; the residual must shrink like 1/j.
+Hamiltonians on the {|0>, |1>} x repository block exactly, with the ladder's
+two-band builder, and compares their low-lying spectra; the residual must
+shrink like 1/j.
 
 |2> is left out by construction: the transfer coupling never touches it, so
 it only adds decoupled levels that would clutter the low-energy comparison.
@@ -15,6 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .three_level import _two_band_hamiltonian
 
 MAX_SPIN = 12
 
@@ -54,21 +57,6 @@ class OscillatorLimitReport:
     collective_levels: np.ndarray
     oscillator_levels: np.ndarray
     max_deviation: float
-
-
-def _two_band_hamiltonian(omega_rc, amps, offset):
-    """H on basis |sigma, nu>, sigma in {0, 1}, nu in 0..amps.size.
-
-    Diagonal: sigma * omega_rc + omega_rc * (nu - offset), so the empty
-    lower band sits at -offset * omega_rc exactly. Coupling links
-    |1, nu> with |0, nu+1> at amplitude amps[nu].
-    """
-    per = amps.size + 1
-    base = omega_rc * (np.arange(per) - offset)
-    h = np.diag(np.concatenate([base, omega_rc + base]))
-    nu = np.arange(per - 1)
-    h[per + nu, nu + 1] = h[nu + 1, per + nu] = amps
-    return h
 
 
 def compare_with_oscillator_limit(p, hp):

@@ -58,10 +58,6 @@ class DonorAcceptorParams:
             self.t_loss,
         )
 
-    def occupations(self):
-        """(n_h, n_c, N_c): hot pump, donor relaxation and recycle channel."""
-        return self.ring().occupations()
-
 
 def donor_acceptor_steady_state(p):
     """Steady populations [rho_b, rho_a, rho_alpha, rho_beta]."""

@@ -63,10 +63,6 @@ class PhotocellParams:
             self.t_loss,
         )
 
-    def occupations(self):
-        """(n_h, n_x, n_2c, N_c): hot pump, cascade, separation, recycle."""
-        return self.ring().occupations()
-
 
 def photocell_steady_state(p):
     """Steady populations [rho_b, rho_x1, rho_x2, rho_alpha, rho_beta]."""

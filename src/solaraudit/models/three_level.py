@@ -78,10 +78,6 @@ class ThreeLevelParams:
                 f"gamma = {self.gamma}"
             )
 
-    def occupations(self):
-        """(n_h, n_c): hot occupation at omega_plus, cold at omega_minus."""
-        return self.ring().occupations()
-
     def ring(self):
         """The decay scheme as a ring (cycle.py): hot pump 0 -> 2, cold
         relaxation 2 -> 1 and the sink jump 1 -> 0 at rate gamma."""
@@ -124,12 +120,12 @@ def decay_generator(p):
 
 
 def dressed_frequency(n, gamma):
-    """Splitting of the n-th dressed doublet, Omega_n = 2 sqrt(gamma (n+1))."""
-    if n < 0:
+    """Splitting Omega_n = 2 sqrt(gamma (n+1)) of the n-th dressed doublet, n one or an array."""
+    if np.any(np.asarray(n) < 0):
         raise ValueError("n must be >= 0")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    return 2.0 * math.sqrt(gamma * (n + 1.0))
+    return 2.0 * np.sqrt(gamma * (n + 1.0))
 
 
 @dataclass(frozen=True)
@@ -166,7 +162,7 @@ def birth_death_rates(p):
     p.require_weak_coupling()
     if p.gamma_h <= 0 or p.gamma_c <= 0:
         raise ValueError("transfer scheme needs both bath rates positive")
-    n_h, n_c = p.occupations()
+    n_h, n_c = p.ring().occupations()
     gh, gc = p.gamma_h, p.gamma_c
     down_total = gh * (1.0 + n_h) + gc * (1.0 + n_c)
     q = (gh * n_h + gc * n_c) / down_total
@@ -194,23 +190,34 @@ def _index(sigma, n, n_max):
     return sigma * (n_max + 1) + n
 
 
+def _two_band_hamiltonian(omega_rc, amps, offset):
+    """H on basis |sigma, nu>, sigma in {0, 1}, nu in 0..amps.size.
+
+    Diagonal: (sigma - offset) * omega_rc + omega_rc * nu, so the empty
+    lower band sits at -offset * omega_rc exactly. Coupling links
+    |1, nu> with |0, nu+1> at amplitude amps[nu].
+    """
+    nu = np.arange(amps.size + 1)
+    base = omega_rc * nu
+    h = np.diag(np.concatenate([-offset * omega_rc + base, (1 - offset) * omega_rc + base]))
+    h[nu.size + nu[:-1], nu[1:]] = h[nu[1:], nu.size + nu[:-1]] = amps
+    return h
+
+
 def transfer_block_hamiltonian(p, n_max):
     """System-plus-repository Hamiltonian on the 3 x (n_max+1) product basis.
 
     H = omega_abs |2><2| + (omega_rc/2)(|1><1| - |0><0|)
-        + sqrt(gamma) (c |1><0| + c^dag |0><1|) + omega_rc c^dag c
+        + sqrt(gamma) (c |1><0| + c^dag |0><1|) + omega_rc c^dag c,
+    the two-band Hamiltonian at offset 1/2 beside the band of |2>.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    base = p.omega_rc * np.arange(n_max + 1)
-    h = np.diag(
-        np.concatenate([-0.5 * p.omega_rc + base, 0.5 * p.omega_rc + base, p.omega_abs + base])
-    ).astype(complex)
-    # c |1><0| : |0, n> -> sqrt(n) |1, n-1>
-    n = np.arange(1, n_max + 1)
-    amp = math.sqrt(p.gamma) * np.sqrt(n)
-    h[_index(1, n - 1, n_max), _index(0, n, n_max)] = amp
-    h[_index(0, n, n_max), _index(1, n - 1, n_max)] = amp
+    n = np.arange(n_max + 1)
+    h = np.zeros((3 * n.size, 3 * n.size), dtype=complex)
+    amps = math.sqrt(p.gamma) * np.sqrt(n[1:])
+    h[: 2 * n.size, : 2 * n.size] = _two_band_hamiltonian(p.omega_rc, amps, 0.5)
+    h[_index(2, n, n_max), _index(2, n, n_max)] = p.omega_abs + p.omega_rc * n
     return h
 
 
@@ -234,7 +241,7 @@ def hamiltonian_transfer_generator(p, n_max):
             "cold gap omega_minus must exceed half the largest dressed "
             f"splitting ({top_split:.3e}); lower n_max or the coupling"
         )
-    n_h, n_c = p.occupations()
+    n_h, n_c = p.ring().occupations()
     # channel c = ((n 2 + minus) 2 + cold) 2 + up: per doublet n, the sign of
     # |+-,n> = (|0,n+1> +- |1,n>)/sqrt(2), the hot or cold bath, and the jump
     # |+-,n><2,n'| or its adjoint, in the order of loops nested that way
@@ -243,7 +250,7 @@ def hamiltonian_transfer_generator(p, n_max):
     doublet = np.stack([_index(0, n + 1, n_max), _index(1, n, n_max)], axis=1)
     two = _index(2, n + 1 - cold, n_max)[:, None]
     rates = [[0.5 * g * (1 + nb), 0.5 * g * nb] for g, nb in ((p.gamma_h, n_h), (p.gamma_c, n_c))]
-    split = np.sqrt(p.gamma * (n + 1.0))  # dressed_frequency(n, gamma) / 2
+    split = 0.5 * dressed_frequency(n, p.gamma)
     dim = 3 * (n_max + 1)
     table = ChannelTable(
         Triplets(
@@ -311,12 +318,8 @@ def excitation_growth_rate(gen, rho, n_max):
 
 
 def require_truncation_ok(states, n_max):
-    """Raise if any state holds real weight on the truncation edge."""
+    """Raise if a DensityMatrix of states holds real weight on the truncation edge."""
     for st in states:
-        entries = st.entries if isinstance(st, DensityMatrix) else np.asarray(st)
-        weight = sum(
-            entries[_index(sigma, n_max, n_max), _index(sigma, n_max, n_max)].real
-            for sigma in range(3)
-        )
+        weight = sum(st.population(_index(sigma, n_max, n_max)) for sigma in range(3))
         if weight > TRUNCATION_POPULATION_TOL:
             raise TruncationOverflowError(weight, n_max)

@@ -16,6 +16,7 @@ from solaraudit import (
     LindbladGenerator,
     NumericsError,
     StateValidationError,
+    SteadyStateConvergenceError,
     floor_positivity,
     heat_current,
     liouvillian_apply,
@@ -27,6 +28,7 @@ from solaraudit.fmo import PS_TO_INTERNAL, build_model, default_config
 from solaraudit.models import (
     ThreeLevelParams,
     birth_death_rates,
+    decay_generator,
     dressed_product_state,
     hamiltonian_transfer_generator,
 )
@@ -1161,6 +1163,20 @@ def test_an_imaginary_sum_that_overflows_stays_imaginary_without_a_warning():
             propagate(gen, DensityMatrix(np.full((2, 2), 0.5)), [0.0, 1.0])
 
 
+@pytest.mark.parametrize("dense", [True, False])
+def test_a_product_that_overflows_is_not_finite_without_a_warning(monkeypatch, dense):
+    # L rho's coherences are the overflowed +-2e308 i times 1/2: not finite,
+    # and no warning on the dense product or on the binned one
+    if not dense:
+        monkeypatch.setattr(core, "DENSE_PROPAGATION_MAX_DIM", 1)
+    gen = LindbladGenerator(np.diag([-1e308, 1e308]).astype(complex), [])
+    assert core._fits_dense(*gen.superoperator.shape) == dense
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho_dot = liouvillian_apply(gen, DensityMatrix(np.full((2, 2), 0.5)))
+    assert not np.isfinite(rho_dot[[0, 1], [1, 0]]).any()
+
+
 def test_liouvillian_apply_takes_a_stack_of_states():
     # one product for a stack equals a call per state: dense for the
     # dim-10 trace model, binned (core._binned) for the dim-21 ladder
@@ -1189,6 +1205,23 @@ def test_steady_state_thermal_qubit_is_gibbs():
     ratio = rho.population(1) / rho.population(0)
     assert abs(ratio - np.exp(-omega / t)) < 1e-12
     assert np.abs(liouvillian_apply(gen, rho)).max() <= 1e-10
+
+
+def test_steady_state_of_a_superoperator_that_is_not_finite_raises():
+    gen = LindbladGenerator(np.diag([-1e308, 1e308]).astype(complex), [])
+    with pytest.raises(NumericsError, match="^superoperator has a non-finite entry; no steady state$"):
+        steady_state(gen)
+
+
+def test_steady_state_residual_above_tolerance_raises():
+    # the SVD resolves the null vector to about eps times the largest rate,
+    # here 1e8, which leaves a residual above STEADY_STATE_RESIDUAL_TOL
+    p = ThreeLevelParams(
+        omega_abs=1.0, omega_rc=0.5, gamma=1e-3, t_abs=1.0, t_loss=0.05, gamma_h=1e8, gamma_c=1e-3
+    )
+    with pytest.raises(SteadyStateConvergenceError, match=r"exceeds tolerance 1\.0e-10$") as info:
+        steady_state(decay_generator(p))
+    assert info.value.residual > info.value.tol == core.STEADY_STATE_RESIDUAL_TOL
 
 
 def test_steady_state_degenerate_raises():

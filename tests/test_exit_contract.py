@@ -78,6 +78,9 @@ STRING_CASES = [
      "site_energies must be finite"),
     ("data_file-nan-coupling", ["fmo-trace", "--data_file", "{tmp}/nan_coupling.txt"],
      "couplings must be finite"),
+    # two uncoupled sites at one energy: a zero relaxation gap
+    ("data_file-shared-energy", ["fmo-trace", "--data_file", "{tmp}/shared_energy.txt"],
+     "spectral density needs omega > 0, got 0.0"),
     ("config-not-utf8", ["toy-decay", "--config", "{tmp}/utf16.txt"],
      "cannot read config file {tmp}/utf16.txt"),
     ("axis-bogus", ["sweep", "--axis", "bogus", "--axis_points", "3"], "'bogus'"),
@@ -90,6 +93,8 @@ def write_user_files(root):
     (root / "utf16.txt").write_text(text, encoding="utf-16")
     (root / "nan_energy.txt").write_text(text.replace("12410.0", "nan"))
     (root / "nan_coupling.txt").write_text(text.replace("-104.1", "nan"))
+    energies = ["12100.0", "12200.0", "12200.0", "12300.0", "12400.0", "12500.0", "12600.0"]
+    (root / "shared_energy.txt").write_text("\n".join(energies + [" ".join(["0.0"] * 7)] * 7))
 
 
 @pytest.mark.parametrize(
@@ -99,6 +104,15 @@ def test_exit_code_contract_string_keys(capsys, tmp_path, argv, needle):
     write_user_files(tmp_path)
     code, err = check_contract(capsys, [arg.replace("{tmp}", str(tmp_path)) for arg in argv])
     assert code == 2 and needle.replace("{tmp}", str(tmp_path)) in err, err
+
+
+def test_exit_code_contract_rates_before_a_zero_gap(capsys, tmp_path):
+    # the relaxation pairs before the zero gap are built, and their
+    # overflowing rates rejected, before the spectral density sees the gap
+    write_user_files(tmp_path)
+    data_file = f"{tmp_path}/shared_energy.txt"
+    code, err = check_contract(capsys, ["fmo-trace", "--data_file", data_file, "--vib_reorganization", "1e308"])
+    assert code == 3 and "loss rate overflows" in err, err
 
 
 @pytest.mark.parametrize("argv", CASES)

@@ -250,18 +250,11 @@ def test_config_rejects_non_finite_values(tmp_path):
 
 
 def test_build_model_structure():
-    model = build_model(default_config())
+    cfg = default_config()
+    model = build_model(cfg)
     assert model.dim == 10
-    assert model.labels == ("ground", "antenna") + tuple(
-        f"site{m + 1}" for m in range(N_SITES)
-    ) + ("sink",)
     assert model.sink_index == 9
-    cfg = model.config
     site_block = np.diag(cfg.site_energies) + cfg.couplings
-    oracle = np.linalg.eigvalsh(site_block)
-    assert np.max(np.abs(model.exciton_energies - oracle)) < 1e-10
-    assert model.bright_weights.sum() == pytest.approx(N_SITES, rel=1e-12)
-    assert np.all(model.bright_weights >= 0.0)
     h = model.generator.hamiltonian
     assert h[1, 1].real == 13333.0
     assert np.max(np.abs(h[2:9, 2:9] - site_block)) == 0.0
@@ -272,7 +265,6 @@ def test_build_model_structure():
 def test_build_model_without_sink():
     model = build_model(default_config(gamma_sink=0.0))
     assert model.dim == 9
-    assert "sink" not in model.labels
     assert model.sink_index == -1
     assert "sink" not in model.generator.table.bath_id
 

@@ -27,7 +27,7 @@ def da_rate_matrix(p):
     transition from the bath occupations, independently of the package's
     chained-ratio solution.
     """
-    n_h, n_c, big_n = p.occupations()
+    n_h, n_c, big_n = p.ring().occupations()
     w = np.zeros((4, 4))
     w[1, 0] = p.gamma_h * n_h
     w[0, 1] = p.gamma_h * (1.0 + n_h)
@@ -43,7 +43,7 @@ def da_rate_matrix(p):
 
 def photocell_rate_matrix(p):
     """Rate matrix of the five-level cycle, basis (b, x1, x2, alpha, beta)."""
-    n_h, n_x, n_2c, big_n = p.occupations()
+    n_h, n_x, n_2c, big_n = p.ring().occupations()
     w = np.zeros((5, 5))
     w[1, 0] = p.gamma_h * n_h
     w[0, 1] = p.gamma_h * (1.0 + n_h)

@@ -49,7 +49,7 @@ def classical_rate_matrix(p):
     w[i, j] is the rate from level j to level i; the Lindblad populations
     obey dp/dt = w p because every jump operator is a single basis shift.
     """
-    n_h, n_c = p.occupations()
+    n_h, n_c = p.ring().occupations()
     w = np.zeros((3, 3))
     w[2, 0] = p.gamma_h * n_h
     w[0, 2] = p.gamma_h * (1.0 + n_h)
@@ -292,7 +292,7 @@ def test_birth_death_equal_rate_closed_forms():
         omega_abs=1.0, omega_rc=0.5, gamma=1e-5, t_abs=2.0, t_loss=0.3,
         gamma_h=g, gamma_c=g,
     )
-    n_h, n_c = p.occupations()
+    n_h, n_c = p.ring().occupations()
     bd = birth_death_rates(p)
     assert bd.rho_plus == pytest.approx(
         (2.0 + n_h + n_c) / (4.0 + 3.0 * n_h + 3.0 * n_c), rel=1e-12
@@ -447,7 +447,7 @@ def transfer_channels_one_by_one(p, n_max):
     one jump at a time in the generator's order: per doublet n and sign,
     the hot then the cold bath, the lowering then the raising jump."""
     dim = 3 * (n_max + 1)
-    n_h, n_c = p.occupations()
+    n_h, n_c = p.ring().occupations()
     inv = 1.0 / math.sqrt(2.0)
     channels = []
     for n in range(n_max):
