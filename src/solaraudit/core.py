@@ -15,10 +15,10 @@ The generator is
 
 with every channel tagged by the bath it exchanges energy with. The
 algebra exists once, as a Triplets superoperator on vectorized states
-summed from one product over each bath's channels; the same product gives
-each bath's dim x dim heat operator D_b^dag(H), so heat is booked per bath
-downstream. Products and sums run dense up to the size of the
-dense-propagation superoperator and by sorting triplets above it.
+summed from one product over all channels, blocked by bath; the same
+product gives each bath's dim x dim heat operator D_b^dag(H), so heat is
+booked per bath downstream. Products and sums run dense up to the size
+of the dense-propagation superoperator and by sorting triplets above it.
 Propagation applies the exact exponential of that generator between grid
 times, restricted to the vec coordinates the generator can reach from the
 initial state, which one search finds while it generates the generator's
@@ -399,79 +399,77 @@ class LindbladGenerator:
         return (np.cumsum(chosen) - 1)[owner[keep]], row[keep], a.col[keep], a.data[keep]
 
     def _check_bohr_frequencies(self):
-        # All checked jumps side by side, J = (A_1 | A_2 | ...): column block
-        # k of H J - (A_1 H | A_2 H | ...) -/+ w_k J is the defect matrix of
-        # channel k, so the whole check is two products.
+        # Channel k's defect is the smaller of max|C_k -/+ w_k A_k|, C_k = H A_k
+        # - A_k H: up to _fits_dense, H J - J H on the dense (count, n, n) stack
+        # J of the checked jumps; above it, column block k of H J - (A_1 H |
+        # A_2 H | ...) for the jumps side by side, J = (A_1 | A_2 | ...).
         checked = self.table.check_bohr & (self.table.rate != 0.0)
-        if not checked.any():
-            return
-        n, count = self.dim, np.count_nonzero(checked)
+        n, count, h = self.dim, np.count_nonzero(checked), self.hamiltonian
         owner, row, col, a = self._entries(checked)
         bohr = self.table.bohr_frequency[checked]
-        h = Triplets.from_dense(self.hamiltonian)
-        jcol = col + owner * n
-        h_a = _product(h, Triplets(row, jcol, a, (n, n * count)))
-        a_h = _product(Triplets(row + owner * n, col, a, (n * count, n)), h)
-        a_h_col = a_h.col + a_h.row // n * n  # row block k -> column block k
-        products = [(h_a.row, h_a.col, h_a.data), (a_h.row % n, a_h_col, -a_h.data)]
-        w_a = bohr[owner] * a
         defect, jnorm = np.full((2, count), 0.0), np.full(count, 1e-300)
-        for d, sign in zip(defect, (-1.0, 1.0)):  # largest |entry| per block
-            d_k = Triplets.summed([*products, (row, jcol, sign * w_a)], (n, n * count))
-            np.maximum.at(d, d_k.col // n, np.abs(d_k.data))
+        if _fits_dense(n * count, n):
+            j = Triplets(owner * n + row, col, a, (count * n, n)).toarray().reshape(count, n, n)
+            with np.errstate(over="ignore", invalid="ignore"):  # as Triplets.summed sums
+                c, w_j = h @ j - j @ h, bohr[:, None, None] * j
+                defect[:] = [np.abs(c + sign * w_j).max(axis=(1, 2)) for sign in (-1.0, 1.0)]
+        else:
+            h = Triplets.from_dense(h)
+            jcol = col + owner * n
+            h_a = _product(h, Triplets(row, jcol, a, (n, n * count)))
+            a_h = _product(Triplets(row + owner * n, col, a, (n * count, n)), h)
+            a_h_col = a_h.col + a_h.row // n * n  # row block k -> column block k
+            products = [(h_a.row, h_a.col, h_a.data), (a_h.row % n, a_h_col, -a_h.data)]
+            w_a = bohr[owner] * a
+            for d, sign in zip(defect, (-1.0, 1.0)):  # largest |entry| per block
+                d_k = Triplets.summed([*products, (row, jcol, sign * w_a)], (n, n * count))
+                np.maximum.at(d, d_k.col // n, np.abs(d_k.data))
         defect = defect.min(axis=0)
         np.maximum.at(jnorm, owner, np.abs(a))
         scale = max(1.0, np.abs(self.hamiltonian).max())
-        bad = np.flatnonzero(defect > BOHR_CHECK_TOL * scale * jnorm)
-        if bad.size:
-            k = bad[0]
-            raise ValueError(
-                f"channel Bohr frequency {float(bohr[k])!r} does not "
-                f"match the Hamiltonian gap its jump connects (defect {defect[k]:.3e})"
-            )
+        for k in np.flatnonzero(defect > BOHR_CHECK_TOL * scale * jnorm)[:1]:
+            raise ValueError(f"channel Bohr frequency {float(bohr[k])!r} does not match the "
+                             f"Hamiltonian gap its jump connects (defect {defect[k]:.3e})")
 
     @cached_property
     def heat_operators(self):
-        """Q_b per bath tag (dim x dim), built on first use; None for a tag
-        no channel of nonzero rate carries. A Q_b that overflows raises
-        NumericsError naming its bath."""
-        n, h = self.dim, self.hamiltonian
-
-        def heat(bath, kron, k_half):
-            # an entry v of M at ((k, l), (i, j)) sits at (k n + i, l n + j) of
-            # the Kronecker part and adds H[i, k] v to sum_c r_c A_c^dag H A_c at (j, l)
-            r, c, v = kron
-            with np.errstate(over="ignore", invalid="ignore"):
-                q = _binned(c % n * n + c // n, h[r % n, r // n] * v, n * n)
-                q = q.reshape(n, n) + k_half @ h + h @ k_half
-            if not np.isfinite(q).all():
-                raise NumericsError(f"heat operator of bath {bath!r} is not finite")
-            return q
-
-        return {b: t and heat(b, *t) for b, t in self._bath_terms.items()}
+        """Q_b per bath tag (dim x dim), every bath's built at once on first
+        use; None for a tag no channel of nonzero rate carries. A Q_b that
+        overflows raises NumericsError naming its bath, the first in BATH_IDS."""
+        n, h, carried = self.dim, self.hamiltonian, self.table.bath_id[self.table.rate != 0.0]
+        bath, (r, c, v), k_half = self._bath_terms
+        # an entry v of M at ((k, l), (i, j)) sits at (k n + i, l n + j) of the
+        # Kronecker part and adds H[i, k] v to sum_c r_c A_c^dag H A_c at (j, l)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = _binned(bath * n * n + c % n * n + c // n, h[r % n, r // n] * v, 3 * n * n)
+            q = q.reshape(3, n, n) + k_half @ h + h @ k_half
+        for b, q_b in zip(BATH_IDS, q):
+            if not np.isfinite(q_b).all():
+                raise NumericsError(f"heat operator of bath {b!r} is not finite")
+        return {b: q_b if b in carried else None for b, q_b in zip(BATH_IDS, q)}
 
     @cached_property
     def _bath_terms(self):
-        return {b: self._bath_term(b) for b in BATH_IDS}
-
-    def _bath_term(self, bath_id):
-        chosen = (self.table.bath_id == bath_id) & (self.table.rate != 0.0)
-        if not chosen.any():
-            return None
+        """From one product over the channels of nonzero rate, in BATH_IDS
+        order: each entry's bath, the entries (row, col, value) of every bath's
+        sum_k r_k A_k (x) conj(A_k), and -K_b / 2 per bath, (3, dim, dim)."""
+        chosen = self.table.rate != 0.0
         n, count = self.dim, np.count_nonzero(chosen)
         owner, row, col, a = self._entries(chosen)
         rates = self.table.rate[chosen]
-        # M = sum_k r_k vec(A_k) vec(A_k)^dag, one product of the columns
-        # r_k vec(A_k) with the rows vec(A_k)^dag, holds sum_k r_k A_k (x)
-        # conj(A_k): M[(i, j), (k, l)] is its entry (i n + k, j n + l).
-        # K_b[j, l] = sum_i conj M[(i, j), (i, l)]; -K_b / 2 is returned.
+        baths = np.searchsorted(BATH_IDS, self.table.bath_id[chosen])  # BATH_IDS is sorted
+        # M = sum_k r_k vec(A_k) vec(A_k)^dag, the columns r_k vec(A_k), each in
+        # its bath's block of n^2 rows, times the rows vec(A_k)^dag, holds each
+        # bath's sum_k r_k A_k (x) conj(A_k) in its block: M[(i, j), (k, l)] is
+        # entry (i n + k, j n + l). K_b[j, l] = sum_i conj M[(i, j), (i, l)].
         vec = row * n + col
-        columns = Triplets(vec, owner, rates[owner] * a, (n * n, count))
+        columns = Triplets(vec + baths[owner] * n * n, owner, rates[owner] * a, (3 * n * n, count))
         m = _product(columns, Triplets(owner, vec, a.conj(), (count, n * n)))
-        p, q, v = m.row, m.col, m.data
+        (bath, p), q, v = np.divmod(m.row, n * n), m.col, m.data
         same = p // n == q // n
-        k_half = _binned(p[same] % n * n + q[same] % n, -0.5 * v[same].conj(), n * n).reshape(n, n)
-        return (p // n * n + q // n, p % n * n + q % n, v), k_half
+        at = (bath * n * n + p % n * n + q % n)[same]
+        k_half = _binned(at, -0.5 * v[same].conj(), 3 * n * n).reshape(3, n, n)
+        return bath, (p // n * n + q // n, p % n * n + q % n, v), k_half
 
     @cached_property
     def _parts(self):
@@ -485,12 +483,11 @@ class LindbladGenerator:
         of L sums one key's entries of each of the three parts, which bounds
         L's norm (propagate's overflow guard)."""
         n = self.dim
-        terms = [t for t in self._bath_terms.values() if t is not None]
-        g = Triplets.from_dense(-1j * self.hamiltonian + sum(k_half for _, k_half in terms))
+        _, (r, c, v), k_half = self._bath_terms
+        g = Triplets.from_dense(-1j * self.hamiltonian + sum(k_half))
         order = np.argsort(g.col, kind="stable")
         col, row, value = g.col[order] + n * n, g.row[order], g.data[order]
-        parts = [(c, r, v) for (r, c, v), _ in terms]
-        parts += [(col, row * n, value), (col + n, row, value.conj())]
+        parts = [(c, r, v), (col, row * n, value), (col + n, row, value.conj())]
         key, row, value = (np.concatenate(x) for x in zip(*parts))
         order = key.argsort(kind="stable")
         return key[order], row[order], value[order]
@@ -946,7 +943,8 @@ def steady_state(gen):
         raise DegenerateSteadyStateError(null_count or 1)
     rho, spectrum, _ = _floored((rho / tr).reshape(-1), _full_support(gen.dim))
     rho = rho.reshape(gen.dim, gen.dim)
-    residual = np.abs(liouvillian_apply(gen, rho)).max()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+        residual = np.abs(m @ rho.reshape(-1)).max()
     if residual > STEADY_STATE_RESIDUAL_TOL:
         raise SteadyStateConvergenceError(residual, STEADY_STATE_RESIDUAL_TOL)
     return DensityMatrix(rho, _spectrum=spectrum)

@@ -17,6 +17,7 @@ inverse wavenumber, so rates in cm^-1 multiply PS_TO_INTERNAL per ps.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -81,7 +82,7 @@ def parse_site_data(text):
 
     '#' starts a comment. The first seven data lines hold one site energy
     each (cm^-1); the next seven hold the rows of the symmetric coupling
-    matrix with zero diagonal.
+    matrix with zero diagonal. Both arrays come back read-only.
     """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -115,6 +116,8 @@ def parse_site_data(text):
         raise ConfigError("coupling matrix must have a zero diagonal")
     if np.abs(couplings - couplings.T).max() > 1e-9:
         raise ConfigError("coupling matrix must be symmetric")
+    energies.setflags(write=False)
+    couplings.setflags(write=False)
     return energies, couplings
 
 
@@ -122,6 +125,7 @@ def load_site_data(path):
     return parse_site_data(read_user_text(path, "site data file"))
 
 
+@lru_cache(maxsize=1)
 def builtin_site_data():
     text = resources.files("solaraudit").joinpath(SITE_DATA_RESOURCE).read_text()
     return parse_site_data(text)
@@ -186,8 +190,6 @@ class FmoConfig:
             energies, couplings = builtin_site_data()
         else:
             energies, couplings = load_site_data(self.data_file)
-        energies.setflags(write=False)
-        couplings.setflags(write=False)
         object.__setattr__(self, "site_energies", energies)
         object.__setattr__(self, "couplings", couplings)
         if self.gamma_ant_fmo is None:

@@ -229,6 +229,35 @@ def test_bohr_frequency_check_rejects_wrong_gap():
         LindbladGenerator(h3, good + [DissipationChannel(lower12.T, 0.1, "loss", 2.5)])
 
 
+@pytest.mark.parametrize("make, k, products, message", [
+    # the decay ring: 5 channels of 3 levels, inside _fits_dense
+    pytest.param(lambda: ring_start("toy_decay")[0], 3, 0, "channel Bohr frequency 1.0 does not "
+                 "match the Hamiltonian gap its jump connects (defect 2.500e-01)", id="dense-stack"),
+    # the n_max = 20 ladder: 160 channels of 63 levels, above it
+    pytest.param(lambda: product_start_ladder(20)[0], 81, 2, "channel Bohr frequency "
+                 "3.70502809077426 does not match the Hamiltonian gap its jump connects "
+                 "(defect 1.768e-01)", id="triplets"),
+])
+def test_bohr_check_rejects_a_wrong_gap_in_either_form(monkeypatch, make, k, products, message):
+    # up to _fits_dense the check runs on the dense stack of the checked
+    # jumps and makes no Triplets product; above it, it makes two. Either
+    # form names the wrong channel with its defect, and neither checks a
+    # channel of rate 0 or one that opts out
+    gen = make()
+    table, calls, product = gen.table, [], core._product
+    monkeypatch.setattr(core, "_product", lambda a, b: calls.append(a.shape) or product(a, b))
+    bohr = table.bohr_frequency.copy()
+    bohr[k] += 0.25
+    with pytest.raises(ValueError) as info:
+        LindbladGenerator(gen.hamiltonian, table._replace(bohr_frequency=bohr))
+    assert str(info.value) == message
+    assert len(calls) == products
+    rate, check_bohr = table.rate.copy(), table.check_bohr.copy()
+    rate[k], check_bohr[k] = 0.0, False
+    for skipped in (dict(rate=rate), dict(check_bohr=check_bohr)):
+        LindbladGenerator(gen.hamiltonian, table._replace(bohr_frequency=bohr, **skipped))
+
+
 def test_channel_stores_sparse_jump():
     dense = np.zeros((3, 3), dtype=complex)
     dense[0, 2] = 0.5
@@ -1016,17 +1045,19 @@ def test_indices_are_intp_at_every_size(name):
 
 def liouvillian_oracle(gen):
     """L summed from its parts in their order, each position's values added
-    as Triplets.summed adds them: every bath product (gen._bath_terms), then
-    G (x) I, G[i, j] at (i n + m, j n + m), then I (x) conj(G), conj(G[i, j])
-    at (m n + i, m n + j), for G = -i H - sum_b K_b / 2 and every m."""
+    as Triplets.summed adds them: every bath product (gen._bath_terms, in
+    BATH_IDS order), then G (x) I, G[i, j] at (i n + m, j n + m), then
+    I (x) conj(G), conj(G[i, j]) at (m n + i, m n + j), for G = -i H -
+    sum_b K_b / 2 over the baths present and every m."""
     n = gen.dim
-    terms = [t for t in gen._bath_terms.values() if t is not None]
-    g = Triplets.from_dense(-1j * gen.hamiltonian + sum(k_half for _, k_half in terms))
+    _, kron, k_half = gen._bath_terms
+    present = [b in gen.table.bath_id[gen.table.rate != 0.0] for b in BATH_IDS]
+    g = Triplets.from_dense(-1j * gen.hamiltonian + sum(k_half[present]))
     i, j = (np.repeat(x, n) for x in (g.row, g.col))
     m, value = np.tile(np.arange(n), g.nnz), np.repeat(g.data, n)
     left = (i * n + m, j * n + m, value)
     right = (m * n + i, m * n + j, value.conj())
-    return Triplets.summed([*(kron for kron, _ in terms), left, right], (n * n, n * n))
+    return Triplets.summed([kron, left, right], (n * n, n * n))
 
 
 @pytest.mark.parametrize("name", GENERATOR_ZOO)
@@ -1053,6 +1084,21 @@ def test_columns_are_the_liouvillians_columns_bitwise(name):
         col = np.searchsorted(new, oracle.col[inside])
         assert sub.col.tobytes() == col.tobytes()
         assert sub.data.tobytes() == oracle.data[inside].tobytes()
+
+
+@pytest.mark.parametrize("name", GENERATOR_ZOO)
+def test_each_baths_heat_operator_is_that_of_its_channels_alone(name):
+    # one product builds every bath's terms, each bath's columns in its own
+    # block of rows: Q_b is bitwise that of a generator holding only bath
+    # b's channels, so no bath's channels leak into another's block
+    gen = GENERATOR_ZOO[name]()[0]
+    for bath in BATH_IDS:
+        alone = LindbladGenerator(gen.hamiltonian, [c for c in gen.channels if c.bath_id[0] == bath])
+        q, want = gen.heat_operators[bath], alone.heat_operators[bath]
+        if want is None:
+            assert q is None
+        else:
+            assert q.tobytes() == want.tobytes()
 
 
 def test_reached_generates_each_column_once(monkeypatch):

@@ -115,6 +115,9 @@ def test_builtin_site_data_shape():
     assert np.abs(np.diag(couplings)).max() == 0.0
     assert energies[2] == 12195.0
     assert couplings[0, 1] == -104.1
+    # parsed once and shared by every call, so nobody may write to it
+    assert builtin_site_data()[0] is energies
+    assert not energies.flags.writeable and not couplings.flags.writeable
 
 
 def test_parse_site_data_errors():
