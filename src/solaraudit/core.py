@@ -35,7 +35,7 @@ built directly over those of its own nonzero entries.
 import math
 from collections import namedtuple
 from dataclasses import fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -219,7 +219,7 @@ class Triplets:
         a = np.asarray(a, dtype=complex)
         if a.ndim != 2:
             raise ValueError(f"matrix must be 2d, got shape {a.shape}")
-        row, col = a.nonzero()
+        row, col = (a != 0).nonzero()  # a complex array's own nonzero() is slower
         return cls(row, col, a[row, col], a.shape)
 
     @classmethod
@@ -451,21 +451,26 @@ class LindbladGenerator:
     @cached_property
     def _bath_terms(self):
         """From one product over the channels of nonzero rate, in BATH_IDS
-        order: each entry's bath, the entries (row, col, value) of every bath's
-        sum_k r_k A_k (x) conj(A_k), and -K_b / 2 per bath, (3, dim, dim)."""
+        order: each entry's bath (its index in BATH_IDS), the entries (row,
+        col, value) of every bath's sum_k r_k A_k (x) conj(A_k), and -K_b / 2
+        per bath, (3, dim, dim), 0 for a bath no such channel carries."""
         chosen = self.table.rate != 0.0
         n, count = self.dim, np.count_nonzero(chosen)
         owner, row, col, a = self._entries(chosen)
         rates = self.table.rate[chosen]
         baths = np.searchsorted(BATH_IDS, self.table.bath_id[chosen])  # BATH_IDS is sorted
+        present = np.flatnonzero(np.bincount(baths, minlength=len(BATH_IDS)))
         # M = sum_k r_k vec(A_k) vec(A_k)^dag, the columns r_k vec(A_k), each in
-        # its bath's block of n^2 rows, times the rows vec(A_k)^dag, holds each
-        # bath's sum_k r_k A_k (x) conj(A_k) in its block: M[(i, j), (k, l)] is
-        # entry (i n + k, j n + l). K_b[j, l] = sum_i conj M[(i, j), (i, l)].
+        # its bath's block of n^2 rows (one block per bath present), times the
+        # rows vec(A_k)^dag, holds each bath's sum_k r_k A_k (x) conj(A_k) in its
+        # block: M[(i, j), (k, l)] is entry (i n + k, j n + l). K_b[j, l] =
+        # sum_i conj M[(i, j), (i, l)].
         vec = row * n + col
-        columns = Triplets(vec + baths[owner] * n * n, owner, rates[owner] * a, (3 * n * n, count))
+        block = np.searchsorted(present, baths)[owner] * n * n
+        columns = Triplets(vec + block, owner, rates[owner] * a, (present.size * n * n, count))
         m = _product(columns, Triplets(owner, vec, a.conj(), (count, n * n)))
-        (bath, p), q, v = np.divmod(m.row, n * n), m.col, m.data
+        (block, p), q, v = np.divmod(m.row, n * n), m.col, m.data
+        bath = present[block]
         same = p // n == q // n
         at = (bath * n * n + p % n * n + q % n)[same]
         k_half = _binned(at, -0.5 * v[same].conj(), 3 * n * n).reshape(3, n, n)
@@ -919,24 +924,51 @@ def propagate(gen, rho0, t_grid):
     return out
 
 
+@lru_cache(maxsize=8)  # an entry is two dense L's worth: keep a few dims only
+def _hermitian_basis(dim):
+    """T and T^dag, read-only, for the dim^2 x dim^2 unitary T whose columns
+    are vecs of Hermitian matrices: (E_kl + E_lk) / sqrt 2 for each k < l,
+    then (-i E_kl + i E_lk) / sqrt 2 for each k < l, then E_kk for each k.
+    A GKLS generator is real in it. The order is chosen by measurement:
+    with the populations last, the FMO model's sink (its last level, whose
+    population column of L is 0) keeps that zero column last, and the SVD
+    returns the trap state exactly, as the complex SVD does (populations
+    first left it 3.8e-9 off); and the rings' SVDs run 1.3-2.5x faster
+    than with the columns in vec order."""
+    k, l = np.triu_indices(dim, 1)
+    upper, lower, pair, r = k * dim + l, l * dim + k, np.arange(k.size), math.sqrt(0.5)
+    t = np.zeros((dim * dim, dim * dim), dtype=complex)
+    t[upper, pair] = t[lower, pair] = r
+    t[upper, pair + k.size], t[lower, pair + k.size] = -1j * r, 1j * r
+    t[np.arange(dim) * (dim + 1), 2 * k.size + np.arange(dim)] = 1.0
+    adjoint = t.conj().T.copy()
+    t.setflags(write=False)
+    adjoint.setflags(write=False)
+    return t, adjoint
+
+
 def steady_state(gen):
     """Stationary state from the null space of the vectorized generator.
 
-    SVD-based: the right singular vector of the smallest singular value is
-    reshaped, Hermitized, trace-normalized and positivity-floored. A null
-    space of dimension > 1, an unresolved residual and a superoperator
-    with a non-finite entry all raise.
+    SVD-based, in real arithmetic: L maps Hermitian matrices to Hermitian
+    matrices, so in the Hermitian basis T (_hermitian_basis) it is the real
+    matrix Re(T^dag L T), with L's singular values. The right singular
+    vector of its smallest singular value, mapped back by T, is reshaped
+    (a Hermitian matrix), trace-normalized and positivity-floored. A null
+    space of dimension > 1, a residual against L above tolerance and a
+    superoperator with a non-finite entry all raise.
     """
     m = gen.superoperator.toarray()
     if not np.isfinite(m).all():
         raise NumericsError("superoperator has a non-finite entry; no steady state")
-    _, svals, vh = np.linalg.svd(m)
+    t, adjoint = _hermitian_basis(gen.dim)
+    _, svals, vh = np.linalg.svd((adjoint @ m @ t).real)
     smax = svals[0] if svals.size else 0.0
     null_tol = max(1e-12 * smax, 1e3 * np.finfo(float).eps * smax)
-    null_count = int(np.sum(svals <= null_tol))
+    null_count = np.count_nonzero(svals <= null_tol)
     if null_count > 1:
         raise DegenerateSteadyStateError(null_count)
-    v = vh[-1].conj()
+    v = t @ vh[-1]
     rho = v.reshape(gen.dim, gen.dim)
     tr = rho.trace()
     if abs(tr) < 1e-12 * np.linalg.norm(v):

@@ -32,6 +32,7 @@ from .core import (
     require_finite_fields,
 )
 from .errors import ConfigError, NumericsError, read_user_text
+from .thermo import FIRST_LAW_RELATIVE_TOL
 from .thermo import bose_occupation, entropy_production, heat_current, thermal_pairs
 
 KB_CM_PER_K = 0.6950348
@@ -318,8 +319,11 @@ class FmoTrace:
 
 def sigma_trace(cfg, t_grid_ps):
     """Propagate from the global ground state and audit every grid time,
-    all states in one stacked product per quantity. A current or sigma
-    that is not finite raises NumericsError naming the first such row."""
+    all states in one stacked product per quantity. Each row's books must
+    close: a row whose d<H>/dt = Tr[H rho_dot] differs from j_abs + j_loss +
+    sink_flow by more than FIRST_LAW_RELATIVE_TOL of |j_abs| (ThermoReport's
+    scale), or a current or sigma that is not finite, raises NumericsError
+    naming the first such row."""
     model = build_model(cfg)
     gen = model.generator
     t_ps = np.asarray(t_grid_ps, dtype=float)
@@ -327,6 +331,13 @@ def sigma_trace(cfg, t_grid_ps):
     rho = np.stack([state.entries for state in states])
     rho_dot = liouvillian_apply(gen, rho)
     j_abs, j_loss, sink_flow = (heat_current(gen, b, rho) for b in ("abs", "loss", "sink"))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row fails below
+        energy_rate = (rho_dot.reshape(t_ps.size, -1) @ gen.hamiltonian.T.reshape(-1)).real
+        gap = np.abs(energy_rate - (j_abs + j_loss + sink_flow))
+    scale = np.maximum(np.abs(j_abs), 1e-30)
+    for row in np.flatnonzero(gap > FIRST_LAW_RELATIVE_TOL * scale)[:1]:
+        raise NumericsError(f"first law violated at t = {t_ps[row]} ps: Tr[H rho_dot] differs from "
+                            f"j_abs + j_loss + sink_flow by {gap[row] / scale[row]:.3e} of |j_abs|")
     sigma = entropy_production(rho, rho_dot, (j_abs, j_loss), (model.t_abs_cm, model.t_loss_cm))
     names = ("j_abs", "j_loss", "sink_flow", "sigma")
     table = np.stack([j_abs, j_loss, sink_flow, sigma]) * PS_TO_INTERNAL

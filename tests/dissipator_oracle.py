@@ -1,11 +1,19 @@
 """The GKLS dissipator and its Heisenberg-picture heat operator written out
 directly, channel by channel, as oracles for the generator and the heat
-operators of solaraudit.core, and the Gibbs state that a generator in
-detailed balance with one temperature must hold still."""
+operators of solaraudit.core, the Gibbs state that a generator in
+detailed balance with one temperature must hold still, and the steady
+state from the SVD of the complex superoperator."""
 
 import numpy as np
 
-from solaraudit.core import DensityMatrix, _as_matrix
+from solaraudit.core import (
+    STEADY_STATE_RESIDUAL_TOL,
+    DensityMatrix,
+    _as_matrix,
+    _floored,
+    _full_support,
+)
+from solaraudit.errors import DegenerateSteadyStateError, NumericsError, SteadyStateConvergenceError
 
 
 def dense_jumps(table):
@@ -49,3 +57,29 @@ def gibbs_state(hamiltonian, temperature):
     weights = np.exp(-(w - w.min()) / temperature)
     weights /= weights.sum()
     return DensityMatrix((u * weights) @ u.conj().T)
+
+
+def complex_steady_state(gen):
+    """core.steady_state with the SVD taken of the complex dim^2 x dim^2
+    superoperator itself, with the same checks and messages."""
+    m = gen.superoperator.toarray()
+    if not np.isfinite(m).all():
+        raise NumericsError("superoperator has a non-finite entry; no steady state")
+    _, svals, vh = np.linalg.svd(m)
+    smax = svals[0] if svals.size else 0.0
+    null_tol = max(1e-12 * smax, 1e3 * np.finfo(float).eps * smax)
+    null_count = int(np.sum(svals <= null_tol))
+    if null_count > 1:
+        raise DegenerateSteadyStateError(null_count)
+    v = vh[-1].conj()
+    rho = v.reshape(gen.dim, gen.dim)
+    tr = rho.trace()
+    if abs(tr) < 1e-12 * np.linalg.norm(v):
+        raise DegenerateSteadyStateError(null_count or 1)
+    rho, spectrum, _ = _floored((rho / tr).reshape(-1), _full_support(gen.dim))
+    rho = rho.reshape(gen.dim, gen.dim)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+        residual = np.abs(m @ rho.reshape(-1)).max()
+    if residual > STEADY_STATE_RESIDUAL_TOL:
+        raise SteadyStateConvergenceError(residual, STEADY_STATE_RESIDUAL_TOL)
+    return DensityMatrix(rho, _spectrum=spectrum)

@@ -152,6 +152,11 @@ MULTI_KEY_CASES = [
                        "--vib_reorganization", "1e150"], 3, "loss rate overflows"),
     ("compare-power-t_loss", ["compare-power", "--ratio_points", "3", "--ratio_stop", "1e200",
                               "--t_abs", "1e300"], 2, "t_loss must be finite"),
+    # a stiff generator whose propagated states no longer close the books:
+    # the trace's first-law check names the row before entropy_rate sees it
+    ("stiff-first-law", ["fmo-trace", "--n_times", "3", "--t_loss_k", "1e150", "--gamma_ant_fmo", "1e8"],
+     3, "numerical failure: first law violated at t = 5.0 ps: Tr[H rho_dot] differs from "
+        "j_abs + j_loss + sink_flow by 1.422e-01 of |j_abs|\n"),
 ]
 
 

@@ -15,6 +15,7 @@ from solaraudit import (
     propagate,
     steady_state,
 )
+from solaraudit import fmo
 from solaraudit.errors import ConfigError, NumericsError
 from solaraudit.fmo import (
     KB_CM_PER_K,
@@ -336,6 +337,33 @@ def test_first_law_closes_on_every_row_of_the_default_trace(overrides):
     assert energy_rate.shape == (201,)
     gap = np.abs(energy_rate - currents.sum(axis=0))
     assert np.all(gap <= FIRST_LAW_RELATIVE_TOL * np.abs(currents).max(axis=0))
+
+
+@pytest.mark.parametrize("row", [1, 7])
+def test_sigma_trace_raises_on_the_first_row_whose_books_do_not_close(monkeypatch, row):
+    # sigma_trace checks Tr[H rho_dot] = j_abs + j_loss + sink_flow on every
+    # row, to FIRST_LAW_RELATIVE_TOL of |j_abs|: a loss current off by twice
+    # that on one row fails there, naming the row's time, and at half of it
+    # the trace passes (the default rows close to 1e-14)
+    grid = np.linspace(0.0, 10.0, 11)
+    heat = fmo.heat_current
+
+    def shifted(factor):
+        def current(gen, bath, rho):
+            j = heat(gen, bath, rho)
+            if bath == "loss":
+                j_abs = heat(gen, "abs", rho)
+                j[row] += factor * FIRST_LAW_RELATIVE_TOL * abs(j_abs[row])
+            return j
+        return current
+
+    monkeypatch.setattr(fmo, "heat_current", shifted(0.5))
+    sigma_trace(default_config(), grid)
+    monkeypatch.setattr(fmo, "heat_current", shifted(2.0))
+    message = (rf"^first law violated at t = {grid[row]} ps: Tr\[H rho_dot\] differs from "
+               r"j_abs \+ j_loss \+ sink_flow by 2\.0\d\de-09 of \|j_abs\|$")
+    with pytest.raises(NumericsError, match=message):
+        sigma_trace(default_config(), grid)
 
 
 def test_negative_sigma_rows_of_the_default_trace_are_decided():
