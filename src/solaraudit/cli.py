@@ -8,6 +8,7 @@ as shipped defaults, then the --config file, then --key flags. Exit code
 2 flags configuration problems, 3 numerical failures.
 """
 
+import math
 import sys
 from functools import partial
 
@@ -108,6 +109,8 @@ def _linspace(start, stop, points, what):
         raise ConfigError(f"{what} needs at least 2 points, got {points}")
     if not stop > start:
         raise ConfigError(f"{what} needs stop > start, got {start} .. {stop}")
+    if not math.isfinite(stop - start):  # numpy would warn as the span overflows
+        raise ConfigError(f"{what} needs a finite stop - start, got {start} .. {stop}")
     try:
         return np.linspace(start, stop, points)
     except MemoryError:

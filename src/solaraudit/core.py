@@ -929,12 +929,8 @@ def _hermitian_basis(dim):
     """T and T^dag, read-only, for the dim^2 x dim^2 unitary T whose columns
     are vecs of Hermitian matrices: (E_kl + E_lk) / sqrt 2 for each k < l,
     then (-i E_kl + i E_lk) / sqrt 2 for each k < l, then E_kk for each k.
-    A GKLS generator is real in it. The order is chosen by measurement:
-    with the populations last, the FMO model's sink (its last level, whose
-    population column of L is 0) keeps that zero column last, and the SVD
-    returns the trap state exactly, as the complex SVD does (populations
-    first left it 3.8e-9 off); and the rings' SVDs run 1.3-2.5x faster
-    than with the columns in vec order."""
+    A GKLS generator is real in it. The order is chosen for speed: the
+    rings' SVDs run 1.3-2.5x faster than with the columns in vec order."""
     k, l = np.triu_indices(dim, 1)
     upper, lower, pair, r = k * dim + l, l * dim + k, np.arange(k.size), math.sqrt(0.5)
     t = np.zeros((dim * dim, dim * dim), dtype=complex)
@@ -952,23 +948,28 @@ def steady_state(gen):
 
     SVD-based, in real arithmetic: L maps Hermitian matrices to Hermitian
     matrices, so in the Hermitian basis T (_hermitian_basis) it is the real
-    matrix Re(T^dag L T), with L's singular values. The right singular
-    vector of its smallest singular value, mapped back by T, is reshaped
-    (a Hermitian matrix), trace-normalized and positivity-floored. A null
-    space of dimension > 1, a residual against L above tolerance and a
+    matrix Re(T^dag L T), with L's singular values. A basis matrix whose
+    column there is exactly zero (a trap level's population) is itself a
+    null vector, and the SVD runs on the other columns. The null vector,
+    that basis matrix or else the right singular vector of the smallest
+    singular value mapped back by T, is reshaped (a Hermitian matrix),
+    trace-normalized and positivity-floored. A null space of dimension > 1
+    (zero columns included), a residual against L above tolerance and a
     superoperator with a non-finite entry all raise.
     """
     m = gen.superoperator.toarray()
     if not np.isfinite(m).all():
         raise NumericsError("superoperator has a non-finite entry; no steady state")
     t, adjoint = _hermitian_basis(gen.dim)
-    _, svals, vh = np.linalg.svd((adjoint @ m @ t).real)
+    a = (adjoint @ m @ t).real
+    zero = ~a.any(axis=0)
+    _, svals, vh = np.linalg.svd(a[:, ~zero])
     smax = svals[0] if svals.size else 0.0
     null_tol = max(1e-12 * smax, 1e3 * np.finfo(float).eps * smax)
-    null_count = np.count_nonzero(svals <= null_tol)
+    null_count = np.count_nonzero(zero) + np.count_nonzero(svals <= null_tol)
     if null_count > 1:
         raise DegenerateSteadyStateError(null_count)
-    v = t @ vh[-1]
+    v = t[:, zero.argmax()] if zero.any() else t @ vh[-1]
     rho = v.reshape(gen.dim, gen.dim)
     tr = rho.trace()
     if abs(tr) < 1e-12 * np.linalg.norm(v):

@@ -11,6 +11,9 @@ that the ring visits every level once. A thermal link, tagged "abs" or
 rate gamma: gamma n up the gap and gamma (1 + n) down it. The one "sink"
 link is a one-way jump at its rate.
 
+The donor-acceptor and photocell params give their ring as data, and
+Ring.of builds it and checks it, the one validity rule of both models.
+
 In the steady state every link carries the same net flux J. With the
 sink's source at population 1, J is the sink rate, and walking the ring
 backwards fixes each link's source from its destination,
@@ -40,6 +43,29 @@ class Ring:
     links: tuple
     t_abs: float
     t_loss: float
+
+    @classmethod
+    def of(cls, params, levels, links):
+        """The ring of params' level fields and links (label, src, dst, bath,
+        rate field), in ring order. ValueError names the first thermal link
+        not running up ("abs") or down ("loss") its gap, else the first
+        thermal rate <= 0, else a sink rate < 0, else a temperature <= 0."""
+        energies = tuple([getattr(params, name) for name in levels])
+        thermal = [link for link in links if link[3] != "sink"]
+        for label, src, dst, bath, _ in thermal:
+            hi, lo = (dst, src) if bath == "abs" else (src, dst)
+            if energies[hi] <= energies[lo]:
+                raise ValueError(f"{label} gap {levels[hi]} - {levels[lo]} must be positive")
+        for link in thermal:
+            if getattr(params, link[4]) <= 0:
+                raise ValueError(f"{link[4]} must be positive")
+        (sink,) = [link[4] for link in links if link[3] == "sink"]
+        if getattr(params, sink) < 0:
+            raise ValueError(f"{sink} must be nonnegative")
+        if params.t_abs <= 0 or params.t_loss <= 0:
+            raise ValueError("t_abs and t_loss must be positive")
+        ring = tuple([(src, dst, bath, getattr(params, rate)) for _, src, dst, bath, rate in links])
+        return cls(energies, ring, params.t_abs, params.t_loss)
 
     def _gap(self, link):
         return self.energies[link[1]] - self.energies[link[0]]

@@ -27,36 +27,22 @@ class DonorAcceptorParams:
     t_abs: float
     t_loss: float
 
+    # the ring for cycle.Ring.of, unannotated so that it adds no field
+    LEVELS = ("omega_b", "omega_a", "omega_alpha", "omega_beta")
+    LINKS = (
+        ("absorption", 0, 1, "abs", "gamma_h"),
+        ("relaxation", 1, 2, "loss", "gamma_c"),
+        ("load", 2, 3, "sink", "gamma_load"),
+        ("recycle", 3, 0, "loss", "gamma_cb"),
+    )
+
     def __post_init__(self):
         require_finite_fields(self)
-        if self.omega_a <= self.omega_b:
-            raise ValueError("absorption gap omega_a - omega_b must be positive")
-        if self.omega_a <= self.omega_alpha:
-            raise ValueError("relaxation gap omega_a - omega_alpha must be positive")
-        if self.omega_beta <= self.omega_b:
-            raise ValueError("recycle gap omega_beta - omega_b must be positive")
-        for name in ("gamma_h", "gamma_c", "gamma_cb"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.gamma_load < 0:
-            raise ValueError("gamma_load must be nonnegative")
-        if self.t_abs <= 0 or self.t_loss <= 0:
-            raise ValueError("t_abs and t_loss must be positive")
+        object.__setattr__(self, "_ring", Ring.of(self, self.LEVELS, self.LINKS))
 
     def ring(self):
-        """b -> a (hot pump), a -> alpha (cold), alpha -> beta (load),
-        beta -> b (cold recycle at gamma_cb)."""
-        return Ring(
-            (self.omega_b, self.omega_a, self.omega_alpha, self.omega_beta),
-            (
-                (0, 1, "abs", self.gamma_h),
-                (1, 2, "loss", self.gamma_c),
-                (2, 3, "sink", self.gamma_load),
-                (3, 0, "loss", self.gamma_cb),
-            ),
-            self.t_abs,
-            self.t_loss,
-        )
+        """The ring built and checked at construction."""
+        return self._ring
 
 
 def donor_acceptor_steady_state(p):

@@ -28,40 +28,23 @@ class PhotocellParams:
     t_abs: float
     t_loss: float
 
+    # the ring for cycle.Ring.of, unannotated so that it adds no field
+    LEVELS = ("omega_b", "omega_x1", "omega_x2", "omega_alpha", "omega_beta")
+    LINKS = (
+        ("absorption", 0, 1, "abs", "gamma_h"),
+        ("cascade", 1, 2, "loss", "gamma_x"),
+        ("separation", 2, 3, "loss", "gamma_c"),
+        ("load", 3, 4, "sink", "gamma_load"),
+        ("recycle", 4, 0, "loss", "gamma_cb"),
+    )
+
     def __post_init__(self):
         require_finite_fields(self)
-        if self.omega_x1 <= self.omega_b:
-            raise ValueError("absorption gap omega_x1 - omega_b must be positive")
-        if self.omega_x1 <= self.omega_x2:
-            raise ValueError("cascade gap omega_x1 - omega_x2 must be positive")
-        if self.omega_x2 <= self.omega_alpha:
-            raise ValueError("separation gap omega_x2 - omega_alpha must be positive")
-        if self.omega_beta <= self.omega_b:
-            raise ValueError("recycle gap omega_beta - omega_b must be positive")
-        for name in ("gamma_h", "gamma_x", "gamma_c", "gamma_cb"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.gamma_load < 0:
-            raise ValueError("gamma_load must be nonnegative")
-        if self.t_abs <= 0 or self.t_loss <= 0:
-            raise ValueError("t_abs and t_loss must be positive")
+        object.__setattr__(self, "_ring", Ring.of(self, self.LEVELS, self.LINKS))
 
     def ring(self):
-        """b -> x1 (hot pump), x1 -> x2 (cold cascade at gamma_x),
-        x2 -> alpha (cold separation at gamma_c), alpha -> beta (load),
-        beta -> b (cold recycle at gamma_cb)."""
-        return Ring(
-            (self.omega_b, self.omega_x1, self.omega_x2, self.omega_alpha, self.omega_beta),
-            (
-                (0, 1, "abs", self.gamma_h),
-                (1, 2, "loss", self.gamma_x),
-                (2, 3, "loss", self.gamma_c),
-                (3, 4, "sink", self.gamma_load),
-                (4, 0, "loss", self.gamma_cb),
-            ),
-            self.t_abs,
-            self.t_loss,
-        )
+        """The ring built and checked at construction."""
+        return self._ring
 
 
 def photocell_steady_state(p):

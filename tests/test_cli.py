@@ -174,6 +174,8 @@ def test_bad_values_exit_2(capsys):
     assert code == 2 and "omega_rc" in err
     code, _, err = run_cli(capsys, "toy-decay", "--nope", "3")
     assert code == 2 and "unknown keys in [toy]: nope" in err
+    code, _, err = run_cli(capsys, "donor-acceptor", "--omega_beta", "-1")
+    assert code == 2 and err == "error: recycle gap omega_beta - omega_b must be positive\n"
     # non-finite values are rejected where flags are converted
     for argv in (
         ("toy-decay", "--gamma", "nan"),
@@ -492,6 +494,8 @@ def test_defaults_hold_exactly_each_schema():
         assert sorted(cfg.default_section(name)) == sorted(schema), name
     assert cfg.default_section("toy")["gamma_h"] is None
     assert cfg.default_section("fmo")["gamma_ant_fmo"] is None
+    with pytest.raises(cfg.ConfigError, match=r"defaults have no section \[nope\]"):
+        cfg.default_section("nope")
 
 
 def test_config_round_trip_handcrafted():

@@ -121,6 +121,10 @@ def test_density_matrix_constructors():
     assert np.allclose(mixed.eigenvalues(), 0.25)
     pops = DensityMatrix(np.diag([0.2, 0.3, 0.5]))
     assert pops.population(2) == pytest.approx(0.5)
+    with pytest.raises(StateValidationError, match=r"square matrix, got shape \(2, 3\)"):
+        DensityMatrix(np.full((2, 3), 0.5))
+    with pytest.raises(StateValidationError, match="nonzero amplitude vector"):
+        DensityMatrix.pure([0.0, 0.0])
 
 
 def test_gibbs_state_populations():
@@ -274,6 +278,8 @@ def test_channel_stores_sparse_jump():
     assert np.array_equal(again.jump.toarray(), dense)
     with pytest.raises(ValueError, match="must be square"):
         DissipationChannel(np.zeros((2, 3)), 0.1, "loss", 0.0)
+    with pytest.raises(ValueError, match=r"matrix must be 2d, got shape \(2, 2, 2\)"):
+        Triplets.from_dense(np.zeros((2, 2, 2)))
     # a Triplets jump's entries are checked, and summed, by the generator
     for bad in (Triplets([0], [3], [1.0], (3, 3)), Triplets([-1], [0], [1.0], (3, 3))):
         with pytest.raises(ValueError, match="must be square"):
@@ -1362,6 +1368,29 @@ def test_steady_state_matches_the_complex_svd():
     for gen in [*named, *zoo_audit_generators(89, 8)]:
         got, want = steady_state(gen).entries, complex_steady_state(gen).entries
         assert np.abs(got - want).max() <= 1e-12
+
+
+def relabelled(gen, order):
+    """gen with its levels relabelled: new level i is old level order[i]."""
+    new = np.argsort(order)
+    a = gen.table.jump
+    owner, row = np.divmod(a.row, gen.dim)
+    jump = Triplets(owner * gen.dim + new[row], new[a.col], a.data, a.shape)
+    return LindbladGenerator(gen.hamiltonian[np.ix_(order, order)], gen.table._replace(jump=jump))
+
+
+def test_steady_state_trap_does_not_depend_on_level_order():
+    # the FMO model's sink level is a trap: its population column of L is
+    # exactly zero, and the state is that level's projector bitwise whether
+    # the sink is the last level, the first or the levels run reversed
+    gen = GENERATOR_ZOO["fmo-sink"]()[0]
+    n = gen.dim
+    want = steady_state(gen).entries
+    assert want[n - 1, n - 1] == 1.0 and np.count_nonzero(want) == 1
+    for order in (np.roll(np.arange(n), 1), np.arange(n)[::-1]):
+        back = np.argsort(order)
+        got = steady_state(relabelled(gen, order)).entries
+        assert got[np.ix_(back, back)].tobytes() == want.tobytes()
 
 
 def random_generator(rng):

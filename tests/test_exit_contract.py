@@ -152,6 +152,11 @@ MULTI_KEY_CASES = [
                        "--vib_reorganization", "1e150"], 3, "loss rate overflows"),
     ("compare-power-t_loss", ["compare-power", "--ratio_points", "3", "--ratio_stop", "1e200",
                               "--t_abs", "1e300"], 2, "t_loss must be finite"),
+    # a grid whose span stop - start overflows
+    ("compare-power-span", ["compare-power", "--ratio_start", "-1e308", "--ratio_stop", "1e308"],
+     2, "error: ratio grid needs a finite stop - start, got -1e+308 .. 1e+308\n"),
+    ("sweep-span", ["sweep", "--axis_start", "-1e308", "--axis_stop", "1e308"],
+     2, "error: sweep grid needs a finite stop - start, got -1e+308 .. 1e+308\n"),
     # a stiff generator whose propagated states no longer close the books:
     # the trace's first-law check names the row before entropy_rate sees it
     ("stiff-first-law", ["fmo-trace", "--n_times", "3", "--t_loss_k", "1e150", "--gamma_ant_fmo", "1e8"],

@@ -148,21 +148,53 @@ def _pc(**over):
     return PhotocellParams(**base)
 
 
-def test_donor_acceptor_params_reject_bad_inputs():
-    with pytest.raises(ValueError):
-        _da(omega_a=0.0)
-    with pytest.raises(ValueError):
-        _da(omega_alpha=1.5)
-    with pytest.raises(ValueError):
-        _da(omega_beta=0.0)
-    with pytest.raises(ValueError):
-        _da(gamma_h=0.0)
-    with pytest.raises(ValueError):
-        _da(gamma_cb=-0.2)
-    with pytest.raises(ValueError):
-        _da(gamma_load=-0.1)
-    with pytest.raises(ValueError):
-        _da(t_loss=0.0)
+# (params builder, overrides, the one error message): each of the first
+# inputs per class breaks one check only, with a tie where the bound is
+# strict; the rest break several and pin the order: gaps, then thermal
+# rates, both in ring order, then the sink rate, then the temperatures
+RING_CHECKS = [
+    (_da, dict(omega_b=1.5, omega_beta=2.0), "absorption gap omega_a - omega_b must be positive"),
+    (_da, dict(omega_alpha=1.5), "relaxation gap omega_a - omega_alpha must be positive"),
+    (_da, dict(omega_beta=0.0), "recycle gap omega_beta - omega_b must be positive"),
+    (_da, dict(gamma_h=0.0), "gamma_h must be positive"),
+    (_da, dict(gamma_c=-0.3), "gamma_c must be positive"),
+    (_da, dict(gamma_cb=0.0), "gamma_cb must be positive"),
+    (_da, dict(gamma_load=-0.1), "gamma_load must be nonnegative"),
+    (_da, dict(t_abs=0.0), "t_abs and t_loss must be positive"),
+    (_da, dict(t_loss=-0.5), "t_abs and t_loss must be positive"),
+    (_pc, dict(omega_b=2.0, omega_beta=2.1), "absorption gap omega_x1 - omega_b must be positive"),
+    (_pc, dict(omega_x2=2.0), "cascade gap omega_x1 - omega_x2 must be positive"),
+    (_pc, dict(omega_alpha=1.4), "separation gap omega_x2 - omega_alpha must be positive"),
+    (_pc, dict(omega_beta=0.0), "recycle gap omega_beta - omega_b must be positive"),
+    (_pc, dict(gamma_h=0.0), "gamma_h must be positive"),
+    (_pc, dict(gamma_x=0.0), "gamma_x must be positive"),
+    (_pc, dict(gamma_c=-1.0), "gamma_c must be positive"),
+    (_pc, dict(gamma_cb=0.0), "gamma_cb must be positive"),
+    (_pc, dict(gamma_load=-0.5), "gamma_load must be nonnegative"),
+    (_pc, dict(t_abs=-2.0), "t_abs and t_loss must be positive"),
+    (_pc, dict(t_loss=0.0), "t_abs and t_loss must be positive"),
+    (_da, dict(omega_a=0.0), "absorption gap omega_a - omega_b must be positive"),
+    (_da, dict(gamma_load=-1.0, gamma_cb=0.0), "gamma_cb must be positive"),
+    (_da, dict(omega_beta=0.0, omega_alpha=1.5), "relaxation gap omega_a - omega_alpha must be positive"),
+    (_da, dict(gamma_h=0.0, omega_beta=0.0), "recycle gap omega_beta - omega_b must be positive"),
+    (_da, dict(t_abs=0.0, gamma_load=-1.0), "gamma_load must be nonnegative"),
+    (_da, dict(gamma_load=-1.0, t_abs=np.inf), "t_abs must be finite, got inf"),
+    (_pc, dict(omega_x1=0.0), "absorption gap omega_x1 - omega_b must be positive"),
+    (_pc, dict(omega_beta=0.0, omega_x2=2.0), "cascade gap omega_x1 - omega_x2 must be positive"),
+    (_pc, dict(gamma_cb=0.0, gamma_x=0.0), "gamma_x must be positive"),
+    (_pc, dict(gamma_load=-1.0, gamma_cb=0.0), "gamma_cb must be positive"),
+    (_pc, dict(t_loss=0.0, gamma_load=-1.0), "gamma_load must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, over, message",
+    [pytest.param(*case, id=f"{case[0].__name__}-{'-'.join(case[1])}") for case in RING_CHECKS],
+)
+def test_ring_params_checks_and_their_order(build, over, message):
+    with pytest.raises(ValueError) as info:
+        build(**over)
+    assert str(info.value) == message
 
 
 def test_donor_acceptor_params_reject_non_finite_values():
@@ -307,23 +339,6 @@ def test_donor_acceptor_verdict_flips_at_equal_temperatures():
     assert flat.power < 0.0
     assert flat.sigma < 0.0
     assert flat.verdict == "violation"
-
-
-def test_photocell_params_reject_bad_inputs():
-    with pytest.raises(ValueError):
-        _pc(omega_x1=0.0)
-    with pytest.raises(ValueError):
-        _pc(omega_x2=2.0)
-    with pytest.raises(ValueError):
-        _pc(omega_alpha=1.4)
-    with pytest.raises(ValueError):
-        _pc(omega_beta=0.0)
-    with pytest.raises(ValueError):
-        _pc(gamma_x=0.0)
-    with pytest.raises(ValueError):
-        _pc(gamma_load=-0.5)
-    with pytest.raises(ValueError):
-        _pc(t_abs=-2.0)
 
 
 def test_photocell_params_reject_non_finite_values():

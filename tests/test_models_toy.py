@@ -572,6 +572,8 @@ def test_transfer_generator_guards():
     p = ThreeLevelParams(omega_abs=1.0, omega_rc=0.5, gamma=0.02, t_abs=1.0, t_loss=0.1)
     with pytest.raises(ValueError):
         hamiltonian_transfer_generator(p, 0)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        transfer_block_hamiltonian(p, 0)
     with pytest.raises(ValueError):
         # half the top dressed splitting exceeds the cold gap
         hamiltonian_transfer_generator(p, 40)

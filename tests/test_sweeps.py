@@ -1,9 +1,11 @@
 """Axis sweeps, violation-interval bisection, and the two-scheme power table."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from solaraudit import heat_current, steady_state
+from solaraudit import heat_current, steady_state, sweeps
 from solaraudit.errors import ConfigError
 from solaraudit.models import ThreeLevelParams, decay_generator
 from solaraudit.sweeps import EDGE_TOL, SweepSpec, power_comparison, run_sweep
@@ -180,6 +182,18 @@ def test_power_comparison_without_crossing():
     comp = power_comparison(1.0, 0.5, 1e-3, 1.0, np.linspace(0.05, 0.3, 6))
     assert comp.zero_crossing is None
     assert np.all(comp.p_transfer < 0.0)
+
+
+def test_power_comparison_crossing_at_an_exact_zero(monkeypatch):
+    # a transfer power of exactly 0 on the right-hand point of the first
+    # step that touches zero is the crossing itself, with no bisection
+    p_ham = {0.2: 1.0, 0.5: 0.0, 0.8: -1.0}
+
+    def report(model, values, where):
+        return SimpleNamespace(power=p_ham[values["t_loss"]] if model == "toy_ham" else -1.0)
+
+    monkeypatch.setattr(sweeps, "model_report", report)
+    assert power_comparison(1.0, 0.5, 1e-3, 1.0, [0.2, 0.5, 0.8]).zero_crossing == 0.5
 
 
 def test_power_comparison_grid_errors():
