@@ -74,13 +74,6 @@ def _parse_argv(argv):
     return command, config_path, fmt, out, overrides
 
 
-def _file_sections(config_path):
-    if config_path is None:
-        return {}
-    raw = cfg.parse_config_file(config_path)
-    return cfg.validate_sections(raw, where=config_path)
-
-
 def _section_params(section, file_sections, overrides):
     params = dict(cfg.default_section(section))
     params.update(file_sections.get(section, {}))
@@ -193,9 +186,10 @@ USAGE = (
 
 
 def _run_command(command, config_path, fmt, out, overrides):
-    header, rows, model, params, units, violations = COMMANDS[command](
-        _file_sections(config_path), overrides
+    file_sections = {} if config_path is None else cfg.validate_sections(
+        cfg.parse_config_file(config_path), where=config_path
     )
+    header, rows, model, params, units, violations = COMMANDS[command](file_sections, overrides)
     if fmt == "csv":
         text = emit_csv(header, rows, [
             f"# violation: {format_number(lo)}..{format_number(hi)}" for lo, hi in violations

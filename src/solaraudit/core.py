@@ -216,6 +216,7 @@ class Triplets:
 
     @classmethod
     def from_dense(cls, a):
+        """The nonzero entries of a 2d array, in row-major order."""
         a = np.asarray(a, dtype=complex)
         if a.ndim != 2:
             raise ValueError(f"matrix must be 2d, got shape {a.shape}")
@@ -481,17 +482,17 @@ class LindbladGenerator:
         """What L sums, as one table of entries that _columns looks a column
         up in by key: each bath's sum_k r_k A_k (x) conj(A_k) entries in
         BATH_IDS order (key: the column), then the entries of G = -i H -
-        sum_b K_b / 2 by column (G^dag's rows), for G (x) I (key: dim^2 +
-        the column; row: the row times dim) and for I (x) conj(G) (key:
-        dim^2 + dim + the column; row: the row; value conjugated), stably
-        sorted by key. Returns the entries' keys, rows and values; a column
-        of L sums one key's entries of each of the three parts, which bounds
-        L's norm (propagate's overflow guard)."""
+        sum_b K_b / 2 in row-major order, for G (x) I (key: dim^2 + the
+        column; row: the row times dim) and for I (x) conj(G) (key: dim^2 +
+        dim + the column; row: the row; value conjugated), stably sorted by
+        key, so that one column's G entries run by row. Returns the entries'
+        keys, rows and values; a column of L sums one key's entries of each
+        of the three parts, which bounds L's norm (propagate's overflow
+        guard)."""
         n = self.dim
         _, (r, c, v), k_half = self._bath_terms
         g = Triplets.from_dense(-1j * self.hamiltonian + sum(k_half))
-        order = np.argsort(g.col, kind="stable")
-        col, row, value = g.col[order] + n * n, g.row[order], g.data[order]
+        col, row, value = g.col + n * n, g.row, g.data
         parts = [(c, r, v), (col, row * n, value), (col + n, row, value.conj())]
         key, row, value = (np.concatenate(x) for x in zip(*parts))
         order = key.argsort(kind="stable")
@@ -523,11 +524,11 @@ class LindbladGenerator:
 
     def _reached(self, start):
         """The smallest set of vec coordinates holding a boolean vec mask
-        start that L maps into itself, as the boolean mask _reachable finds,
-        and L on it as Triplets renumbered 0, 1, ... in vec order, without
-        assembling L whole: each round generates the columns the set gained
-        in the round before (_columns) and adds the rows that hold their
-        nonzero sums, so no column is generated twice."""
+        start that L maps into itself, as a boolean mask, and L on it as
+        Triplets renumbered 0, 1, ... in vec order, without assembling L
+        whole: each round generates the columns the set gained in the round
+        before (_columns) and adds the rows that hold their nonzero sums, so
+        no column is generated twice."""
         keep = start.copy()
         new = np.flatnonzero(start)
         found = []
@@ -727,18 +728,6 @@ def _norm1(col, value):
     """1-norm of a matrix given by its entries' columns and values: the
     largest column sum of |value|, 0 if it has none."""
     return float(np.bincount(col, np.abs(value)).max(initial=0.0))
-
-
-def _reachable(lmat, keep):
-    """The smallest set of vec coordinates holding keep that the
-    superoperator lmat maps into itself, as a boolean mask: the fixed point
-    of adding every row an entry of lmat reaches from a kept column."""
-    keep = keep.copy()
-    while True:
-        count = np.count_nonzero(keep)
-        keep[lmat.row[keep[lmat.col]]] = True
-        if np.count_nonzero(keep) == count:
-            return keep
 
 
 # Al-Mohy and Higham's theta_m for the unit roundoff 2^-53: the degree-m

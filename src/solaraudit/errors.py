@@ -29,8 +29,6 @@ class NumericsError(SolarAuditError):
 
 class DimensionMismatchError(NumericsError):
     def __init__(self, expected, got, what="operator"):
-        self.expected = expected
-        self.got = got
         super().__init__(
             f"dimension mismatch: {what} has dimension {got}, expected {expected}"
         )
@@ -42,7 +40,6 @@ class StateValidationError(NumericsError):
 
 class DegenerateSteadyStateError(NumericsError):
     def __init__(self, null_dimension):
-        self.null_dimension = null_dimension
         super().__init__(
             f"steady state is not unique: null space has dimension {null_dimension}"
         )
@@ -59,8 +56,6 @@ class SteadyStateConvergenceError(NumericsError):
 
 class TruncationOverflowError(NumericsError):
     def __init__(self, weight, n_max):
-        self.weight = weight
-        self.n_max = n_max
         super().__init__(
             f"population {weight:.3e} at the truncation edge n_max = {n_max} "
             "exceeds 1e-6; rerun with a larger n_max"

@@ -304,9 +304,9 @@ def dressed_product_state(p, n_max, tail=0.3):
     one, zero = _index(1, n, n_max), _index(0, n + 1, n_max)
     dim = 3 * (n_max + 1)
     rho = np.zeros((dim, dim), dtype=complex)
-    # doublet n on (|1,n>, |0,n+1>): rho_plus |+,n><+,n| + rho_minus |-,n><-,n|
+    # doublet n on (|1,n>, |0,n+1>): rho_plus |+,n><+,n| + rho_minus |-,n><-,n|,
+    # which is diagonal on that pair too, as rho_plus = rho_minus
     rho[one, one] = rho[zero, zero] = 0.5 * weights * (bd.rho_plus + bd.rho_minus)
-    rho[one, zero] = rho[zero, one] = 0.5 * weights * (bd.rho_plus - bd.rho_minus)
     rho[_index(2, n, n_max), _index(2, n, n_max)] = weights * bd.rho_two
     return DensityMatrix(rho)
 

@@ -2,14 +2,13 @@
 
 Numbers are rendered at 12 significant digits so that repeated runs with
 identical inputs produce byte-identical output. Non-finite values become
-'nan'/'inf' cells in CSV and null in JSON.
+'nan'/'inf' cells in CSV and null in JSON. Cells are str, int or float
+(numpy's float64 is a float); a bool is in no schema.
 """
 
 import json
 import math
 import sys
-
-import numpy as np
 
 from .errors import ConfigError
 
@@ -19,14 +18,12 @@ def format_number(value):
 
 
 def _format_cell(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         raise TypeError("boolean cells are not part of any output schema")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_number(float(value))
+    if isinstance(value, (str, int)):
+        return str(value)
+    if isinstance(value, float):
+        return format_number(value)
     raise TypeError(f"cannot format {type(value).__name__} as a CSV cell")
 
 
@@ -40,18 +37,13 @@ def emit_csv(header, rows, footers=()):
 
 def sanitize_json(obj):
     """Recursively convert to plain JSON types with rounded floats."""
-    if obj is None or isinstance(obj, (str, bool)):
+    if obj is None or isinstance(obj, (str, int)):  # bool is an int
         return obj
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            return None
-        return float(format_number(x))
+    if isinstance(obj, float):
+        return float(format_number(obj)) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {str(k): sanitize_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return [sanitize_json(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 

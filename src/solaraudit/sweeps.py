@@ -21,23 +21,22 @@ def _apply_axis(model, fixed, axis, x):
     """Map an axis value onto the model's parameter dict.
 
     omega_ratio scales the extraction step against the absorbing gap:
-    for the toy models it sets omega_rc = x * omega_abs, for the
-    four- and five-level models it lowers omega_beta so that the
+    for the toy models it sets omega_rc = x * omega_abs; for a ring model
+    (params with LEVELS and LINKS) it lowers the sink's destination level
+    to its source level - x * the absorption link's gap, so that the
     current ratio becomes 1 - x. temp_ratio sets t_loss = x * t_abs.
     """
     values = dict(fixed)
+    params_cls = MODELS[model][1]
     if axis == "temp_ratio":
         values["t_loss"] = x * values["t_abs"]
-    elif model in ("toy_decay", "toy_ham"):
+    elif not hasattr(params_cls, "LINKS"):
         values["omega_rc"] = x * values["omega_abs"]
-    elif model == "donor_acceptor":
-        values["omega_beta"] = values["omega_alpha"] - x * (
-            values["omega_a"] - values["omega_b"]
-        )
     else:
-        values["omega_beta"] = values["omega_alpha"] - x * (
-            values["omega_x1"] - values["omega_b"]
-        )
+        level = params_cls.LEVELS
+        ends = {bath: (src, dst) for _, src, dst, bath, _ in params_cls.LINKS}
+        (lo, hi), (src, dst) = ends["abs"], ends["sink"]
+        values[level[dst]] = values[level[src]] - x * (values[level[hi]] - values[level[lo]])
     return values
 
 
@@ -55,6 +54,19 @@ def defined_stop(model, fixed, axis, grid):
         except (TypeError, ValueError):
             pass
     return float(grid[-1])
+
+
+def _checked_grid(grid, what):
+    """grid as a new float array; ConfigError unless it is one-dimensional
+    with at least 2 points, finite and strictly increasing."""
+    grid = np.array(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ConfigError(f"{what} must be one-dimensional with at least 2 points")
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError(f"{what} must be finite")
+    if np.any(np.diff(grid) <= 0):
+        raise ConfigError(f"{what} must be strictly increasing")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -81,13 +93,7 @@ class SweepSpec:
             raise ConfigError(
                 f"unknown sweep axis {self.axis!r}; use one of: " + ", ".join(SWEEP_AXES)
             )
-        grid = np.array(self.grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ConfigError("sweep grid must be one-dimensional with at least 2 points")
-        if not np.all(np.isfinite(grid)):
-            raise ConfigError("sweep grid must be finite")
-        if np.any(np.diff(grid) <= 0):
-            raise ConfigError("sweep grid must be strictly increasing")
+        grid = _checked_grid(self.grid, "sweep grid")
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "fixed", dict(self.fixed))
@@ -171,15 +177,12 @@ def power_comparison(omega_abs, omega_rc, gamma, t_abs, ratio_grid):
     sign change. The decay scheme has no such crossing: its power has one
     sign at any temperature, which is the point of the comparison.
     """
-    grid = np.array(ratio_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ConfigError("ratio grid must be one-dimensional with at least 2 points")
-    if np.any(np.diff(grid) <= 0):
-        raise ConfigError("ratio grid must be strictly increasing")
+    grid = _checked_grid(ratio_grid, "ratio grid")
+    fixed = dict(omega_abs=omega_abs, omega_rc=omega_rc, gamma=gamma, t_abs=t_abs)
 
     def power(model, tau):
-        values = dict(omega_abs=omega_abs, omega_rc=omega_rc, gamma=gamma, t_abs=t_abs)
-        values["t_loss"] = float(tau) * t_abs  # a numpy scalar would warn on overflow
+        # on a plain float, where a numpy scalar would warn on overflow
+        values = _apply_axis(model, fixed, "temp_ratio", float(tau))
         return model_report(model, values, where=f"temperature ratio {tau:g}: ").power
 
     p_dec = np.array([power("toy_decay", tau) for tau in grid])

@@ -174,7 +174,8 @@ class ThermoReport:
     so the first law j_abs + j_loss + power = 0 can be checked even though
     sigma never sees the sink. Non-finite j_abs, j_loss, power or sigma
     raise NumericsError: the first-law check cannot see a NaN, and an
-    infinite sigma must not get a verdict.
+    infinite sigma must not get a verdict. Books that do not close are a
+    failed computation too, and raise NumericsError.
     """
 
     j_abs: float
@@ -202,7 +203,7 @@ class ThermoReport:
             )
         closure = abs(self.j_abs + self.j_loss + self.power)
         if closure > FIRST_LAW_RELATIVE_TOL * max(abs(self.j_abs), 1e-30):
-            raise ValueError(
+            raise NumericsError(
                 f"first law violated: j_abs + j_loss + power = {closure:.3e}"
             )
 

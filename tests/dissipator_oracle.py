@@ -1,8 +1,10 @@
 """The GKLS dissipator and its Heisenberg-picture heat operator written out
 directly, channel by channel, as oracles for the generator and the heat
 operators of solaraudit.core, the Gibbs state that a generator in
-detailed balance with one temperature must hold still, and the steady
-state from the SVD of the complex superoperator."""
+detailed balance with one temperature must hold still, the steady
+state from the SVD of the complex superoperator, and the set of vec
+coordinates that a superoperator maps a start into, searched on the whole
+superoperator."""
 
 import numpy as np
 
@@ -83,3 +85,15 @@ def complex_steady_state(gen):
     if residual > STEADY_STATE_RESIDUAL_TOL:
         raise SteadyStateConvergenceError(residual, STEADY_STATE_RESIDUAL_TOL)
     return DensityMatrix(rho, _spectrum=spectrum)
+
+
+def reachable(lmat, keep):
+    """The smallest set of vec coordinates holding keep that the
+    superoperator lmat maps into itself, as a boolean mask: the fixed point
+    of adding every row an entry of lmat reaches from a kept column."""
+    keep = keep.copy()
+    while True:
+        count = np.count_nonzero(keep)
+        keep[lmat.row[keep[lmat.col]]] = True
+        if np.count_nonzero(keep) == count:
+            return keep

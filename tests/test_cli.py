@@ -473,11 +473,14 @@ def test_nan_cells(capsys):
 
 
 def test_emission_rejects_cells_and_values_of_no_schema():
-    for cell, needle in ((True, "boolean cells"), (1j, "cannot format complex")):
+    # the commands emit str, int and float (numpy's float64 among them) only
+    cells = ((True, "boolean cells"), (1j, "cannot format complex"), (np.int64(1), "cannot format int64"))
+    for cell, needle in cells:
         with pytest.raises(TypeError, match=needle):
             emit_csv(["x"], [[cell]])
-    with pytest.raises(TypeError, match="cannot serialize set"):
-        emit_json({"rows": [{1.0}]})
+    for value, needle in (({1.0}, "cannot serialize set"), (np.arange(2), "cannot serialize ndarray")):
+        with pytest.raises(TypeError, match=needle):
+            emit_json({"rows": [value]})
 
 
 def test_byte_determinism(capsys):
@@ -608,7 +611,7 @@ def test_large_propagation_leaves_scipy_unimported(tmp_path):
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "from solaraudit import DensityMatrix, DissipationChannel, LindbladGenerator, core, propagate\n"
+        "from solaraudit import DensityMatrix, DissipationChannel, LindbladGenerator, propagate\n"
         "dim = 40\n"
         "lower = np.zeros((dim, dim))\n"
         "lower[0, dim - 1] = 1.0\n"
@@ -617,7 +620,7 @@ def test_large_propagation_leaves_scipy_unimported(tmp_path):
         "v = np.zeros(dim)\n"
         "v[dim - 17:] = 1.0\n"
         "rho0 = DensityMatrix.pure(v)\n"
-        "print(np.count_nonzero(core._reachable(gen.superoperator, rho0.entries.reshape(-1) != 0)))\n"
+        "print(np.count_nonzero(gen._reached(rho0.entries.reshape(-1) != 0)[0]))\n"
         "states = propagate(gen, rho0, [0.0, 4.0])\n"
         "print(round(17 * states[-1].population(dim - 1) / np.exp(-0.2), 9))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"

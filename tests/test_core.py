@@ -40,6 +40,7 @@ from dissipator_oracle import (
     dissipator_action,
     gibbs_state,
     heat_operator,
+    reachable,
 )
 
 
@@ -562,7 +563,7 @@ def test_propagate_large_dimension_sparse_path():
     v = np.zeros(dim)
     v[dim - 17:] = 1.0
     rho0 = DensityMatrix.pure(v)
-    assert np.count_nonzero(core._reachable(gen.superoperator, rho0.entries.reshape(-1) != 0)) == 290
+    assert np.count_nonzero(reachable(gen.superoperator, rho0.entries.reshape(-1) != 0)) == 290
     states = propagate(gen, rho0, np.array([0.0, 4.0]))
     assert abs(17 * states[-1].population(dim - 1) - np.exp(-gamma * 4.0)) < 1e-9
 
@@ -661,7 +662,7 @@ def test_taylor_action_matches_expm_multiply():
     for gen, rho0, steps, size in cases:
         lmat = gen.superoperator
         y = rho0.entries.reshape(-1)
-        keep = core._reachable(lmat, y != 0)
+        keep = reachable(lmat, y != 0)
         assert np.count_nonzero(keep) == size > core.DENSE_PROPAGATION_MAX_DIM**2
         advance = restricted_propagator(lmat, keep)
         oracle = csr_array((lmat.data, (lmat.row, lmat.col)), shape=lmat.shape)
@@ -742,7 +743,7 @@ def test_propagate_matches_full_space_exponential():
     for gen, rho0, grid, size in cases:
         lmat = gen.superoperator
         start = rho0.entries.reshape(-1) != 0
-        keep = core._reachable(lmat, start)
+        keep = reachable(lmat, start)
         # the set holds the start and L maps it into itself
         assert np.count_nonzero(keep) == size
         assert keep[start].all() and keep[lmat.row[keep[lmat.col]]].all()
@@ -773,7 +774,7 @@ def assert_propagation_follows_a_repair(dim):
     start[0, 0] = 1.0
     start[1, 2] = start[2, 1] = c
     rho0 = DensityMatrix(start)
-    keep = core._reachable(gen.superoperator, start.reshape(-1) != 0)
+    keep = reachable(gen.superoperator, start.reshape(-1) != 0)
     assert np.flatnonzero(keep).tolist() == [0, dim + 2, 2 * dim + 1]
     grid = 0.5 * np.arange(6)
     states = propagate(gen, rho0, grid)
@@ -827,7 +828,7 @@ def test_propagate_follows_a_one_sided_start_out_of_its_set():
         start[[0, 1, 2], [0, 1, 2]] = 0.5, 0.25, 0.25
         start[1, 2] = 1e-13
         rho0 = DensityMatrix(start)
-        mask = core._reachable(gen.superoperator, start.reshape(-1) != 0).reshape(dim, dim)
+        mask = reachable(gen.superoperator, start.reshape(-1) != 0).reshape(dim, dim)
         assert mask[1, 2] and not mask[2, 1]
         states = propagate(gen, rho0, grid)
         reference = full_space_reference(gen, rho0, grid, floor_positivity)
@@ -850,7 +851,7 @@ def test_propagated_states_are_the_dense_symmetrized_steps_bitwise():
                   np.linspace(0.0, cfg.t_max_ps, cfg.n_times) * PS_TO_INTERNAL))
     for gen, rho0, grid in cases:
         lmat = gen.superoperator
-        keep = core._reachable(lmat, rho0.entries.reshape(-1) != 0)
+        keep = reachable(lmat, rho0.entries.reshape(-1) != 0)
         advance = restricted_propagator(lmat, keep)
         steps = core._step_lengths(np.diff(grid), 4 * np.finfo(float).eps * grid[-1])
         states = propagate(gen, rho0, grid)
@@ -898,7 +899,7 @@ def test_propagation_faults_carry_the_floors_messages(monkeypatch):
     gen = hamiltonian_transfer_generator(LADDER, 6)
     rho0 = dressed_product_state(LADDER, 6)
     assert gen.dim > core.DENSE_PROPAGATION_MAX_DIM
-    keep = core._reachable(gen.superoperator, rho0.entries.reshape(-1) != 0)
+    keep = reachable(gen.superoperator, rho0.entries.reshape(-1) != 0)
     mask = keep.reshape(gen.dim, gen.dim)
     within = np.flatnonzero(mask | mask.T)  # the coordinates each state is given on
     level = np.flatnonzero(np.diag(mask))[3]
@@ -1009,7 +1010,7 @@ GENERATOR_ZOO = {
 @pytest.mark.parametrize("name", GENERATOR_ZOO)
 def test_liouvillian_on_a_closed_set_is_the_superoperators_restriction_bitwise(monkeypatch, name):
     # propagate finds its set column by column (gen._reached) and never
-    # reads the whole superoperator. Each set it finds is the one _reachable
+    # reads the whole superoperator. Each set it finds is the one reachable
     # reads off the whole superoperator, cancelling_generator's too (whose
     # parts hold edges that cancel in L), L on it is that superoperator's
     # restriction to the last bit, and each state is the floored step of
@@ -1028,7 +1029,7 @@ def test_liouvillian_on_a_closed_set_is_the_superoperators_restriction_bitwise(m
     lmat = gen.superoperator
     assert np.array_equal(reached[0][0], rho0.entries.reshape(-1) != 0)
     for start, kept, sub in reached:
-        keep = core._reachable(lmat, start)
+        keep = reachable(lmat, start)
         assert np.array_equal(kept, keep)
         inside, at = keep[lmat.col], np.cumsum(keep) - 1
         assert sub.shape == (np.count_nonzero(keep),) * 2
@@ -1577,7 +1578,7 @@ def test_positivity_is_enforced_inside_a_block(monkeypatch):
     gen = LindbladGenerator(h, [DissipationChannel(lower, 0.3, "loss", 1.0)])
     start = np.diag([0.5, 0.25, 0.25]).astype(complex)
     start[1, 2] = start[2, 1] = 0.1
-    keep = core._reachable(gen.superoperator, start.reshape(-1) != 0)
+    keep = reachable(gen.superoperator, start.reshape(-1) != 0)
     assert [b.tolist() for b in core._blocks(keep.reshape(3, 3))] == [[[0]], [[1, 2]]]
 
     def landing(c):

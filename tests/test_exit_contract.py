@@ -162,6 +162,10 @@ MULTI_KEY_CASES = [
     ("stiff-first-law", ["fmo-trace", "--n_times", "3", "--t_loss_k", "1e150", "--gamma_ant_fmo", "1e8"],
      3, "numerical failure: first law violated at t = 5.0 ps: Tr[H rho_dot] differs from "
         "j_abs + j_loss + sink_flow by 1.422e-01 of |j_abs|\n"),
+    # a closed-form report whose books do not close: j_loss and power cancel
+    # on a scale ~1e8 times |j_abs|
+    ("photocell-first-law", ["photocell", "--omega_beta", "1e8", "--t_abs", "0.05"],
+     3, "numerical failure: first law violated: j_abs + j_loss + power = 1.355e-20\n"),
 ]
 
 

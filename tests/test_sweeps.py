@@ -1,14 +1,24 @@
 """Axis sweeps, violation-interval bisection, and the two-scheme power table."""
 
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from solaraudit import config as cfg
 from solaraudit import heat_current, steady_state, sweeps
 from solaraudit.errors import ConfigError
-from solaraudit.models import ThreeLevelParams, decay_generator
-from solaraudit.sweeps import EDGE_TOL, SweepSpec, power_comparison, run_sweep
+from solaraudit.models import MODELS, ThreeLevelParams, decay_generator
+from solaraudit.models.cycle import Ring
+from solaraudit.sweeps import (
+    AUTO_AXIS_STOP,
+    EDGE_TOL,
+    SweepSpec,
+    defined_stop,
+    power_comparison,
+    run_sweep,
+)
 from solaraudit.thermo import second_law_verdict
 
 TOY_FIXED = dict(omega_abs=1.0, gamma=1e-4, t_abs=1.0, t_loss=0.05)
@@ -93,6 +103,63 @@ def test_donor_acceptor_violation_onset():
     lo, hi = table.violations[0]
     assert abs(lo - 0.95) < 1e-3
     assert hi == spec.grid[-1]
+
+
+@pytest.mark.parametrize("model", ["donor_acceptor", "photocell"])
+def test_ring_omega_ratio_matches_the_hand_written_rule(model):
+    # the sink's destination level is its source level - x * the absorption
+    # gap, read off the ring's LINKS: the same float operations as writing
+    # out each model's levels, so the same bits at every default grid point
+    section = MODELS[model][0]
+    fixed = cfg.default_section(section)
+    start, points = (cfg.default_section("sweep")[k] for k in ("axis_start", "axis_points"))
+    stop = defined_stop(model, fixed, "omega_ratio", np.linspace(start, AUTO_AXIS_STOP, points))
+    top = "omega_a" if model == "donor_acceptor" else "omega_x1"
+    for x in np.linspace(start, stop, points).tolist():
+        values = sweeps._apply_axis(model, fixed, "omega_ratio", x)
+        by_hand = fixed["omega_alpha"] - x * (fixed[top] - fixed["omega_b"])
+        assert values == dict(fixed, omega_beta=by_hand)
+        assert np.float64(values["omega_beta"]).tobytes() == np.float64(by_hand).tobytes()
+
+
+@dataclass(frozen=True)
+class TriangleParams:
+    """A three-level ring whose level and rate fields no model uses."""
+
+    e_ground: float
+    e_bright: float
+    e_store: float
+    g_pump: float
+    g_out: float
+    g_back: float
+    t_abs: float
+    t_loss: float
+
+    LEVELS = ("e_ground", "e_bright", "e_store")
+    LINKS = (
+        ("absorption", 0, 1, "abs", "g_pump"),
+        ("load", 1, 2, "sink", "g_out"),
+        ("recycle", 2, 0, "loss", "g_back"),
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "_ring", Ring.of(self, self.LEVELS, self.LINKS))
+
+
+def test_a_new_ring_model_sweeps_without_a_sweeps_edit(monkeypatch):
+    # omega_ratio lowers e_store to e_bright - x (e_bright - e_ground), so
+    # the current ratio is 1 - x and the verdict flips at 1 - t_loss / t_abs
+    monkeypatch.setitem(MODELS, "triangle", ("triangle", TriangleParams, lambda p: p._ring.report()))
+    fixed = dict(e_ground=0.0, e_bright=1.0, e_store=0.5, g_pump=1e-3, g_out=1e-3,
+                 g_back=1e-3, t_abs=1.0, t_loss=0.05)
+    spec = SweepSpec(model="triangle", axis="omega_ratio", grid=np.linspace(0.5, 0.99, 25), fixed=fixed)
+    table = run_sweep(spec)
+    for x, report in zip(spec.grid.tolist(), table.reports):
+        assert report.ratio == pytest.approx(1.0 - x, rel=1e-12)
+        assert report == TriangleParams(**dict(fixed, e_store=1.0 - x))._ring.report()
+    ((lo, hi),) = table.violations
+    assert abs(lo - 0.95) < 1e-3 and hi == spec.grid[-1]
+    assert defined_stop("triangle", fixed, "omega_ratio", np.linspace(0.5, 1.5, 11)) == 0.9
 
 
 def test_transfer_scheme_never_violates():
@@ -201,5 +268,10 @@ def test_power_comparison_grid_errors():
         power_comparison(1.0, 0.5, 1e-3, 1.0, [0.5])
     with pytest.raises(ConfigError, match="strictly increasing"):
         power_comparison(1.0, 0.5, 1e-3, 1.0, [0.5, 0.4])
+    # a non-finite grid is refused up front, as a sweep's is, not at its
+    # first non-finite point
+    for grid in ([0.5, np.nan], [np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.5]):
+        with pytest.raises(ConfigError, match="^ratio grid must be finite$"):
+            power_comparison(1.0, 0.5, 1e-3, 1.0, grid)
     with pytest.raises(ConfigError, match="temperature ratio"):
         power_comparison(1.0, 0.5, 1e-3, 1.0, [0.0, 0.5])

@@ -316,7 +316,8 @@ def test_thermo_report_enforces_first_law():
     ThermoReport(
         j_abs=1.0, j_loss=-0.4, power=-0.6, sigma=0.1, ratio=0.4, verdict="consistent"
     )
-    with pytest.raises(ValueError):
+    # books that do not close are a numerical failure (exit 3), not a config error
+    with pytest.raises(NumericsError, match=r"^first law violated: j_abs \+ j_loss \+ power = 3\.000e-01$"):
         ThermoReport(
             j_abs=1.0, j_loss=-0.4, power=-0.3, sigma=0.1, ratio=0.4, verdict="consistent"
         )
