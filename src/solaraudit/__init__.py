@@ -3,18 +3,12 @@
 The package bundles a Lindblad dynamics core, per-bath heat-current and
 entropy accounting, a zoo of closed-form solar-conversion models, a
 ten-level antenna + pigment-complex trace, and sweep/CLI layers that
-regenerate the audit tables.
+regenerate the audit tables. The closed forms and the CLI's closed-form
+commands run on the standard library; the Lindblad names below load
+numpy on first use.
 """
 
-from .core import (
-    DensityMatrix,
-    DissipationChannel,
-    LindbladGenerator,
-    floor_positivity,
-    liouvillian_apply,
-    propagate,
-    steady_state,
-)
+from .audit import ThermoReport, bose_occupation, second_law_verdict
 from .errors import (
     ConfigError,
     DegenerateSteadyStateError,
@@ -25,14 +19,13 @@ from .errors import (
     SteadyStateConvergenceError,
     TruncationOverflowError,
 )
-from .thermo import (
-    ThermoReport,
-    bose_occupation,
-    entropy_production,
-    entropy_rate,
-    heat_current,
-    second_law_verdict,
-)
+from .lazy import lazy_names
+
+__getattr__ = lazy_names(__name__, {
+    "solaraudit.core": ("DensityMatrix", "DissipationChannel", "LindbladGenerator",
+                        "floor_positivity", "liouvillian_apply", "propagate", "steady_state"),
+    "solaraudit.thermo": ("entropy_production", "entropy_rate", "heat_current"),
+})
 
 __version__ = "0.1.0"
 

@@ -12,11 +12,8 @@ import math
 import sys
 from functools import partial
 
-import numpy as np
-
 from . import config as cfg
 from .errors import ConfigError, NumericsError
-from .fmo import FmoConfig, sigma_trace
 from .models import MODELS, model_report
 from .output import emit_csv, emit_json, format_number, write_output
 from .sweeps import AUTO_AXIS_STOP, SweepSpec, defined_stop, power_comparison, run_sweep
@@ -97,15 +94,27 @@ def _sweep_params(file_sections, overrides):
     return sweep_params, _section_params(section, file_sections, model_flags)
 
 
+def _grid(start, stop, points):
+    """np.linspace(start, stop, points) of numpy 2, bit for bit, as a list:
+    point i is i * step + start, or i / div * delta + start where the step
+    underflows to 0, and the last point is stop."""
+    div, delta = points - 1, stop - start
+    step = delta / div
+    grid = [stop] * points  # one allocation: a count too large fails here
+    for i in range(div):
+        grid[i] = i * step + start if step else i / div * delta + start
+    return grid
+
+
 def _linspace(start, stop, points, what):
     if points < 2:
         raise ConfigError(f"{what} needs at least 2 points, got {points}")
     if not stop > start:
         raise ConfigError(f"{what} needs stop > start, got {start} .. {stop}")
-    if not math.isfinite(stop - start):  # numpy would warn as the span overflows
+    if not math.isfinite(stop - start):  # no finite step spans it
         raise ConfigError(f"{what} needs a finite stop - start, got {start} .. {stop}")
     try:
-        return np.linspace(start, stop, points)
+        return _grid(start, stop, points)
     except MemoryError:
         raise ConfigError(f"{what} of {points} points does not fit in memory")
 
@@ -154,6 +163,8 @@ def _compare_power(file_sections, overrides):
 
 
 def _fmo_trace(file_sections, overrides):
+    from .fmo import FmoConfig, sigma_trace  # the one command that loads numpy
+
     params = _section_params("fmo", file_sections, overrides)
     grid = _linspace(0.0, params["t_max_ps"], params["n_times"], "time grid")
     try:

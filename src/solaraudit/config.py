@@ -8,11 +8,11 @@ keys are errors rather than silent no-ops, and duplicates are rejected.
 
 import dataclasses
 import math
+from collections.abc import Mapping
 from functools import lru_cache
 from importlib import resources
 
 from .errors import ConfigError, read_user_text
-from .fmo import FmoConfig
 from .models import MODELS
 
 DEFAULTS_RESOURCE = "data/defaults.cfg"
@@ -88,9 +88,33 @@ def _params_schema(params_cls):
     }
 
 
-SCHEMAS = {
+def _fmo_schema():
+    from .fmo import FmoConfig  # loads numpy, so only where [fmo] is used
+
+    return _params_schema(FmoConfig)
+
+
+class _Schemas(Mapping):
+    """Section name -> schema; one given as a function is built at its first lookup."""
+
+    def __init__(self, schemas):
+        self._schemas = schemas
+
+    def __getitem__(self, name):
+        if callable(self._schemas[name]):
+            self._schemas[name] = self._schemas[name]()
+        return self._schemas[name]
+
+    def __iter__(self):
+        return iter(self._schemas)
+
+    def __len__(self):
+        return len(self._schemas)
+
+
+SCHEMAS = _Schemas({
     **{section: _params_schema(params_cls) for section, params_cls, _ in MODELS.values()},
-    "fmo": _params_schema(FmoConfig),
+    "fmo": _fmo_schema,
     "sweep": {
         "model": _choice(*MODELS),
         "axis": str,
@@ -107,7 +131,7 @@ SCHEMAS = {
         "ratio_stop": _to_float,
         "ratio_points": int,
     },
-}
+})
 
 
 def convert_section(name, raw_map, where="config"):

@@ -34,12 +34,12 @@ built directly over those of its own nonzero entries.
 
 import math
 from collections import namedtuple
-from dataclasses import fields
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
 
+from .audit import BATH_IDS
 from .errors import (
     DegenerateSteadyStateError,
     DimensionMismatchError,
@@ -65,28 +65,11 @@ STEADY_STATE_RESIDUAL_TOL = 1e-10
 # one eigvalsh rather than by blocks (_support_of).
 DENSE_PROPAGATION_MAX_DIM = 16
 
-BATH_IDS = ("abs", "loss", "sink")
-
 
 def require_bath_id(bath_id):
     """Raise ValueError unless bath_id is one of BATH_IDS."""
     if bath_id not in BATH_IDS:
         raise ValueError(f"unknown bath_id {bath_id!r}, expected one of {BATH_IDS}")
-
-
-def require_finite_fields(params):
-    """Raise ValueError naming the first float or array field of a params
-    dataclass that holds a nan or an infinity (for an array, its first
-    such entry and that entry's index)."""
-    for field in fields(params):
-        value = getattr(params, field.name)
-        if isinstance(value, np.ndarray):
-            bad = np.argwhere(~np.isfinite(value))
-            if bad.size:
-                at = bad[0].tolist()
-                raise ValueError(f"{field.name} must be finite, got {value[tuple(at)]} at {at}")
-        elif isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{field.name} must be finite, got {value}")
 
 
 def _as_matrix(rho):

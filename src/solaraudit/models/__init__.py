@@ -1,23 +1,20 @@
 """The model zoo and the one table of models with closed-form reports.
 The sink-driven models (decay, donor-acceptor, photocell) are rings that
-cycle.py solves."""
+cycle.py solves. The closed forms load with the package, on the standard
+library; the numpy names (the dressed ladder, collective.py) load on
+first use."""
 
 from ..errors import ConfigError, NumericsError
+from ..lazy import lazy_names
 from .three_level import (
+    LADDER,
     ThreeLevelParams,
     BirthDeathRates,
     birth_death_rates,
     decay_generator,
     decay_report,
     decay_steady_populations,
-    dressed_frequency,
-    dressed_product_state,
-    excitation_growth_rate,
-    group_number_operator,
-    hamiltonian_transfer_generator,
     hamiltonian_transfer_report,
-    require_truncation_ok,
-    transfer_block_hamiltonian,
 )
 from .donor_acceptor import (
     DonorAcceptorParams,
@@ -31,11 +28,12 @@ from .photocell import (
     photocell_report,
     photocell_steady_state,
 )
-from .collective import (
-    CollectiveReservoirParams,
-    OscillatorLimitReport,
-    compare_with_oscillator_limit,
-)
+
+__getattr__ = lazy_names(__name__, {
+    "solaraudit.models.ladder": LADDER,
+    "solaraudit.models.collective": (
+        "CollectiveReservoirParams", "OscillatorLimitReport", "compare_with_oscillator_limit"),
+})
 
 # model name -> (config section of its parameters, params class, report).
 # The config schemas (one key per params field), the sweep model choice,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .three_level import _two_band_hamiltonian
+from .ladder import _two_band_hamiltonian
 
 MAX_SPIN = 12
 

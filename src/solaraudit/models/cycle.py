@@ -27,11 +27,8 @@ current is J times the energy the cycle moves through that bath.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..core import BATH_IDS, DissipationChannel, LindbladGenerator, Triplets
+from ..audit import BATH_IDS, ThermoReport, bose_occupation
 from ..errors import NumericsError
-from ..thermo import ThermoReport, bose_occupation, thermal_pairs
 
 
 @dataclass(frozen=True)
@@ -104,11 +101,13 @@ class Ring:
         if not math.isfinite(total):
             raise NumericsError("cycle ratios overflow; the rates span too many decades")
         norm = 1.0 / total
-        return np.array(p) * norm, flux * norm
+        return [x * norm for x in p], flux * norm
 
     def populations(self):
-        """Steady populations, in level order."""
-        return self._steady()[0]
+        """Steady populations, in level order, as an array."""
+        import numpy as np
+
+        return np.array(self._steady()[0])
 
     def report(self):
         """Steady-state audit. Each bath's current is the flux times the sum
@@ -126,7 +125,12 @@ class Ring:
     def generator(self):
         """Lindblad generator on the level basis: one table of a thermal
         pair per thermal link, in ring order, and the sink's one-way
-        channel."""
+        channel. It loads numpy and the master-equation layer."""
+        import numpy as np
+
+        from ..core import DissipationChannel, LindbladGenerator, Triplets
+        from ..thermo import thermal_pairs
+
         dim = len(self.energies)
         thermal = [link for link in self.links if link[2] != "sink"]
         (sink,) = (link for link in self.links if link[2] == "sink")

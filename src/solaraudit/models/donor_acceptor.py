@@ -10,7 +10,7 @@ steady-state current rides on the single cycle flux gamma_load * rho_alpha.
 
 from dataclasses import dataclass
 
-from ..core import require_finite_fields
+from ..audit import require_finite_fields
 from .cycle import Ring
 
 

@@ -9,7 +9,7 @@ x1 -> x2 -> alpha and the beta -> b recycle; the load is a one-way jump
 
 from dataclasses import dataclass
 
-from ..core import require_finite_fields
+from ..audit import require_finite_fields
 from .cycle import Ring
 
 

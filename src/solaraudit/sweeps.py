@@ -5,9 +5,8 @@ at every grid point, and post-processes the verdict column into maximal
 violation intervals whose interior edges are sharpened by bisection.
 """
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConfigError
 from .models import MODELS, model_report
@@ -57,14 +56,17 @@ def defined_stop(model, fixed, axis, grid):
 
 
 def _checked_grid(grid, what):
-    """grid as a new float array; ConfigError unless it is one-dimensional
+    """grid as a tuple of floats; ConfigError unless it is one-dimensional
     with at least 2 points, finite and strictly increasing."""
-    grid = np.array(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
+    try:
+        grid = tuple(map(float, grid))
+    except TypeError:  # a number, or a point that is itself a sequence
+        grid = ()
+    if len(grid) < 2:
         raise ConfigError(f"{what} must be one-dimensional with at least 2 points")
-    if not np.all(np.isfinite(grid)):
+    if not all(map(math.isfinite, grid)):
         raise ConfigError(f"{what} must be finite")
-    if np.any(np.diff(grid) <= 0):
+    if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"{what} must be strictly increasing")
     return grid
 
@@ -75,7 +77,7 @@ class SweepSpec:
 
     model: str
     axis: str
-    grid: np.ndarray
+    grid: tuple
     fixed: dict
 
     def __post_init__(self):
@@ -93,9 +95,7 @@ class SweepSpec:
             raise ConfigError(
                 f"unknown sweep axis {self.axis!r}; use one of: " + ", ".join(SWEEP_AXES)
             )
-        grid = _checked_grid(self.grid, "sweep grid")
-        grid.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "grid", _checked_grid(self.grid, "sweep grid"))
         object.__setattr__(self, "fixed", dict(self.fixed))
 
     def point_report(self, x):
@@ -141,17 +141,17 @@ def violation_intervals(spec, reports):
         return spec.point_report(x).verdict == "violation"
 
     # a run of violating points starts and ends where the padded flags change
-    flags = np.concatenate([[False], [r.verdict == "violation" for r in reports], [False]])
-    starts, stops = np.flatnonzero(np.diff(flags)).reshape(-1, 2).T
+    flags = [False, *(r.verdict == "violation" for r in reports), False]
+    edges = [k for k in range(n + 1) if flags[k] != flags[k + 1]]
     return [
-        (float(grid[i] if i == 0 else _refine_edge(violating, grid[i - 1], grid[i])),
-         float(grid[j] if j == n - 1 else _refine_edge(violating, grid[j], grid[j + 1])))
-        for i, j in zip(starts.tolist(), (stops - 1).tolist())
+        (grid[i] if i == 0 else _refine_edge(violating, grid[i - 1], grid[i]),
+         grid[j] if j == n - 1 else _refine_edge(violating, grid[j], grid[j + 1]))
+        for i, j in zip(edges[::2], [k - 1 for k in edges[1::2]])
     ]
 
 
 def run_sweep(spec):
-    reports = [spec.point_report(float(x)) for x in spec.grid]
+    reports = [spec.point_report(x) for x in spec.grid]
     violations = violation_intervals(spec, reports)
     return SweepTable(spec=spec, reports=tuple(reports), violations=tuple(violations))
 
@@ -160,9 +160,9 @@ def run_sweep(spec):
 class PowerComparison:
     """Power of both extraction schemes across a temperature-ratio grid."""
 
-    ratios: np.ndarray
-    p_decay: np.ndarray
-    p_transfer: np.ndarray
+    ratios: tuple
+    p_decay: tuple
+    p_transfer: tuple
     zero_crossing: float
 
     def rows(self):
@@ -181,24 +181,23 @@ def power_comparison(omega_abs, omega_rc, gamma, t_abs, ratio_grid):
     fixed = dict(omega_abs=omega_abs, omega_rc=omega_rc, gamma=gamma, t_abs=t_abs)
 
     def power(model, tau):
-        # on a plain float, where a numpy scalar would warn on overflow
-        values = _apply_axis(model, fixed, "temp_ratio", float(tau))
+        values = _apply_axis(model, fixed, "temp_ratio", tau)
         return model_report(model, values, where=f"temperature ratio {tau:g}: ").power
 
-    p_dec = np.array([power("toy_decay", tau) for tau in grid])
-    p_ham = np.array([power("toy_ham", tau) for tau in grid])
+    p_dec = tuple(power("toy_decay", tau) for tau in grid)
+    p_ham = tuple(power("toy_ham", tau) for tau in grid)
 
     # the first grid step that touches or crosses zero; an exact zero at a
-    # grid point is the crossing itself
-    signs = np.sign(p_ham)
-    steps = np.flatnonzero(signs[:-1] * signs[1:] <= 0)
+    # grid point is the crossing itself. A report's power is finite.
+    signs = [(x > 0) - (x < 0) for x in p_ham]
+    steps = [k for k in range(len(grid) - 1) if signs[k] * signs[k + 1] <= 0]
     crossing = None
-    if steps.size:
+    if steps:
         k = steps[0]
         if signs[k] == 0:
-            crossing = float(grid[k])
+            crossing = grid[k]
         elif signs[k + 1] == 0:
-            crossing = float(grid[k + 1])
+            crossing = grid[k + 1]
         else:
             crossing = _refine_edge(lambda tau: power("toy_ham", tau) < 0, grid[k], grid[k + 1])
     return PowerComparison(

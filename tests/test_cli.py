@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 try:
     import tomllib
@@ -25,7 +26,7 @@ except ModuleNotFoundError:  # Python 3.10 has no stdlib TOML reader
     tomllib = None
 
 import solaraudit
-from solaraudit import config as cfg
+from solaraudit import cli, config as cfg
 from solaraudit.cli import main
 from solaraudit.models import ThreeLevelParams, decay_report
 from solaraudit.output import emit_csv, emit_json, format_number
@@ -322,12 +323,12 @@ def test_grid_validation(capsys):
 
 
 def test_unallocatable_grid_exits_2(capsys, monkeypatch):
-    # numpy raises MemoryError up front for a grid it cannot allocate;
-    # stand in for it rather than asking for the allocation
-    def linspace(start, stop, num):
-        raise MemoryError(f"cannot allocate {num} points")
+    # the grid's one-step list allocation raises MemoryError up front for
+    # a count it cannot allocate; stand in for it rather than asking for it
+    def grid(start, stop, points):
+        raise MemoryError(f"cannot allocate {points} points")
 
-    monkeypatch.setattr(np, "linspace", linspace)
+    monkeypatch.setattr(cli, "_grid", grid)
     for argv in (
         ("sweep", "--axis_points", "100000000000"),
         ("fmo-trace", "--n_times", "100000000000"),
@@ -337,6 +338,38 @@ def test_unallocatable_grid_exits_2(capsys, monkeypatch):
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "100000000000 points does not fit in memory" in err
+
+
+def bits(values):
+    return [float(x).hex() for x in values]
+
+
+# finite start < stop, magnitudes up to 1e300 of either sign
+SPANS = st.tuples(*[st.floats(min_value=-1e300, max_value=1e300)] * 2).filter(
+    lambda ab: ab[0] != ab[1]
+).map(sorted)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(SPANS, st.integers(min_value=2, max_value=2000))
+def test_grid_is_numpy_linspace_bit_for_bit(span, points):
+    start, stop = span
+    assert bits(cli._grid(start, stop, points)) == bits(np.linspace(start, stop, points))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.floats(min_value=-1e-310, max_value=1e-310), st.integers(3, 2000), st.data())
+def test_grid_with_an_underflowing_step_is_numpy_linspace(start, points, data):
+    # a span of a few subnormal steps over many points: the step is 0
+    stop = start + data.draw(st.integers(1, (points - 1) // 2)) * 5e-324
+    assert (stop - start) / (points - 1) == 0.0
+    assert bits(cli._grid(start, stop, points)) == bits(np.linspace(start, stop, points))
+
+
+def test_default_time_grid_is_numpy_linspace():
+    fmo = cfg.default_section("fmo")
+    grid = cli._linspace(0.0, fmo["t_max_ps"], fmo["n_times"], "time grid")
+    assert bits(grid) == bits(np.linspace(0.0, 10.0, 201))
 
 
 def test_compare_power_csv(capsys):
@@ -579,6 +612,39 @@ def test_cli_leaves_scipy_linalg_unimported(tmp_path):
     proc = run_python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0, 0] []"]
+
+
+def test_closed_form_commands_leave_numpy_unimported(tmp_path):
+    # numpy is most of a closed-form command's start-up; it loads only with
+    # the master-equation layer (core, thermo, fmo, the dressed ladder and
+    # collective), which the package names load on first use
+    config = tmp_path / "toy.cfg"
+    config.write_text("[toy]\nt_loss = 0.5\n")
+    out = tmp_path / "out.csv"
+    argvs = [["--help"], ["toy-decay", "--config", str(config)], ["toy-ham", "--out", str(out)]]
+    for fmt in ("csv", "json"):
+        for command in ("toy-decay", "toy-ham", "donor-acceptor", "photocell", "compare-power"):
+            argvs.append([command, "--format", fmt])
+        for model in ("toy_decay", "toy_ham", "donor_acceptor", "photocell"):
+            argvs.append(["sweep", "--model", model, "--format", fmt])
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import solaraudit, solaraudit.models\n"
+        "print('numpy' in sys.modules)\n"
+        "from solaraudit.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(code, 'numpy' in sys.modules)\n"
+        "for module in (solaraudit, solaraudit.models):\n"
+        "    for name in module.__all__:\n"
+        "        getattr(module, name)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = run_python(code, tmp_path, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", *["0 False"] * len(argvs), "True"]
+    assert out.read_text().splitlines()[0] == REPORT_HEADER
 
 
 def test_small_generators_leave_scipy_unimported(tmp_path):
