@@ -14,9 +14,7 @@ from functools import partial
 
 from . import config as cfg
 from .errors import ConfigError, NumericsError
-from .models import MODELS, model_report
 from .output import emit_csv, emit_json, format_number, write_output
-from .sweeps import AUTO_AXIS_STOP, SweepSpec, defined_stop, power_comparison, run_sweep
 
 REPORT_HEADER = ("j_abs", "j_loss", "power", "ratio", "sigma", "verdict")
 
@@ -37,9 +35,10 @@ def _parse_argv(argv):
     if not argv or argv[0] in ("-h", "--help", "help"):
         return None
     command = argv[0]
-    if command not in COMMANDS:
+    run = COMMANDS.get(command) or _commands().get(command)
+    if run is None:
         raise ConfigError(
-            f"unknown command {command!r}; commands: " + ", ".join(COMMANDS)
+            f"unknown command {command!r}; commands: " + ", ".join(_commands())
         )
     config_path = None
     fmt = "csv"
@@ -68,7 +67,7 @@ def _parse_argv(argv):
             out = value
         else:
             overrides[key] = value
-    return command, config_path, fmt, out, overrides
+    return run, config_path, fmt, out, overrides
 
 
 def _section_params(section, file_sections, overrides):
@@ -83,6 +82,8 @@ def _sweep_params(file_sections, overrides):
     come from its own section. Each flag goes to the one section whose
     schema has its key, sweep keys first, so --model picks the model
     section wherever it sits in argv."""
+    from .models import MODELS
+
     sweep_flags = {k: v for k, v in overrides.items() if k in cfg.SCHEMAS["sweep"]}
     sweep_params = _section_params("sweep", file_sections, sweep_flags)
     model = sweep_params["model"]
@@ -120,6 +121,8 @@ def _linspace(start, stop, points, what):
 
 
 def _report(model, file_sections, overrides):
+    from .models import MODELS, model_report  # loads this model's module only
+
     params = _section_params(MODELS[model][0], file_sections, overrides)
     r = model_report(model, params)
     rows = [(r.j_abs, r.j_loss, r.power, r.ratio, r.sigma, r.verdict)]
@@ -127,6 +130,8 @@ def _report(model, file_sections, overrides):
 
 
 def _sweep(file_sections, overrides):
+    from .sweeps import AUTO_AXIS_STOP, SweepSpec, defined_stop, run_sweep
+
     sweep_params, fixed = _sweep_params(file_sections, overrides)
     start, stop, points = (sweep_params[k] for k in ("axis_start", "axis_stop", "axis_points"))
     grid = _linspace(start, AUTO_AXIS_STOP if stop is None else stop, points, "sweep grid")
@@ -147,6 +152,8 @@ def _sweep(file_sections, overrides):
 
 
 def _compare_power(file_sections, overrides):
+    from .sweeps import power_comparison
+
     params = _section_params("compare_power", file_sections, overrides)
     grid = _linspace(
         params["ratio_start"], params["ratio_stop"], params["ratio_points"], "ratio grid"
@@ -178,29 +185,27 @@ def _fmo_trace(file_sections, overrides):
 
 # command -> function of (file sections, flag overrides) returning the table
 # it prints: (header, rows, model, params, units, violations), each violation
-# interval a CSV footer
+# interval a CSV footer. Each model of models.MODELS adds its report command
+# (_commands), looked up only for a command not named here.
 COMMANDS = {
-    **{model.replace("_", "-"): partial(_report, model) for model in MODELS},
     "fmo-trace": _fmo_trace,
     "sweep": _sweep,
     "compare-power": _compare_power,
 }
 
-USAGE = (
-    __doc__
-    + "\nCommands: "
-    + ", ".join(COMMANDS)
-    + "\nSweep models: "
-    + ", ".join(MODELS)
-    + "\n"
-)
+
+def _commands():
+    """Every command, in --help order: one per model, then COMMANDS."""
+    from .models import MODELS
+
+    return {**{model.replace("_", "-"): partial(_report, model) for model in MODELS}, **COMMANDS}
 
 
-def _run_command(command, config_path, fmt, out, overrides):
+def _run_command(run, config_path, fmt, out, overrides):
     file_sections = {} if config_path is None else cfg.validate_sections(
         cfg.parse_config_file(config_path), where=config_path
     )
-    header, rows, model, params, units, violations = COMMANDS[command](file_sections, overrides)
+    header, rows, model, params, units, violations = run(file_sections, overrides)
     if fmt == "csv":
         text = emit_csv(header, rows, [
             f"# violation: {format_number(lo)}..{format_number(hi)}" for lo, hi in violations
@@ -222,7 +227,10 @@ def main(argv):
     try:
         parsed = _parse_argv(argv)
         if parsed is None:
-            sys.stdout.write(USAGE)
+            from .models import MODELS
+
+            sys.stdout.write(f"{__doc__}\nCommands: {', '.join(_commands())}\n"
+                             f"Sweep models: {', '.join(MODELS)}\n")
             return 0
         _run_command(*parsed)
         return 0

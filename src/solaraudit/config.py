@@ -9,11 +9,10 @@ keys are errors rather than silent no-ops, and duplicates are rejected.
 import dataclasses
 import math
 from collections.abc import Mapping
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 
 from .errors import ConfigError, read_user_text
-from .models import MODELS
 
 DEFAULTS_RESOURCE = "data/defaults.cfg"
 
@@ -88,40 +87,69 @@ def _params_schema(params_cls):
     }
 
 
+def _model_schema(model):
+    from .models import MODELS  # loads the model's module only
+
+    return _params_schema(MODELS[model][1])
+
+
+def _model_schemas():
+    """Each model section of models.MODELS, as a function building its schema."""
+    from .models import MODELS
+
+    return {section: partial(_model_schema, model) for model, (section, _, _) in MODELS.items()}
+
+
 def _fmo_schema():
     from .fmo import FmoConfig  # loads numpy, so only where [fmo] is used
 
     return _params_schema(FmoConfig)
 
 
-class _Schemas(Mapping):
-    """Section name -> schema; one given as a function is built at its first lookup."""
+def _sweep_schema():
+    from .models import MODELS
 
-    def __init__(self, schemas):
-        self._schemas = schemas
-
-    def __getitem__(self, name):
-        if callable(self._schemas[name]):
-            self._schemas[name] = self._schemas[name]()
-        return self._schemas[name]
-
-    def __iter__(self):
-        return iter(self._schemas)
-
-    def __len__(self):
-        return len(self._schemas)
-
-
-SCHEMAS = _Schemas({
-    **{section: _params_schema(params_cls) for section, params_cls, _ in MODELS.values()},
-    "fmo": _fmo_schema,
-    "sweep": {
+    return {
         "model": _choice(*MODELS),
         "axis": str,
         "axis_start": _to_float,
         "axis_stop": _to_auto_float,
         "axis_points": int,
-    },
+    }
+
+
+class _Schemas(Mapping):
+    """Section name -> schema: the model sections, which more() gives at the
+    first lookup of a section not given or the first iteration, then those
+    given. A schema given as a function is built at its first lookup, so
+    that a command loads only what its own sections need."""
+
+    def __init__(self, schemas, more):
+        self._schemas = schemas
+        self._more = more
+
+    def _all(self):
+        if self._more is not None:
+            self._schemas = {**self._more(), **self._schemas}
+            self._more = None
+        return self._schemas
+
+    def __getitem__(self, name):
+        schemas = self._schemas if name in self._schemas else self._all()
+        if callable(schemas[name]):
+            schemas[name] = schemas[name]()
+        return schemas[name]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __len__(self):
+        return len(self._all())
+
+
+SCHEMAS = _Schemas({
+    "fmo": _fmo_schema,
+    "sweep": _sweep_schema,
     "compare_power": {
         "omega_abs": _to_float,
         "omega_rc": _to_float,
@@ -131,7 +159,7 @@ SCHEMAS = _Schemas({
         "ratio_stop": _to_float,
         "ratio_points": int,
     },
-})
+}, _model_schemas)
 
 
 def convert_section(name, raw_map, where="config"):

@@ -20,11 +20,9 @@ from dataclasses import dataclass
 
 from ..audit import ThermoReport, require_finite_fields
 from ..lazy import lazy_names
+from . import LADDER
 from .cycle import Ring
 
-LADDER = ("dressed_frequency", "transfer_block_hamiltonian", "hamiltonian_transfer_generator",
-          "group_number_operator", "dressed_product_state", "excitation_growth_rate",
-          "require_truncation_ok")
 __getattr__ = lazy_names(__name__, {"solaraudit.models.ladder": LADDER})
 
 

@@ -6,7 +6,6 @@ identical inputs produce byte-identical output. Non-finite values become
 (numpy's float64 is a float); a bool is in no schema.
 """
 
-import json
 import math
 import sys
 
@@ -49,6 +48,8 @@ def sanitize_json(obj):
 
 
 def emit_json(payload):
+    import json  # only a json command pays for it
+
     return json.dumps(sanitize_json(payload), indent=2, sort_keys=True) + "\n"
 
 

@@ -2,12 +2,16 @@
 directly, channel by channel, as oracles for the generator and the heat
 operators of solaraudit.core, the Gibbs state that a generator in
 detailed balance with one temperature must hold still, the steady
-state from the SVD of the complex superoperator, and the set of vec
+state from the SVD of the complex superoperator, the set of vec
 coordinates that a superoperator maps a start into, searched on the whole
-superoperator."""
+superoperator, and propagation that floors and validates each state
+before it takes the next step."""
+
+import math
 
 import numpy as np
 
+from solaraudit import core
 from solaraudit.core import (
     STEADY_STATE_RESIDUAL_TOL,
     DensityMatrix,
@@ -97,3 +101,45 @@ def reachable(lmat, keep):
         keep[lmat.row[keep[lmat.col]]] = True
         if np.count_nonzero(keep) == count:
             return keep
+
+
+def stepwise_propagate(gen, rho0, t_grid):
+    """core.propagate as one state at a time: each step is floored
+    (core._floored) and validated (DensityMatrix) before the next one is
+    taken. The core helpers are read off the module at call time, so that
+    a test's monkeypatch reaches both routes."""
+    t = np.asarray(t_grid, dtype=float)
+    if not isinstance(rho0, DensityMatrix):
+        rho0 = DensityMatrix(rho0)
+    key, _, value = gen._parts
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = 3 * core._norm1(key, value)
+    lnorm = None
+    dim = gen.dim
+
+    def restrict(y):  # the set a dense vec y reaches, its states' support and its propagator
+        keep, lmat = gen._reached(y != 0)
+        mask = keep.reshape(dim, dim)
+        support = core._support_of(mask)
+        at = np.flatnonzero(keep[support.index])
+        return keep, support, np.array_equal(mask, mask.T), core._propagator(lmat, at)
+
+    y = rho0.entries.reshape(-1)
+    keep, support, closed, advance = restrict(y)
+    x = y[support.index]
+    out = [rho0]
+    for dt in core._step_lengths(np.diff(t), 4 * np.finfo(float).eps * t[-1]):
+        if not math.isfinite(2 * bound * dt):
+            if lnorm is None:
+                lnorm = core._norm1(gen.superoperator.col, gen.superoperator.data)
+            if not math.isfinite(lnorm * dt):
+                raise NumericsError(f"|L dt|_1 overflows at dt = {dt!r}")
+        x, spectrum, held = core._floored(advance(x, dt), support)
+        y = np.zeros(dim * dim, dtype=complex)
+        y[held.index] = x
+        if held is not support or not closed:
+            if y[~keep].any():
+                keep, support, closed, advance = restrict(y)
+            x = y[support.index]
+        out.append(DensityMatrix(y.reshape(dim, dim), _spectrum=spectrum, _support=support))
+    return out

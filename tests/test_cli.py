@@ -647,6 +647,42 @@ def test_closed_form_commands_leave_numpy_unimported(tmp_path):
     assert out.read_text().splitlines()[0] == REPORT_HEADER
 
 
+def test_commands_load_only_their_own_modules(tmp_path):
+    # fmo-trace runs the master-equation core and loads no model module,
+    # no sweep and no json; a csv report command loads its own model's
+    # module (toy-decay: three_level and the ring solver) and no sweep,
+    # other model or json
+    code = (
+        "import contextlib, io, sys\n"
+        "from solaraudit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'json'\n"
+        "                   or m.startswith(('solaraudit.models', 'solaraudit.sweeps'))))\n"
+    )
+    loaded = {
+        ("fmo-trace", "--n_times", "3"): [],
+        ("toy-decay",): ["solaraudit.models", "solaraudit.models.cycle",
+                         "solaraudit.models.three_level"],
+    }
+    for argv, modules in loaded.items():
+        proc = run_python(code, tmp_path, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"0 {modules}"]
+
+
+def test_command_lists_name_every_model_first(capsys):
+    # the model commands come from the model table, loaded on demand, and
+    # still lead --help and the unknown-command message
+    commands = "toy-decay, toy-ham, donor-acceptor, photocell, fmo-trace, sweep, compare-power"
+    _, out, _ = run_cli(capsys, "--help")
+    assert out.startswith(cli.__doc__)
+    assert out.splitlines()[-2:] == [
+        f"Commands: {commands}", "Sweep models: toy_decay, toy_ham, donor_acceptor, photocell"]
+    code, _, err = run_cli(capsys, "toy_decay")
+    assert code == 2
+    assert err == f"error: unknown command 'toy_decay'; commands: {commands}\n"
+
 def test_small_generators_leave_scipy_unimported(tmp_path):
     # the steady-state audit of the zoo: an FMO thermal control (dim 9)
     # and a decay generator, steady state and per-bath heat currents; nor

@@ -41,6 +41,7 @@ from dissipator_oracle import (
     gibbs_state,
     heat_operator,
     reachable,
+    stepwise_propagate,
 )
 
 
@@ -932,6 +933,141 @@ def test_propagation_faults_carry_the_floors_messages(monkeypatch):
         assert str(got.value).startswith(message)
 
 
+def repair_start(dim):
+    """assert_propagation_follows_a_repair's generator, start and grid."""
+    start = np.zeros((dim, dim), dtype=complex)
+    start[0, 0] = 1.0
+    start[1, 2] = start[2, 1] = 1e-12
+    return level_one_decay(dim), DensityMatrix(start), 0.5 * np.arange(6)
+
+
+def one_sided_start(dim):
+    """test_propagate_follows_a_one_sided_start_out_of_its_set's generator,
+    start and grid."""
+    start = np.zeros((dim, dim), dtype=complex)
+    start[[0, 1, 2], [0, 1, 2]] = 0.5, 0.25, 0.25
+    start[1, 2] = 1e-13
+    return level_one_decay(dim), DensityMatrix(start), 0.5 * np.arange(6)
+
+
+def default_fmo_trace():
+    cfg = default_config()
+    fmo = build_model(cfg)
+    grid = np.linspace(0.0, cfg.t_max_ps, cfg.n_times) * PS_TO_INTERNAL
+    return fmo.generator, DensityMatrix.ground(fmo.dim), grid
+
+
+# name -> (generator, start, grid): the default trace, the ladder benchmark's
+# start, and the starts whose first step repairs a state or symmetrizes it
+# out of its set, on every coordinate (dim 3) and on blocks (dim 17)
+STEPWISE_CASES = {
+    "fmo-default": default_fmo_trace,
+    "ladder-60": lambda: (*product_start_ladder(60), np.linspace(0.0, 1.6, 9)),
+    **{f"repair-{dim}": (lambda dim=dim: repair_start(dim)) for dim in (3, 17)},
+    **{f"one-sided-{dim}": (lambda dim=dim: one_sided_start(dim)) for dim in (3, 17)},
+}
+
+
+@pytest.mark.parametrize("name", STEPWISE_CASES)
+def test_stacked_propagation_is_the_stepwise_one_bitwise(name):
+    # propagate checks its steps in stacked passes and takes a step alone
+    # only where one fails; every state is the one a propagation that floors
+    # and validates each state before the next step builds, to the bit
+    gen, rho0, grid = STEPWISE_CASES[name]()
+    states = propagate(gen, rho0, grid)
+    reference = stepwise_propagate(gen, rho0, grid)
+    assert len(states) == len(reference) == grid.size
+    for rho, ref in zip(states, reference):
+        assert np.array_equal(rho.entries, ref.entries)
+        assert not rho.entries.flags.writeable
+
+
+@pytest.mark.parametrize("third", ["nan", "raises", "overflows"])
+def test_propagation_raises_the_first_fault_in_step_order(monkeypatch, third):
+    # step 2 lands on a state with an eigenvalue below -EIGENVALUE_FLOOR and
+    # step 3 fails on its own: its advance returns nan, or raises, or its
+    # |L dt|_1 overflows. Steps 2 and 3 run in one stacked batch, yet the
+    # step-2 fault is raised, as the stepwise propagation raises it, and
+    # no warning is emitted for the work past it.
+    gen = hamiltonian_transfer_generator(LADDER, 6)
+    rho0 = dressed_product_state(LADDER, 6)
+    mask = reachable(gen.superoperator, rho0.entries.reshape(-1) != 0).reshape(gen.dim, gen.dim)
+    within = np.flatnonzero(mask | mask.T)
+    level = np.flatnonzero(np.diag(mask))[3]
+    bad = rho0.entries.copy()
+    bad[level, level] = -2 * core.EIGENVALUE_FLOOR
+    grid = np.array([0.0, 0.5, 1.0, 1e308]) if third == "overflows" else 0.5 * np.arange(4)
+    propagator = core._propagator
+
+    def faulty(lmat, at):
+        advance = propagator(lmat, at)
+        starts = []  # the state each step starts from: a step taken again has its start
+
+        def step(y, dt):
+            if not any(np.array_equal(y, s) for s in starts):
+                starts.append(y.copy())
+            k = next(k for k, s in enumerate(starts, 1) if np.array_equal(y, s))
+            if k == 1:
+                return advance(y, dt)
+            if k == 2:
+                return bad.reshape(-1)[within]
+            if third == "nan":
+                return np.full_like(y, np.nan)
+            raise NumericsError(f"exp(L dt) rho is not finite at dt = {dt!r}")
+        return step
+
+    monkeypatch.setattr(core, "_propagator", faulty)
+    with pytest.raises(StateValidationError) as want:
+        stepwise_propagate(gen, rho0, grid)
+    with pytest.raises(StateValidationError) as got:
+        propagate(gen, rho0, grid)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("positivity violation: eigenvalue -2.000e-09")
+
+
+@pytest.mark.parametrize("nudged_steps", ["every", "one"])
+def test_propagation_repairs_as_the_stepwise_one(monkeypatch, nudged_steps):
+    # a nudged step adds 1e-12 to the coherence between levels 1 and 2,
+    # which hold (next to) nothing, so it lands below zero and is repaired
+    # (one dense eigh). Nudging every step, each step runs alone, with one
+    # advance per step; nudging only the 0.6-long step, the fifth, inside
+    # the third batch, it is found there and repaired once. Either way the
+    # states are the stepwise propagation's.
+    gen, rho0 = level_one_decay(3), DensityMatrix.ground(3)
+    grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.6, 3.1, 3.6, 4.1])
+    propagator = core._propagator
+    calls = []
+
+    def nudged(lmat, at):
+        advance = propagator(lmat, at)
+
+        def step(y, dt):
+            calls.append("advance")
+            out = advance(y, dt)
+            if nudged_steps == "every" or abs(dt - 0.6) < 1e-9:
+                out[[5, 7]] += 1e-12  # entries (1, 2) and (2, 1) of the full support
+            return out
+        return step
+
+    def counted(a, *args, **kwargs):  # the dense repair's eigh
+        calls.append("eigh")
+        return eigh(a, *args, **kwargs)
+
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(core, "_propagator", nudged)
+    reference = stepwise_propagate(gen, rho0, grid)
+    repairs = calls.count("eigh")
+    assert repairs == (grid.size - 1 if nudged_steps == "every" else 1)
+    calls.clear()
+    states = propagate(gen, rho0, grid)
+    assert calls.count("eigh") == repairs
+    if nudged_steps == "every":
+        assert calls == ["advance", "eigh"] * (grid.size - 1)
+    for rho, ref in zip(states, reference):
+        assert np.array_equal(rho.entries, ref.entries)
+
+
 def cancelling_generator():
     """Three levels at 2, 1 and 0, one channel at rate 1/4 whose jump holds
     diagonal and off-diagonal entries, (|0> - |1>)(<0| - <1|) + |2><2|. In
@@ -1629,12 +1765,13 @@ def test_states_within_the_dense_bound_take_one_eigvalsh(monkeypatch):
     # at or below DENSE_PROPAGATION_MAX_DIM levels one eigvalsh of the whole
     # state is cheaper than finding its blocks: the FMO ground state (dim
     # 10), built directly and propagated, is diagonalised only as 10 x 10
-    # and never split
+    # and never split, once per state, in calls that may stack states
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
     def recorded(a, *args, **kwargs):
-        shapes.append(np.shape(a)[-2:])
+        shape = np.shape(a)
+        shapes.extend([shape[-2:]] * math.prod(shape[:-2]))
         return eigvalsh(a, *args, **kwargs)
 
     def no_blocks(mask):
@@ -1648,5 +1785,5 @@ def test_states_within_the_dense_bound_take_one_eigvalsh(monkeypatch):
     assert shapes == [(gen.dim, gen.dim)]
     states = propagate(gen, ground, np.linspace(0.0, 1.0, 5) * PS_TO_INTERNAL)
     assert len(states) == 5
-    # one eigvalsh for the state built directly and one per propagated state
+    # the state built directly and each propagated state, once
     assert shapes == [(gen.dim, gen.dim)] * 5
