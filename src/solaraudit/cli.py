@@ -44,6 +44,7 @@ def _parse_argv(argv):
     fmt = "csv"
     out = None
     overrides = {}
+    seen = set()
     i = 1
     while i < len(argv):
         arg = argv[i]
@@ -52,6 +53,9 @@ def _parse_argv(argv):
         key = arg[2:]
         if key == "help":
             return None
+        if key in seen:
+            raise ConfigError(f"flag --{key} given twice")
+        seen.add(key)
         i += 1
         if i >= len(argv):
             raise ConfigError(f"flag --{key} needs a value")

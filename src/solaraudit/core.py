@@ -25,12 +25,12 @@ initial state, which one search finds while it generates the generator's
 columns there, never whole: a dense exponential on a set of up to
 DENSE_PROPAGATION_MAX_DIM^2 coordinates, a truncated Taylor action on a
 larger one, and each propagated state is floored and validated on its
-entries in that set (a _Support), in one stacked pass per batch of steps,
-and written dense once. Everything here is
-numpy; nothing imports scipy. Each state is diagonalised once: in one
-eigvalsh up to DENSE_PROPAGATION_MAX_DIM levels, and above that block by
-block, a propagated state over the connected blocks of that set, a state
-built directly over those of its own nonzero entries.
+entries in that set (a _Support) and written dense once, before the next
+step is taken. Everything here is numpy; nothing imports scipy. Each state
+is diagonalised once: in one eigvalsh up to DENSE_PROPAGATION_MAX_DIM
+levels, and above that block by block, a propagated state over the
+connected blocks of that set, a state built directly over those of its own
+nonzero entries.
 """
 
 import math
@@ -100,17 +100,12 @@ class DensityMatrix:
 
     __slots__ = ("entries", "dim")
 
-    def __init__(self, entries, *, _spectrum=None, _support=None, _checked=False):
+    def __init__(self, entries, *, _spectrum=None, _support=None):
         # _spectrum: ascending eigenvalues of entries, known to the caller that
         # built them (propagate and steady_state pass floor_positivity's).
         # _support: a _Support outside which the freshly written entries are
         # exactly 0 (propagate's); the checks read only its entries, and the
-        # array is taken as it is, without a copy.
-        # _checked: the read-only entries have passed these checks in a
-        # stack (propagate's _accepted) and are taken as they are
-        if _checked:
-            self.entries, self.dim = entries, entries.shape[0]
-            return
+        # array is taken as it is, without a copy
         mat = np.array(entries, dtype=complex) if _support is None else entries
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise StateValidationError(
@@ -625,27 +620,21 @@ def _support_of(mask):
 
 
 def _trace(x, support):
-    """Trace of a state given by its entries x on a support, or of each row
-    of a stack x of them: the diagonal as a length-dim vector, 0 at a level
-    off the support, summed in the order numpy's trace sums it."""
-    if support.level.size == support.dim:  # every level, in order
-        d = x[..., support.diagonal]
-    else:
-        d = np.zeros((*x.shape[:-1], support.dim), dtype=x.dtype)
-        d[..., support.level] = x[..., support.diagonal]
-    return d.sum(axis=-1).real
+    """Trace of a state given on a support: its diagonal scattered into a
+    length-dim vector and summed, in the order numpy's trace sums it."""
+    d = np.zeros(support.dim, dtype=x.dtype)
+    d[support.level] = x[support.diagonal]
+    return d.sum().real
 
 
 def _eigenvalues(x, support):
-    """Ascending eigenvalues of a Hermitian state given by its entries x on
-    a support, or of each row of a stack x of them: one eigvalsh per state
-    on the full support, else one batched eigvalsh per block size."""
-    rows = x.shape[:-1]
+    """Ascending eigenvalues of a Hermitian state given by its entries on a
+    support: one eigvalsh on the full support, else one batched eigvalsh
+    per block size."""
     if support.blocks is None:
-        return np.linalg.eigvalsh(x.reshape(*rows, support.dim, support.dim))
-    padded = np.concatenate([x, np.zeros_like(x[..., :1])], axis=-1)
-    w = [np.linalg.eigvalsh(padded[..., g]).reshape(*rows, g[..., 0].size) for g in support.blocks]
-    return np.sort(np.concatenate(w, axis=-1), axis=-1)
+        return np.linalg.eigvalsh(x.reshape(support.dim, support.dim))
+    padded = np.append(x, 0.0)
+    return np.sort(np.concatenate([np.linalg.eigvalsh(padded[g]).ravel() for g in support.blocks]))
 
 
 def _floored(x, support):
@@ -678,38 +667,6 @@ def _floored(x, support):
     if tr <= 0:
         raise StateValidationError(f"state trace collapsed to {tr:.3e}")
     return sym / tr, w / tr, support
-
-
-def _leading(ok):
-    """How many leading entries of a boolean vector are True."""
-    return ok.size if ok.all() else int(ok.argmin())
-
-
-def _accepted(sym, tr, support, spill):
-    """The states of a stack of symmetrized steps: sym, a row of entries on
-    a support per step, divided in place by its trace tr; and how many
-    leading rows _floored would take as they are and DensityMatrix accept.
-    A row passes if sym is finite, its least eigenvalue is below neither
-    -EIGENVALUE_FLOOR nor the eigensolver's rounding of 0 (so no clip),
-    tr is positive, and sym / tr is finite and Hermitian to
-    HERMITICITY_TOL, of trace 1 to TRACE_TOL, with no eigenvalue of
-    sym / tr below -EIGENVALUE_FLOOR, and, if spill is not None, 0 on the
-    positions spill marks. Rows from the first non-finite one on are not
-    examined, so eigvalsh never sees a non-finite entry."""
-    n = _leading(np.isfinite(sym).all(axis=1))
-    sym, tr = sym[:n], tr[:n]
-    w = _eigenvalues(sym, support)
-    lo, hi = w[:, 0], w[:, -1]
-    rounding = support.dim * np.finfo(float).eps * np.maximum(-lo, hi)
-    ok = ~(lo < -EIGENVALUE_FLOOR) & ~(lo < -rounding) & ~(tr <= 0)
-    sym /= tr[:, None]
-    ok &= np.isfinite(sym).all(axis=1)
-    ok &= ~(np.abs(sym - sym[:, support.transpose].conj()).max(axis=1) > HERMITICITY_TOL)
-    ok &= ~(np.abs(_trace(sym, support) - 1.0) > TRACE_TOL)
-    ok &= ~(lo / tr < -EIGENVALUE_FLOOR)
-    if spill is not None:
-        ok &= ~sym[:, spill].any(axis=1)
-    return sym, _leading(ok)
 
 
 def expm_dense(a):
@@ -872,25 +829,15 @@ def propagate(gen, rho0, t_grid):
     finite, raises NumericsError. Output states are symmetrized,
     positivity-floored (_floored) and validated on their kept entries, the
     set closed under transpose (a _Support), every coordinate up to
-    DENSE_PROPAGATION_MAX_DIM levels, and written dense once; the floored
-    entries start the next step.
-
-    Steps run in batches. A batch does only the arithmetic that feeds the
-    next step (the step, the symmetrization, the division by the trace)
-    into one stack, and one stacked pass (_accepted) runs the floor's and
-    DensityMatrix's checks on it. The states before the first row that
-    fails are views of the stack; that row's step is taken again alone,
-    floored and validated, so it raises its fault's message or is
-    repaired dense, and stepping resumes from it: a fault or a repair
-    comes before any error a later step raises. Only a repaired state (or
-    one off a set not closed under transpose) is asked whether it left the
-    set; if so, the set is found again from it. The first step, and each
-    one after a repair, runs alone; each batch after one that passed is
-    twice as long, so a run that repairs at every step does the per-state
-    work and no more. Each state is diagonalised once: in one eigvalsh up
-    to DENSE_PROPAGATION_MAX_DIM levels; above that block by block, since
-    the set, read as a dim x dim pattern, splits into connected blocks
-    (_blocks, found once per set) outside which the state is exactly 0.
+    DENSE_PROPAGATION_MAX_DIM levels, and written dense once, each before
+    the next step is taken; the floored entries start that step. Only a
+    state whose floor clipped an eigenvalue is repaired dense, and only
+    then (or when the set is not closed under transpose) is it asked
+    whether it left the set; if so, the set is found again from it. Each state is diagonalised once: in one
+    eigvalsh up to DENSE_PROPAGATION_MAX_DIM levels; above that block by
+    block, since the set, read as a dim x dim pattern, splits into
+    connected blocks (_blocks, found once per set) outside which the state
+    is exactly 0.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -925,68 +872,28 @@ def propagate(gen, rho0, t_grid):
         at = np.flatnonzero(keep[support.index])
         return keep, support, np.array_equal(mask, mask.T), _propagator(lmat, at)
 
-    def step(x, dt):  # exp(L dt) on the entries x of a state on the set
-        nonlocal lnorm
-        if not math.isfinite(2 * bound * dt):
-            if lnorm is None:
-                lnorm = _norm1(gen.superoperator.col, gen.superoperator.data)
-            if not math.isfinite(lnorm * dt):
-                raise NumericsError(f"|L dt|_1 overflows at dt = {dt!r}")
-        return advance(x, dt)
-
     y = rho0.entries.reshape(-1)
     keep, support, closed, advance = restrict(y)
     x = y[support.index]
     out = [rho0]
     # each grid value is rounded to within an ulp of max|t|, so two steps
     # of one length differ by up to four of those
-    steps = _step_lengths(np.diff(t), 4 * np.finfo(float).eps * t[-1])
-    batch = 1
-    while len(out) <= len(steps):
-        done = len(out) - 1
-        if batch > 1:
-            run = steps[done : done + batch]
-            sym, tr = np.empty((len(run), x.size), dtype=complex), np.empty(len(run))
-            # a step past a non-finite state, or one that raises, is taken
-            # again alone once every row before it passed
-            with np.errstate(all="ignore"):
-                n, z = 0, x
-                try:
-                    for dt in run:
-                        z = step(z, dt)
-                        sym[n] = 0.5 * (z + z[support.transpose].conj())
-                        tr[n] = _trace(sym[n], support)
-                        z = sym[n] / tr[n]
-                        n += 1
-                except NumericsError:
-                    pass
-                states, n = _accepted(sym[:n], tr[:n], support, None if closed else ~keep[support.index])
-            if n:
-                if support.blocks is None:
-                    dense = states[:n]
-                else:
-                    dense = np.zeros((n, dim * dim), dtype=complex)
-                    dense[:, support.index] = states[:n]
-                dense = dense.reshape(n, dim, dim)
-                dense.setflags(write=False)
-                out.extend(DensityMatrix(rho, _checked=True) for rho in dense)
-                x = states[n - 1]
-            if n == len(run):
-                batch *= 2
-                continue
-            done += n
-        x, spectrum, held = _floored(step(x, steps[done]), support)
+    for dt in _step_lengths(np.diff(t), 4 * np.finfo(float).eps * t[-1]):
+        if not math.isfinite(2 * bound * dt):
+            if lnorm is None:
+                lnorm = _norm1(gen.superoperator.col, gen.superoperator.data)
+            if not math.isfinite(lnorm * dt):
+                raise NumericsError(f"|L dt|_1 overflows at dt = {dt!r}")
+        x, spectrum, held = _floored(advance(x, dt), support)
         y = np.zeros(dim * dim, dtype=complex)
         y[held.index] = x
-        repaired = held is not support
         # a repair, or the symmetrization of a set not closed under
         # transpose, may leave the set: if so, propagate from here on a new one
-        if repaired or not closed:
+        if held is not support or not closed:
             if y[~keep].any():
                 keep, support, closed, advance = restrict(y)
             x = y[support.index]
         out.append(DensityMatrix(y.reshape(dim, dim), _spectrum=spectrum, _support=support))
-        batch = 1 if repaired else 2
     return out
 
 

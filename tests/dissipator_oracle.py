@@ -104,10 +104,10 @@ def reachable(lmat, keep):
 
 
 def stepwise_propagate(gen, rho0, t_grid):
-    """core.propagate as one state at a time: each step is floored
+    """A reference copy of core.propagate: each step is floored
     (core._floored) and validated (DensityMatrix) before the next one is
     taken. The core helpers are read off the module at call time, so that
-    a test's monkeypatch reaches both routes."""
+    a test's monkeypatch reaches both copies."""
     t = np.asarray(t_grid, dtype=float)
     if not isinstance(rho0, DensityMatrix):
         rho0 = DensityMatrix(rho0)

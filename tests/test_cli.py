@@ -75,6 +75,14 @@ def test_malformed_argv(capsys):
     assert code == 2 and "unexpected argument" in err
     code, _, err = run_cli(capsys, "toy-decay", "--format", "xml")
     assert code == 2 and "--format must be csv or json" in err
+    # a flag given twice is an error, as a duplicate key in a config file is
+    for flag, argv in (
+        ("--gamma", ["toy-decay", "--gamma", "1", "--gamma", "2"]),
+        ("--axis_points", ["sweep", "--axis_points", "3", "--t_loss", "0.5", "--axis_points", "4"]),
+        ("--format", ["toy-decay", "--format", "json", "--format", "csv"]),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: flag {flag} given twice\n")
 
 
 def test_report_csv_shape(capsys):

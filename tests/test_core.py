@@ -970,9 +970,8 @@ STEPWISE_CASES = {
 
 @pytest.mark.parametrize("name", STEPWISE_CASES)
 def test_stacked_propagation_is_the_stepwise_one_bitwise(name):
-    # propagate checks its steps in stacked passes and takes a step alone
-    # only where one fails; every state is the one a propagation that floors
-    # and validates each state before the next step builds, to the bit
+    # propagate floors and validates each state before it takes the next
+    # step; every state is the reference copy's, to the bit, and read-only
     gen, rho0, grid = STEPWISE_CASES[name]()
     states = propagate(gen, rho0, grid)
     reference = stepwise_propagate(gen, rho0, grid)
@@ -986,9 +985,9 @@ def test_stacked_propagation_is_the_stepwise_one_bitwise(name):
 def test_propagation_raises_the_first_fault_in_step_order(monkeypatch, third):
     # step 2 lands on a state with an eigenvalue below -EIGENVALUE_FLOOR and
     # step 3 fails on its own: its advance returns nan, or raises, or its
-    # |L dt|_1 overflows. Steps 2 and 3 run in one stacked batch, yet the
-    # step-2 fault is raised, as the stepwise propagation raises it, and
-    # no warning is emitted for the work past it.
+    # |L dt|_1 overflows. Step 2 is validated before step 3 is taken, so
+    # the step-2 fault is raised, as the reference copy raises it, and no
+    # warning is emitted for any work past it.
     gen = hamiltonian_transfer_generator(LADDER, 6)
     rho0 = dressed_product_state(LADDER, 6)
     mask = reachable(gen.superoperator, rho0.entries.reshape(-1) != 0).reshape(gen.dim, gen.dim)
@@ -1029,10 +1028,10 @@ def test_propagation_raises_the_first_fault_in_step_order(monkeypatch, third):
 def test_propagation_repairs_as_the_stepwise_one(monkeypatch, nudged_steps):
     # a nudged step adds 1e-12 to the coherence between levels 1 and 2,
     # which hold (next to) nothing, so it lands below zero and is repaired
-    # (one dense eigh). Nudging every step, each step runs alone, with one
-    # advance per step; nudging only the 0.6-long step, the fifth, inside
-    # the third batch, it is found there and repaired once. Either way the
-    # states are the stepwise propagation's.
+    # (one dense eigh). Nudging every step, each step is advanced once and
+    # repaired before the next one is taken; nudging only the 0.6-long
+    # step, the fifth, it alone is repaired. Either way the states are the
+    # reference copy's.
     gen, rho0 = level_one_decay(3), DensityMatrix.ground(3)
     grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.6, 3.1, 3.6, 4.1])
     propagator = core._propagator
@@ -1765,7 +1764,7 @@ def test_states_within_the_dense_bound_take_one_eigvalsh(monkeypatch):
     # at or below DENSE_PROPAGATION_MAX_DIM levels one eigvalsh of the whole
     # state is cheaper than finding its blocks: the FMO ground state (dim
     # 10), built directly and propagated, is diagonalised only as 10 x 10
-    # and never split, once per state, in calls that may stack states
+    # and never split, once per state
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
